@@ -18,7 +18,7 @@ w = tape.leaf(rng.normal(size=(3, 5)))
 x = nm.constant(rng.normal(size=5))
 
 # y = tanh(W x), loss = y . y
-y = nm.tanh(nm.matvec(w, x))
+y = nm.tanh(nm.linear(x, w))
 loss = nm.dot(y, y)
 print(f"loss value: {loss.item():.6f}")
 print(f"tape length: {len(tape)} nodes")

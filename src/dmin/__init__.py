@@ -4,7 +4,7 @@ The package splits into a numeric core and a modeling layer:
 
 * :mod:`dmin.numerics` — dense float64 tensors on a reverse-mode tape;
 * :mod:`dmin.routing` — capsule-style dynamic memory routing;
-* :mod:`dmin.encoder` — feature-hashing and pass-through text encoders;
+* :mod:`dmin.encoder` — feature-hashing text encoder and encoder config;
 * :mod:`dmin.classifier` — cosine classifier with a learnable scale;
 * :mod:`dmin.episodes` — datasets, C-way K-shot sampling, file formats;
 * :mod:`dmin.silhouette` — cluster-separation score;
@@ -16,7 +16,7 @@ The most common entry points are re-exported here.
 """
 
 from .classifier import CosineClassifier, base_scores, few_scores
-from .encoder import EncoderConfig, FeatureHashEncoder, PrecomputedEncoder
+from .encoder import EncoderConfig, FeatureHashEncoder
 from .episodes import (DataError, Dataset, EpisodeConfig, gen_synthetic,
                        load_jsonl_vectors, load_tsv, sample_episode,
                        split_base_novel)
@@ -44,7 +44,6 @@ __all__ = [
     "Model",
     "ModelConfig",
     "NumericError",
-    "PrecomputedEncoder",
     "RoutingConfig",
     "RoutingPair",
     "RoutingParams",

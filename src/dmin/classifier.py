@@ -59,7 +59,7 @@ def base_scores(clf: CosineClassifier, e: Tensor) -> Tensor:
         raise ValueError(
             f"input has shape {e.array.shape}, classifier expects "
             f"({clf.embed_dim},)")
-    return nm.mul(clf.tau(), nm.cosine_rows(clf.w_base, e))
+    return nm.mul(clf.tau(), nm.cosine(clf.w_base, e))
 
 
 def few_scores(clf: CosineClassifier, e_q: Tensor, class_vectors) -> Tensor:
@@ -79,7 +79,7 @@ def few_scores(clf: CosineClassifier, e_q: Tensor, class_vectors) -> Tensor:
         raise ValueError(
             f"class vectors have dimension {mat.array.shape[1]}, query has "
             f"{e_q.array.shape[0]}")
-    return nm.mul(clf.tau(), nm.cosine_rows(mat, e_q))
+    return nm.mul(clf.tau(), nm.cosine(mat, e_q))
 
 
 def loss_supervised(scores: Tensor, label: int) -> Tensor:

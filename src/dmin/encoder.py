@@ -1,15 +1,14 @@
-"""Input encoders producing d-dimensional sample vectors.
+"""The text encoder and the encoder configuration.
 
-Two interchangeable paths:
+:class:`FeatureHashEncoder` lowercases text, splits on whitespace, hashes
+each token with 64-bit FNV-1a into one of ``vocab_buckets`` count buckets,
+L2-normalizes the counts, and applies a learned linear projection followed
+by tanh.  The projection is the only trainable piece and participates in
+both training stages.
 
-* :class:`FeatureHashEncoder` — lowercases text, splits on whitespace,
-  hashes each token with 64-bit FNV-1a into one of ``vocab_buckets``
-  count buckets, L2-normalizes the counts, and applies a learned linear
-  projection followed by tanh.  The projection is the only trainable
-  piece and participates in both training stages.
-* :class:`PrecomputedEncoder` — looks items up in a fixed table of
-  externally computed vectors (e.g. sentence embeddings written by some
-  other system) and returns them as constants.
+:class:`EncoderConfig` also names the ``"precomputed"`` kind: datasets of
+externally computed vectors, which :meth:`dmin.model.Model.encode` passes
+through unchanged, so that kind has no encoder object and no parameters.
 
 Hashing is plain arithmetic on documented constants, so bucket
 assignment is identical across runs and platforms.
@@ -17,7 +16,7 @@ assignment is identical across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,43 +85,7 @@ class FeatureHashEncoder:
 
     def encode(self, item: str) -> Tensor:
         counts = hash_counts(item, self.config.vocab_buckets)
-        return nm.tanh(nm.matvec(self.projection, nm.constant(counts)))
-
-
-@dataclass
-class PrecomputedEncoder:
-    """Fixed lookup of externally computed vectors, keyed by item id."""
-
-    config: EncoderConfig
-    table: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key, vec in self.table.items():
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.shape != (self.config.embed_dim,):
-                raise ValueError(
-                    f"vector for {key!r} has shape {arr.shape}, expected "
-                    f"({self.config.embed_dim},)")
-            self.table[key] = arr
-
-    def encode(self, item: str) -> Tensor:
-        if item not in self.table:
-            raise ValueError(f"unknown item id {item!r}")
-        return nm.constant(self.table[item])
-
-
-def encode(encoder, item) -> Tensor:
-    return encoder.encode(item)
-
-
-def encode_batch(encoder, items) -> list:
-    out = []
-    for i, item in enumerate(items):
-        try:
-            out.append(encoder.encode(item))
-        except ValueError as err:
-            raise ValueError(f"item {i}: {err}") from err
-    return out
+        return nm.tanh(nm.linear(nm.constant(counts), self.projection))
 
 
 def init_encoder_arrays(cfg: EncoderConfig, rng: np.random.Generator,

@@ -24,6 +24,8 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+_F64_MAX = float(np.finfo(np.float64).max)
+
 
 class DataError(ValueError):
     """Malformed input data (bad file, bad record, unusable dataset)."""
@@ -186,7 +188,11 @@ def save_tsv(dataset: Dataset, path) -> None:
 
 
 def load_jsonl_vectors(path) -> Dataset:
-    """``{"label": ..., "vector": [...]}`` per line; blank lines skipped."""
+    """``{"label": ..., "vector": [...]}`` per line; blank lines skipped.
+
+    Vector entries must be finite numbers: JSON's ``NaN`` and ``Infinity``
+    literals are refused here rather than failing later in training.
+    """
     names, vectors, skipped = [], [], 0
     dim = None
     with open(path, encoding="utf-8") as fh:
@@ -206,12 +212,15 @@ def load_jsonl_vectors(path) -> Dataset:
                     f"{path}: line {lineno}: expected keys 'label' and "
                     f"'vector'")
             vec = record["vector"]
+            # abs(x) <= max also refuses NaN, infinities and integers that
+            # overflow float64
             if (not isinstance(vec, list)
                     or not all(isinstance(x, (int, float))
-                               and not isinstance(x, bool) for x in vec)):
+                               and not isinstance(x, bool)
+                               and abs(x) <= _F64_MAX for x in vec)):
                 raise DataError(
                     f"{path}: line {lineno}: vector must be a list of "
-                    f"numbers")
+                    f"finite numbers")
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:

@@ -21,7 +21,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -129,62 +128,62 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     return out
 
 
+def _build(cls, key: str, val):
+    """A config dataclass from a JSON object; int fields must be ints."""
+    if val is None:
+        return cls()
+    if not isinstance(val, dict):
+        raise DataError(f"config key {key!r} must be an object")
+    fields = cls.__dataclass_fields__
+    unknown = set(val) - set(fields)
+    if unknown:
+        raise DataError(
+            f"config key {key!r} has unknown fields {sorted(unknown)}")
+    for name, v in val.items():
+        if fields[name].type in (int, "int"):
+            _require_int(f"{key}.{name}", v)
+    return cls(**val)
+
+
+def _require_int(name: str, v) -> None:
+    if type(v) is not int:  # rejects bools and floats such as 2.0
+        raise DataError(f"config field {name} must be an integer, got {v!r}")
+
+
 def train_config_from_dict(raw: dict) -> TrainConfig:
     """Build a TrainConfig from a (possibly partial) plain dict."""
-    def sub(cls, key):
-        val = raw.get(key)
-        if val is None:
-            return cls()
-        if not isinstance(val, dict):
-            raise DataError(f"config key {key!r} must be an object")
-        known = {f.name for f in cls.__dataclass_fields__.values()} \
-            if hasattr(cls, "__dataclass_fields__") else set()
-        unknown = set(val) - known
-        if unknown:
-            raise DataError(
-                f"config key {key!r} has unknown fields {sorted(unknown)}")
-        return cls(**val)
-
+    known_top = {"stage1", "stage2", "eval", "encoder", "routing", "seed",
+                 "ablation", "num_base", "meta_source", "freeze_tau"}
+    unknown = set(raw) - known_top
+    if unknown:
+        raise DataError(f"unknown config keys {sorted(unknown)}")
+    seed, num_base = raw.get("seed", 0), raw.get("num_base")
+    _require_int("seed", seed)
+    if num_base is not None:
+        _require_int("num_base", num_base)
     try:
         routing = None
         if raw.get("routing") is not None:
             r = raw["routing"]
             routing = RoutingPair(
-                dmm=RoutingConfig(**r["dmm"]),
-                qim=RoutingConfig(**r["qim"]),
+                dmm=_build(RoutingConfig, "routing.dmm", r["dmm"]),
+                qim=_build(RoutingConfig, "routing.qim", r["qim"]),
                 share_params=bool(r.get("share_params", False)),
             )
-        known_top = {"stage1", "stage2", "eval", "encoder", "routing",
-                     "seed", "ablation", "num_base", "meta_source",
-                     "freeze_tau"}
-        unknown = set(raw) - known_top
-        if unknown:
-            raise DataError(f"unknown config keys {sorted(unknown)}")
         return TrainConfig(
-            stage1=sub(Stage1Config, "stage1"),
-            stage2=sub(Stage2Config, "stage2"),
-            eval=sub(EvalSettings, "eval"),
-            encoder=sub(EncoderConfig, "encoder"),
+            stage1=_build(Stage1Config, "stage1", raw.get("stage1")),
+            stage2=_build(Stage2Config, "stage2", raw.get("stage2")),
+            eval=_build(EvalSettings, "eval", raw.get("eval")),
+            encoder=_build(EncoderConfig, "encoder", raw.get("encoder")),
             routing=routing,
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             ablation=raw.get("ablation", "full"),
-            num_base=raw.get("num_base"),
+            num_base=num_base,
             meta_source=raw.get("meta_source", "novel"),
             freeze_tau=bool(raw.get("freeze_tau", False)),
         )
     except (TypeError, KeyError) as err:
         raise DataError(f"bad train config: {err}") from err
-
-
-def load_train_config(path) -> TrainConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise DataError(f"cannot read config {path}: {err}") from err
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: config must be a JSON object")
-    return train_config_from_dict(raw)
 
 
 def config_hash_hex(obj) -> str:
@@ -299,7 +298,7 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
     optimizer = Adam(lr=cfg.stage1.learning_rate)
     losses = []
     n = base_dataset.num_items
-    for step in range(cfg.stage1.steps):
+    for _ in range(cfg.stage1.steps):
         batch = rng.choice(n, size=min(cfg.stage1.batch_size, n),
                            replace=False)
         tape = nm.Tape()
@@ -312,9 +311,6 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
                                         base_dataset.labels[int(i)])
             total = item_loss if total is None else nm.add(total, item_loss)
         loss = nm.scale(total, 1.0 / len(batch))
-        if not math.isfinite(loss.item()):
-            raise nm.NumericError(
-                f"stage-1 loss diverged at step {step}: {loss.item()}")
         grads = nm.backward(tape, loss)
         optimizer.step(model.params,
                        {name: grads[t.node_id]
@@ -355,12 +351,8 @@ def meta_train(model: Model, dataset: Dataset,
     losses = []
     for index in range(s2.episodes):
         episode = sample_episode(dataset, ep_cfg, index)
-        loss = episode_step(model, episode, optimizer, flags,
-                            freeze_tau=cfg.freeze_tau)
-        if not math.isfinite(loss):
-            raise nm.NumericError(
-                f"stage-2 loss diverged at episode {index}: {loss}")
-        losses.append(loss)
+        losses.append(episode_step(model, episode, optimizer, flags,
+                                   freeze_tau=cfg.freeze_tau))
     model.meta["meta_trained"] = True
     return MetaTrainResult(model=model, losses=losses)
 

@@ -66,18 +66,6 @@ class ModelConfig:
             raise ValueError(
                 "share_routing requires identical dmm and qim configs")
 
-    @classmethod
-    def build(cls, embed_dim: int, num_base_classes: int,
-              encoder_kind: str = "precomputed", vocab_buckets: int = 4096,
-              capsule_count: int = 4, iterations: int = 3,
-              share_routing: bool = False) -> "ModelConfig":
-        enc = EncoderConfig(kind=encoder_kind, embed_dim=embed_dim,
-                            vocab_buckets=max(vocab_buckets, embed_dim))
-        rc = RoutingConfig.for_pipeline(embed_dim, capsule_count=capsule_count,
-                                        iterations=iterations)
-        return cls(embed_dim=embed_dim, num_base_classes=num_base_classes,
-                   encoder=enc, dmm=rc, qim=rc, share_routing=share_routing)
-
 
 @dataclass
 class Model:
@@ -254,23 +242,31 @@ def load_checkpoint(path) -> Model:
         raise CheckpointError(
             f"{path}: checksum mismatch (file corrupt): recorded "
             f"{str(recorded)[:12]}.., computed {actual[:12]}..")
-    config = _config_from_dict(body["config"])
+    raw_config, arrays, meta = (body.get("config"), body.get("params"),
+                                body.get("meta", {}))
+    for key, value in (("config", raw_config), ("params", arrays),
+                       ("meta", meta)):
+        if not isinstance(value, dict):
+            raise CheckpointError(f"{path}: {key!r} must be a JSON object")
+    config = _config_from_dict(raw_config)
     params = {}
-    for name, entry in body["params"].items():
+    for name, entry in arrays.items():
         try:
             raw = base64.b64decode(entry["data"], validate=True)
             shape = tuple(entry["shape"])
         except (KeyError, TypeError, ValueError) as err:
             raise CheckpointError(
                 f"{path}: bad array entry {name!r}: {err}") from err
+        if not all(type(k) is int and k >= 0 for k in shape):
+            raise CheckpointError(
+                f"{path}: array {name!r} has a bad shape {list(shape)}")
         arr = np.frombuffer(raw, dtype="<f8")
         if arr.size != int(np.prod(shape, dtype=np.int64)):
             raise CheckpointError(
                 f"{path}: array {name!r} has {arr.size} values, shape "
                 f"{shape} needs {int(np.prod(shape, dtype=np.int64))}")
         params[name] = arr.reshape(shape).astype(np.float64)
-    model = Model(config=config, params=params,
-                  meta=dict(body.get("meta", {})))
+    model = Model(config=config, params=params, meta=dict(meta))
     _check_shapes(model, path)
     return model
 

@@ -7,14 +7,19 @@ adjoints for every leaf parameter.
 
 Conventions:
 
-- scalars are rank-0, vectors rank-1, matrices rank-2; no broadcasting other
-  than scalar-times-tensor in :func:`mul`,
+- scalars are rank-0, vectors rank-1, matrices rank-2.  :func:`linear`,
+  :func:`squash`, :func:`softmax`, :func:`cosine` and :func:`pccs` act
+  along the last axis and treat any leading axes as independent rows; the
+  rank-1 ``q`` of :func:`cosine` and :func:`pccs` is broadcast against
+  every row, so a rank-1 input is simply a single row.  There is no other
+  broadcasting except scalar-times-tensor in :func:`mul`,
 - every public operation validates that its result is finite and raises
   :class:`NumericError` otherwise (silent NaN/Inf propagation is a bug),
 - a result is recorded on a tape iff at least one input is recorded; mixing
   inputs from two different tapes is an error,
 - norm and variance denominators are guarded by ``EPS = 1e-12``: squash maps
-  (near-)zero vectors to zero, cosine of a (near-)zero vector is 0.
+  (near-)zero rows to zero, and cosine and pccs of a (near-)zero or constant
+  row are 0, with zero gradient.
 """
 
 from __future__ import annotations
@@ -36,15 +41,12 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "matvec",
+    "linear",
     "vecmat",
-    "linear_rows",
     "tanh",
     "exp",
     "squash",
-    "squash_rows",
     "softmax",
-    "softmax_rows",
     "logsumexp",
     "dot",
     "index",
@@ -52,12 +54,8 @@ __all__ = [
     "concat",
     "stack_rows",
     "stack_cols",
-    "center",
-    "center_rows",
     "cosine",
-    "cosine_rows",
     "pccs",
-    "pccs_rows",
     "backward",
 ]
 
@@ -82,12 +80,17 @@ def _as_f64(array) -> np.ndarray:
 
 
 class Tensor:
-    """Immutable dense array of float64, optionally recorded on a tape."""
+    """Immutable dense array of float64, optionally recorded on a tape.
+
+    Made by :func:`constant`, :meth:`Tape.leaf` and the operations, which
+    convert the array to contiguous float64 and check it first.
+    """
 
     __slots__ = ("array", "tape", "node_id")
 
-    def __init__(self, array, tape: "Tape | None" = None, node_id: int | None = None):
-        self.array = _as_f64(array)
+    def __init__(self, array: np.ndarray, tape: "Tape | None" = None,
+                 node_id: int | None = None):
+        self.array = array
         self.tape = tape
         self.node_id = node_id
 
@@ -138,10 +141,6 @@ class Tape:
         self.nodes.append(_Node("leaf", (), value, None))
         return Tensor(value, self, len(self.nodes) - 1)
 
-    def _record(self, op, value, parent_ids, vjp) -> int:
-        self.nodes.append(_Node(op, parent_ids, value, vjp))
-        return len(self.nodes) - 1
-
 
 def constant(array) -> Tensor:
     """Wrap an array as an un-recorded Tensor (no gradient flows into it)."""
@@ -158,7 +157,10 @@ def _ensure_finite(op: str, value: np.ndarray) -> None:
         raise NumericError(f"{op}: non-finite result")
 
 
-def _common_tape(parents: Sequence[Tensor]) -> Tape | None:
+def _result(op: str, value, parents: Sequence[Tensor],
+            vjp: Callable[[np.ndarray], tuple] | None) -> Tensor:
+    value = _as_f64(value)
+    _ensure_finite(op, value)
     tape = None
     for p in parents:
         if p.tape is None:
@@ -167,24 +169,21 @@ def _common_tape(parents: Sequence[Tensor]) -> Tape | None:
             tape = p.tape
         elif tape is not p.tape:
             raise ValueError("inputs recorded on different tapes")
-    return tape
-
-
-def _result(op: str, value, parents: Sequence[Tensor],
-            vjp: Callable[[np.ndarray], tuple] | None) -> Tensor:
-    value = _as_f64(value)
-    _ensure_finite(op, value)
-    tape = _common_tape(parents)
     if tape is None:
         return Tensor(value)
-    parent_ids = tuple(p.node_id if p.tape is not None else None for p in parents)
-    node_id = tape._record(op, value, parent_ids, vjp)
-    return Tensor(value, tape, node_id)
+    # an un-recorded parent has node_id None, so backward skips it
+    tape.nodes.append(_Node(op, tuple([p.node_id for p in parents]), value, vjp))
+    return Tensor(value, tape, len(tape.nodes) - 1)
 
 
 def _need_shape(op: str, t: Tensor, ndim: int) -> None:
     if t.ndim != ndim:
         raise ValueError(f"{op}: expected rank-{ndim} tensor, got shape {t.shape}")
+
+
+def _rowdot(a, b):
+    """Dot products of corresponding rows (along the last axis)."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +226,35 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _result("scale", x.array * c, (x,), lambda g: (g * c,))
 
 
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """Matrix-vector product ``w @ x``."""
-    _need_shape("matvec", w, 2)
-    _need_shape("matvec", x, 1)
-    if w.shape[1] != x.shape[0]:
-        raise ValueError(f"matvec: shape mismatch {w.shape} @ {x.shape}")
-    wv, xv = w.array, x.array
-    return _result("matvec", wv @ xv, (w, x),
-                   lambda g: (np.outer(g, xv), wv.T @ g))
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map of the last axis: ``x @ w.T``, plus ``b`` if given.
+
+    ``x`` is one vector or a stack of rows of length ``w.shape[1]``; ``b``
+    has length ``w.shape[0]``.
+    """
+    if (x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[1]
+            or (b is not None and b.shape != (w.shape[0],))):
+        raise ValueError(
+            f"linear: shape mismatch x={x.shape} w={w.shape} "
+            f"b={None if b is None else b.shape}")
+    xv, wv = x.array, w.array
+    out = xv @ wv.T
+    if b is None:
+        parents = (x, w)
+    else:
+        out = out + b.array
+        parents = (x, w, b)
+
+    def vjp(g):
+        # gw sums one outer product per row; np.outer computes a single
+        # row's about 4x faster than a matmul with inner dimension 1
+        rows = g.reshape(-1, wv.shape[0])
+        xrows = xv.reshape(-1, wv.shape[1])
+        gw = np.outer(rows, xrows) if len(rows) == 1 else rows.T @ xrows
+        grads = (g @ wv, gw)
+        return grads if b is None else grads + (rows.sum(axis=0),)
+
+    return _result("linear", out, parents, vjp)
 
 
 def vecmat(w: Tensor, m: Tensor) -> Tensor:
@@ -258,19 +277,6 @@ def vecmat(w: Tensor, m: Tensor) -> Tensor:
                    lambda g: (mv @ g, np.outer(wv, g)))
 
 
-def linear_rows(m: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Apply one affine map to every row: ``m @ w.T + b``."""
-    _need_shape("linear_rows", m, 2)
-    _need_shape("linear_rows", w, 2)
-    _need_shape("linear_rows", b, 1)
-    if m.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"linear_rows: shape mismatch m={m.shape} w={w.shape} b={b.shape}")
-    mv, wv = m.array, w.array
-    return _result("linear_rows", mv @ wv.T + b.array, (m, w, b),
-                   lambda g: (g @ wv, g.T @ mv, g.sum(axis=0)))
-
-
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.array)
     return _result("tanh", y, (x,), lambda g: (g * (1.0 - y * y),))
@@ -286,49 +292,28 @@ def exp(x: Tensor) -> Tensor:
 # capsule nonlinearity
 # ---------------------------------------------------------------------------
 
-def _squash_factor(sq_norm):
-    # ||out|| = n^2/(1+n^2) < 1, direction preserved: factor = n/(1+n^2).
-    return np.sqrt(sq_norm) / (1.0 + sq_norm)
-
-
 def squash(x: Tensor) -> Tensor:
-    """Norm-bounding nonlinearity: ``x * ||x|| / (1 + ||x||^2)``.
+    """Norm-bounding nonlinearity of each row: ``x * ||x|| / (1 + ||x||^2)``.
 
-    Maps zero (up to the EPS guard) to zero; otherwise preserves direction
-    and maps the norm to ``n^2/(1+n^2)``, which lies in [0, 1).
+    Maps (near-)zero rows to zero; otherwise preserves direction and maps
+    the norm to ``n^2/(1+n^2)``, which lies in [0, 1).
     """
-    _need_shape("squash", x, 1)
+    if x.ndim < 1:
+        raise ValueError(f"squash: expected rows, got shape {x.shape}")
     xv = x.array
-    n2 = float(xv @ xv)
-    if n2 <= EPS * EPS:
-        z = np.zeros_like(xv)
-        return _result("squash", z, (x,), lambda g: (np.zeros_like(xv),))
-    n = math.sqrt(n2)
-    f = n / (1.0 + n2)
-    fp = (1.0 - n2) / ((1.0 + n2) ** 2)  # d/dn of n/(1+n^2)
+    n2 = _rowdot(xv, xv)
+    live = n2 > EPS * EPS
+    # masks instead of np.where keep a single row on cheap numpy scalars;
+    # a dead row gets n = sqrt(n2 + 1) > 0 and factor 0
+    n = np.sqrt(n2 + ~live)
+    f = (n / (1.0 + n2) * live)[..., None]
 
     def vjp(g):
-        return (f * g + (fp / n) * float(g @ xv) * xv,)
+        fp = (1.0 - n2) / ((1.0 + n2) ** 2)  # d/dn of n/(1+n^2)
+        coef = fp * _rowdot(g, xv) / n * live
+        return (f * g + coef[..., None] * xv,)
 
     return _result("squash", f * xv, (x,), vjp)
-
-
-def squash_rows(m: Tensor) -> Tensor:
-    """Row-wise squash of a matrix; zero rows stay zero."""
-    _need_shape("squash_rows", m, 2)
-    mv = m.array
-    n2 = np.einsum("ij,ij->i", mv, mv)
-    live = n2 > EPS * EPS
-    n = np.sqrt(np.where(live, n2, 1.0))
-    f = np.where(live, n / (1.0 + n2), 0.0)
-    fp = np.where(live, (1.0 - n2) / ((1.0 + n2) ** 2), 0.0)
-
-    def vjp(g):
-        gdotx = np.einsum("ij,ij->i", g, mv)
-        coef = np.where(live, fp * gdotx / n, 0.0)
-        return (f[:, None] * g + coef[:, None] * mv,)
-
-    return _result("squash_rows", f[:, None] * mv, (m,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +321,18 @@ def squash_rows(m: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def softmax(x: Tensor) -> Tensor:
-    """Stable softmax of a vector (max-subtracted; entries sum to 1)."""
-    _need_shape("softmax", x, 1)
-    z = np.exp(x.array - np.max(x.array))
-    y = z / z.sum()
-    return _result("softmax", y, (x,), lambda g: (y * (g - float(g @ y)),))
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise stable softmax of a matrix."""
-    _need_shape("softmax_rows", a, 2)
-    av = a.array
-    z = np.exp(av - av.max(axis=1, keepdims=True))
-    y = z / z.sum(axis=1, keepdims=True)
+    """Stable softmax of each row (max-subtracted; entries sum to 1)."""
+    if x.ndim < 1:
+        raise ValueError(f"softmax: expected rows, got shape {x.shape}")
+    xv = x.array
+    z = np.exp(xv - xv.max(axis=-1, keepdims=True))
+    y = z / z.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = np.einsum("ij,ij->i", g, y)
-        return (y * (g - inner[:, None]),)
+        inner = _rowdot(g, y)
+        return (y * (g - inner[..., None]),)
 
-    return _result("softmax_rows", y, (a,), vjp)
+    return _result("softmax", y, (x,), vjp)
 
 
 def logsumexp(x: Tensor) -> Tensor:
@@ -460,51 +438,27 @@ def stack_cols(cols: Sequence[Tensor]) -> Tensor:
 # correlation and similarity
 # ---------------------------------------------------------------------------
 
-def center(x: Tensor) -> Tensor:
-    """Subtract the mean of the entries; the VJP is the same projection."""
-    _need_shape("center", x, 1)
-    return _result("center", x.array - x.array.mean(), (x,),
-                   lambda g: (g - g.mean(),))
+def _centre(a):
+    # sum / count is exactly how numpy computes mean(), minus its overhead
+    return a - a.sum(axis=-1, keepdims=True) / a.shape[-1]
 
 
-def center_rows(m: Tensor) -> Tensor:
-    _need_shape("center_rows", m, 2)
-    return _result("center_rows", m.array - m.array.mean(axis=1, keepdims=True),
-                   (m,), lambda g: (g - g.mean(axis=1, keepdims=True),))
+def _check_rows_vs_query(op: str, m: Tensor, q: Tensor, min_len: int) -> None:
+    if m.ndim < 1 or q.ndim != 1 or m.shape[-1] != q.shape[0]:
+        raise ValueError(f"{op}: shape mismatch {m.shape} vs {q.shape}")
+    if q.shape[0] < min_len:
+        raise ValueError(
+            f"{op}: need rows of length >= {min_len}, got shape {m.shape}")
 
 
-def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity as a scalar, 0 if either norm is below EPS."""
-    _need_shape("cosine", a, 1)
-    _need_shape("cosine", b, 1)
-    if a.shape != b.shape:
-        raise ValueError(f"cosine: shape mismatch {a.shape} vs {b.shape}")
-    av, bv = a.array, b.array
-    na = math.sqrt(float(av @ av))
-    nb = math.sqrt(float(bv @ bv))
-    if na <= EPS or nb <= EPS:
-        z = np.zeros(())
-        return _result("cosine", z, (a, b),
-                       lambda g: (np.zeros_like(av), np.zeros_like(bv)))
-    c = float(av @ bv) / (na * nb)
+def _row_cosines(op, mv, qv, parents, project):
+    """Cosine of each row of ``mv`` with ``qv``, recorded as one node.
 
-    def vjp(g):
-        gv = float(g)
-        return (gv * (bv / (na * nb) - c * av / (na * na)),
-                gv * (av / (na * nb) - c * bv / (nb * nb)))
-
-    return _result("cosine", np.clip(c, -1.0, 1.0), (a, b), vjp)
-
-
-def cosine_rows(m: Tensor, q: Tensor) -> Tensor:
-    """Cosine similarity of every row of ``m`` against ``q``."""
-    _need_shape("cosine_rows", m, 2)
-    _need_shape("cosine_rows", q, 1)
-    if m.shape[1] != q.shape[0]:
-        raise ValueError(f"cosine_rows: shape mismatch {m.shape} vs {q.shape}")
-    mv, qv = m.array, q.array
+    ``project`` maps the (row, query) gradients of the cosine to those of
+    ``parents``.
+    """
     nq = math.sqrt(float(qv @ qv))
-    nrows = np.sqrt(np.einsum("ij,ij->i", mv, mv))
+    nrows = np.sqrt(_rowdot(mv, mv))
     live = (nrows > EPS) & (nq > EPS)
     safe_rows = np.where(live, nrows, 1.0)
     safe_q = nq if nq > EPS else 1.0
@@ -512,56 +466,39 @@ def cosine_rows(m: Tensor, q: Tensor) -> Tensor:
 
     def vjp(g):
         gl = np.where(live, g, 0.0)
-        gm = (gl / (safe_rows * safe_q))[:, None] * qv \
-            - (gl * c / (safe_rows * safe_rows))[:, None] * mv
-        gq = mv.T @ (gl / (safe_rows * safe_q)) - qv * float(np.sum(gl * c)) / (safe_q * safe_q)
-        return gm, gq
+        a = gl / (safe_rows * safe_q)
+        gm = a[..., None] * qv \
+            - (gl * c / (safe_rows * safe_rows))[..., None] * mv
+        gq = mv.reshape(-1, qv.shape[0]).T @ a.reshape(-1) \
+            - qv * float((gl * c).sum()) / (safe_q * safe_q)
+        return project(gm, gq)
 
-    return _result("cosine_rows", np.clip(c, -1.0, 1.0), (m, q), vjp)
+    return _result(op, np.clip(c, -1.0, 1.0), parents, vjp)
 
 
-def pccs(a: Tensor, b: Tensor) -> Tensor:
-    """Pearson correlation of two vectors, entries treated as paired samples.
+def cosine(m: Tensor, q: Tensor) -> Tensor:
+    """Cosine similarity of each row of ``m`` with ``q``.
 
-    Equal to the cosine of the mean-centered vectors.  Vectors with (near)
-    zero variance yield 0, a neutral value for routing.  Requires length 2 or
-    more; a single sample has no variance to correlate.
+    0 where either norm is below EPS.  A rank-1 ``m`` gives a scalar.
     """
-    if a.ndim != 1 or a.shape[0] < 2:
-        raise ValueError(f"pccs: need a vector of length >= 2, got shape {a.shape}")
-    return cosine(center(a), center(b))
+    _check_rows_vs_query("cosine", m, q, 1)
+    return _row_cosines("cosine", m.array, q.array, (m, q),
+                        lambda gm, gq: (gm, gq))
 
 
-def pccs_rows(m: Tensor, q: Tensor) -> Tensor:
-    """Row-wise Pearson correlation of every row of ``m`` against ``q``.
+def pccs(m: Tensor, q: Tensor) -> Tensor:
+    """Pearson correlation of each row of ``m`` with ``q``.
 
-    Semantically ``cosine_rows(center_rows(m), center(q))``, fused into one
-    node: gate computation dominates the routing profile and the centering
-    projections fold directly into the VJP (centering is a symmetric
-    projection, so it applies unchanged to the incoming gradients).
+    The entries of a row and of ``q`` are paired samples, so rows need
+    length 2 or more: a single sample has no variance to correlate.  Equal
+    to the cosine of the mean-centred row and query, so rows with (near)
+    zero variance yield 0, a neutral value for routing.  Centring is fused
+    into the node: it is a symmetric projection, so the VJP applies it
+    unchanged to the incoming gradients.
     """
-    if m.ndim != 2 or m.shape[1] < 2:
-        raise ValueError(f"pccs_rows: need rows of length >= 2, got shape {m.shape}")
-    if q.ndim != 1 or m.shape[1] != q.shape[0]:
-        raise ValueError(f"pccs_rows: shape mismatch {m.shape} vs {q.shape}")
-    uv = m.array - m.array.mean(axis=1, keepdims=True)
-    wv = q.array - q.array.mean()
-    nw = math.sqrt(float(wv @ wv))
-    nrows = np.sqrt(np.einsum("ij,ij->i", uv, uv))
-    live = (nrows > EPS) & (nw > EPS)
-    safe_rows = np.where(live, nrows, 1.0)
-    safe_w = nw if nw > EPS else 1.0
-    c = np.where(live, (uv @ wv) / (safe_rows * safe_w), 0.0)
-
-    def vjp(g):
-        gl = np.where(live, g, 0.0)
-        gu = (gl / (safe_rows * safe_w))[:, None] * wv \
-            - (gl * c / (safe_rows * safe_rows))[:, None] * uv
-        gw = uv.T @ (gl / (safe_rows * safe_w)) \
-            - wv * float(np.sum(gl * c)) / (safe_w * safe_w)
-        return gu - gu.mean(axis=1, keepdims=True), gw - gw.mean()
-
-    return _result("pccs_rows", np.clip(c, -1.0, 1.0), (m, q), vjp)
+    _check_rows_vs_query("pccs", m, q, 2)
+    return _row_cosines("pccs", _centre(m.array), _centre(q.array), (m, q),
+                        lambda gu, gw: (_centre(gu), _centre(gw)))
 
 
 # ---------------------------------------------------------------------------

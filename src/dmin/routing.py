@@ -19,7 +19,6 @@ differentiable whenever the inputs carry a tape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -106,37 +105,21 @@ class RoutingTrace:
     logits: np.ndarray | None = None           # (n, capsule_count)
 
 
-def _as_matrix(memory) -> Tensor:
-    if isinstance(memory, Tensor):
-        mat = memory
-    elif isinstance(memory, (list, tuple)):
-        if len(memory) == 0:
-            raise ValueError("memory must contain at least one row")
-        if all(isinstance(r, Tensor) for r in memory):
-            mat = nm.stack_rows(memory)
-        else:
-            mat = nm.constant(np.asarray(memory, dtype=np.float64))
-    else:
-        mat = nm.constant(memory)
-    if mat.array.ndim != 2 or mat.array.shape[0] < 1:
-        raise ValueError(
-            f"memory must be a non-empty rank-2 array, got shape "
-            f"{mat.array.shape}")
-    return mat
-
-
-def dmr(params: RoutingParams, cfg: RoutingConfig, memory, query: Tensor,
-        trace: RoutingTrace | None = None) -> Tensor:
+def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
+        query: Tensor, trace: RoutingTrace | None = None) -> Tensor:
     """Route ``memory`` rows toward ``query``; returns the concatenated capsules.
 
-    ``memory`` may be a rank-2 Tensor (n, input_dim) or a sequence of n
-    rank-1 Tensors.  The result has dimension ``cfg.output_dim`` and is
-    exactly invariant under permutations of the memory rows: every
-    cross-row reduction is an exactly-rounded sum.
+    ``memory`` is a rank-2 Tensor (n, input_dim) with n >= 1.  The result
+    has dimension ``cfg.output_dim`` and is exactly invariant under
+    permutations of the memory rows: every cross-row reduction is an
+    exactly-rounded sum.
     """
     params.check(cfg)
-    mat = _as_matrix(memory)
-    n, d_in = mat.array.shape
+    if not isinstance(memory, Tensor) or memory.ndim != 2 \
+            or memory.shape[0] < 1:
+        raise ValueError(
+            f"memory must be a non-empty rank-2 Tensor, got {memory!r}")
+    n, d_in = memory.shape
     if d_in != cfg.input_dim:
         raise ValueError(
             f"memory rows have dimension {d_in}, config expects "
@@ -147,25 +130,25 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory, query: Tensor,
             f"({cfg.input_dim},)")
 
     # transform every row and the query into each capsule space
-    mhat = [nm.squash_rows(nm.linear_rows(mat, params.ws[j], params.bs[j]))
+    mhat = [nm.squash(nm.linear(memory, params.ws[j], params.bs[j]))
             for j in range(cfg.capsule_count)]
-    qhat = [nm.squash(nm.add(nm.matvec(params.ws[j], query), params.bs[j]))
+    qhat = [nm.squash(nm.linear(query, params.ws[j], params.bs[j]))
             for j in range(cfg.capsule_count)]
-    gates = [nm.tanh(nm.pccs_rows(mhat[j], qhat[j]))
+    gates = [nm.tanh(nm.pccs(mhat[j], qhat[j]))
              for j in range(cfg.capsule_count)]
     logits = [nm.constant(np.zeros(n)) for _ in range(cfg.capsule_count)]
 
     capsules = [None] * cfg.capsule_count
     for _ in range(cfg.iterations):
-        coupling = nm.softmax_rows(nm.stack_cols(logits))
+        coupling = nm.softmax(nm.stack_cols(logits))
         for j in range(cfg.capsule_count):
             weight = nm.add(nm.col(coupling, j), gates[j])
             pre = nm.vecmat(weight, mhat[j])
             capsules[j] = nm.squash(pre)
-            agree = nm.matvec(mhat[j], capsules[j])
+            agree = nm.linear(capsules[j], mhat[j])
             logits[j] = nm.add(logits[j], nm.mul(gates[j], agree))
             qhat[j] = nm.scale(nm.add(qhat[j], capsules[j]), 0.5)
-            gates[j] = nm.tanh(nm.pccs_rows(mhat[j], qhat[j]))
+            gates[j] = nm.tanh(nm.pccs(mhat[j], qhat[j]))
         if trace is not None:
             trace.coupling.append(coupling.array.copy())
             trace.gates.append(

@@ -5,6 +5,7 @@ the exit code and the files it writes.  Exit-code contract: 0 success,
 1 usage error, 2 data error, 3 numeric failure.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,7 +15,9 @@ import pytest
 
 from dmin import cli
 from dmin.episodes import gen_synthetic, load_jsonl_vectors, save_jsonl_vectors
-from dmin.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from dmin.encoder import EncoderConfig
+from dmin.harness import TrainConfig, model_config_from
+from dmin.model import init_model, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -337,8 +340,8 @@ def test_bad_thread_env_is_data_error(tmp_path, trained_path, data_path,
 
 
 def test_overflowing_model_is_numeric_failure(tmp_path, data_path, capsys):
-    model = init_model(ModelConfig.build(embed_dim=8, num_base_classes=6),
-                       seed=0)
+    cfg = TrainConfig(encoder=EncoderConfig(kind="precomputed", embed_dim=8))
+    model = init_model(model_config_from(cfg, 6), seed=0)
     model.params["clf.log_tau"] = np.asarray(1000.0)
     ckpt = tmp_path / "hot.ckpt"
     save_checkpoint(model, ckpt)
@@ -346,3 +349,104 @@ def test_overflowing_model_is_numeric_failure(tmp_path, data_path, capsys):
                              episodes=1, way=3, shot=1, queries=2))
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def _resealed(body: dict) -> str:
+    """Checkpoint text for ``body`` with a valid checksum."""
+    body = {k: v for k, v in body.items() if k != "checksum"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    body["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
+# Each maker turns the trained checkpoint's body and the data file's lines
+# into the text of one malformed file.
+def _ckpt_without(key):
+    return lambda body, lines: _resealed(
+        {k: v for k, v in body.items() if k != key})
+
+
+def _ckpt_with(key, value):
+    return lambda body, lines: _resealed({**body, key: value})
+
+
+def _ckpt_with_shape(shape):
+    def make(body, lines):
+        entry = {**body["params"]["clf.log_tau"], "shape": shape}
+        return _resealed(
+            {**body, "params": {**body["params"], "clf.log_tau": entry}})
+    return make
+
+
+def _jsonl_with(literal):
+    """The data file with one vector entry replaced by ``literal``."""
+    def make(body, lines):
+        record = json.loads(lines[2])
+        record["vector"][0] = 12345.5
+        lines = list(lines)
+        lines[2] = json.dumps(record).replace("12345.5", literal)
+        return "\n".join(lines) + "\n"
+    return make
+
+
+def _config(obj):
+    return lambda body, lines: json.dumps(obj)
+
+
+# argv templates: BAD is the malformed file, MODEL the trained checkpoint
+BAD, MODEL, DATA, OUT = "{bad}", "{model}", "{data}", "{out}"
+EVAL = ["eval", "--model", BAD, "--data", DATA, "--episodes", "1",
+        "--out", OUT]
+EVAL_CONFIG = ["eval", "--config", BAD, "--model", MODEL, "--data", DATA,
+               "--episodes", "1", "--out", OUT]
+PRETRAIN_CONFIG = ["pretrain", "--config", BAD, "--data", DATA, "--out", OUT]
+ROUTING_BOOL = {"input_dim": 8, "capsule_count": True, "capsule_dim": 8}
+
+# (case, file suffix, file maker, argv)
+MALFORMED = [
+    ("ckpt_no_config", ".ckpt", _ckpt_without("config"), EVAL),
+    ("ckpt_no_params", ".ckpt", _ckpt_without("params"), EVAL),
+    ("ckpt_params_not_object", ".ckpt", _ckpt_with("params", "x"), EVAL),
+    ("ckpt_meta_not_object", ".ckpt", _ckpt_with("meta", 3),
+     ["separation", "--model", BAD, "--data", DATA, "--way", "2",
+      "--shot", "1", "--out-csv", OUT]),
+    ("ckpt_float_shape", ".ckpt", _ckpt_with_shape([1.0]), EVAL),
+    ("config_float_int", ".json", _config({"stage1": {"steps": 2.5}}),
+     PRETRAIN_CONFIG),
+    ("config_bool_int", ".json", _config({"eval": {"episodes": True}}),
+     EVAL_CONFIG),
+    ("config_float_shot", ".json",
+     _config({"stage2": {"episodes": 1, "K": 1.0}}),
+     ["metatrain", "--config", BAD, "--model", MODEL, "--data", DATA,
+      "--out", OUT]),
+    ("config_string_seed", ".json", _config({"seed": "3"}), EVAL_CONFIG),
+    ("config_bool_routing", ".json",
+     _config({"routing": {"dmm": ROUTING_BOOL, "qim": ROUTING_BOOL}}),
+     PRETRAIN_CONFIG),
+    ("jsonl_nan", ".jsonl", _jsonl_with("NaN"),
+     ["pretrain", "--data", BAD, "--out", OUT]),
+    ("jsonl_infinity", ".jsonl", _jsonl_with("-Infinity"),
+     ["eval", "--model", MODEL, "--data", BAD, "--episodes", "1",
+      "--out", OUT]),
+    ("jsonl_huge_int", ".jsonl", _jsonl_with("1" + "0" * 400),
+     ["pretrain", "--data", BAD, "--out", OUT]),
+]
+
+
+@pytest.mark.parametrize("case,suffix,make,argv", MALFORMED,
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
+                                               data_path, capsys, case,
+                                               suffix, make, argv):
+    body = json.loads(trained_path.read_text(encoding="utf-8"))
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / f"{case}{suffix}"
+    bad.write_text(make(body, lines), encoding="utf-8")
+    names = {"bad": bad, "model": trained_path, "data": data_path,
+             "out": tmp_path / "out"}
+    capsys.readouterr()
+    assert cli.main([arg.format(**names) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dmin: data error:"), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err

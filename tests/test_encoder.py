@@ -3,8 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from dmin import numerics as nm
-from dmin.encoder import (EncoderConfig, FeatureHashEncoder,
-                          PrecomputedEncoder, encode_batch, fnv1a64,
+from dmin.encoder import (EncoderConfig, FeatureHashEncoder, fnv1a64,
                           hash_counts, init_encoder_arrays, token_bucket)
 from oracles import fnv1a64_reference, hash_encode_reference
 
@@ -95,44 +94,6 @@ class TestFeatureHashEncoder:
         cfg = EncoderConfig(embed_dim=4, vocab_buckets=8)
         with pytest.raises(ValueError):
             FeatureHashEncoder(cfg, nm.constant(np.zeros((4, 9))))
-
-
-class TestPrecomputedEncoder:
-    def test_lookup_and_missing(self):
-        cfg = EncoderConfig(kind="precomputed", embed_dim=3)
-        enc = PrecomputedEncoder(cfg, {"x1": [1.0, 2.0, 3.0]})
-        npt.assert_array_equal(enc.encode("x1").array, [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="x9"):
-            enc.encode("x9")
-
-    def test_wrong_length_vector_rejected(self):
-        cfg = EncoderConfig(kind="precomputed", embed_dim=3)
-        with pytest.raises(ValueError, match="bad"):
-            PrecomputedEncoder(cfg, {"bad": [1.0, 2.0]})
-
-
-class TestBatch:
-    def test_empty_and_singleton(self):
-        cfg = EncoderConfig(kind="precomputed", embed_dim=2)
-        enc = PrecomputedEncoder(cfg, {"a": [1.0, 2.0]})
-        assert encode_batch(enc, []) == []
-        [only] = encode_batch(enc, ["a"])
-        npt.assert_array_equal(only.array, [1.0, 2.0])
-
-    def test_batch_equals_single_calls(self):
-        rng = np.random.default_rng(5)
-        cfg = EncoderConfig(embed_dim=4, vocab_buckets=16)
-        enc = FeatureHashEncoder(cfg, nm.constant(rng.normal(size=(4, 16))))
-        texts = ["first text", "second one", "third thing"]
-        batch = encode_batch(enc, texts)
-        for text, got in zip(texts, batch):
-            npt.assert_array_equal(got.array, enc.encode(text).array)
-
-    def test_error_carries_item_index(self):
-        cfg = EncoderConfig(embed_dim=4, vocab_buckets=16)
-        enc = FeatureHashEncoder(cfg, nm.constant(np.zeros((4, 16))))
-        with pytest.raises(ValueError, match="item 1"):
-            encode_batch(enc, ["fine", ""])
 
 
 class TestConfig:

@@ -14,7 +14,7 @@ from dmin.harness import (EvalSettings, MetaTrainResult, PipelineResult,
                           RoutingPair, Stage1Config, Stage2Config,
                           TrainConfig, config_hash_hex, episode_accuracy,
                           episode_forward, episode_step, evaluate,
-                          load_train_config, meta_train, model_config_from,
+                          meta_train, model_config_from,
                           pretrain, run_ablation_suite, run_pipeline,
                           separation_report, train_config_from_dict,
                           train_config_to_dict)
@@ -75,8 +75,8 @@ class TestTrainConfig:
         cfg = small_cfg(seed=11, ablation="no_qim")
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(train_config_to_dict(cfg)))
-        assert train_config_to_dict(load_train_config(p)) == \
-            train_config_to_dict(cfg)
+        loaded = train_config_from_dict(json.loads(p.read_text()))
+        assert train_config_to_dict(loaded) == train_config_to_dict(cfg)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from dmin import numerics as nm
 from dmin.encoder import EncoderConfig
+from dmin.harness import RoutingPair, TrainConfig, model_config_from
 from dmin.model import (Adam, CheckpointError, Model, ModelConfig,
                         init_model, load_checkpoint, save_checkpoint)
 from dmin.routing import RoutingConfig
@@ -13,10 +14,11 @@ from oracles import adam_reference
 
 
 def small_config(kind="precomputed", share=False):
-    return ModelConfig.build(embed_dim=8, num_base_classes=4,
-                             encoder_kind=kind, vocab_buckets=16,
-                             capsule_count=2, iterations=2,
-                             share_routing=share)
+    rc = RoutingConfig.for_pipeline(8, capsule_count=2, iterations=2)
+    cfg = TrainConfig(
+        encoder=EncoderConfig(kind=kind, embed_dim=8, vocab_buckets=16),
+        routing=RoutingPair(dmm=rc, qim=rc, share_params=share))
+    return model_config_from(cfg, 4)
 
 
 class TestModelInit:

@@ -14,20 +14,26 @@ def c(x):
 
 class TestBasicOps:
     def test_matvec_identity(self):
-        npt.assert_array_equal(nm.matvec(c(np.eye(3)), c([1.0, 2.0, 3.0])).array,
+        npt.assert_array_equal(nm.linear(c([1.0, 2.0, 3.0]), c(np.eye(3))).array,
                                [1.0, 2.0, 3.0])
 
     def test_matvec_zero(self):
-        npt.assert_array_equal(nm.matvec(c(np.zeros((2, 3))), c([4.0, 5.0, 6.0])).array,
+        npt.assert_array_equal(nm.linear(c([4.0, 5.0, 6.0]), c(np.zeros((2, 3)))).array,
                                [0.0, 0.0])
 
     def test_matvec_direct(self):
-        npt.assert_allclose(nm.matvec(c([[1.0, 2.0], [3.0, 4.0]]), c([1.0, 1.0])).array,
+        npt.assert_allclose(nm.linear(c([1.0, 1.0]), c([[1.0, 2.0], [3.0, 4.0]])).array,
                             [3.0, 7.0])
+        npt.assert_allclose(
+            nm.linear(c([[1.0, 1.0], [0.0, 2.0]]), c([[1.0, 2.0], [3.0, 4.0]]),
+                      c([0.5, -1.0])).array,
+            [[3.5, 6.0], [4.5, 7.0]])
 
     def test_matvec_shape_mismatch(self):
         with pytest.raises(ValueError):
-            nm.matvec(c(np.eye(3)), c([1.0, 2.0]))
+            nm.linear(c([1.0, 2.0]), c(np.eye(3)))
+        with pytest.raises(ValueError):
+            nm.linear(c([1.0, 2.0, 3.0]), c(np.eye(3)), c([1.0, 2.0]))
 
     def test_squash_zero(self):
         npt.assert_array_equal(nm.squash(c([0.0, 0.0, 0.0])).array, np.zeros(3))
@@ -201,23 +207,26 @@ def _op_cases(rng):
     m = int(rng.integers(2, 5))
     vec = lambda k: rng.normal(0.0, 2.0, k)
     mat = lambda r, cdim: rng.normal(0.0, 2.0, (r, cdim))
+    # "op/variant" names a further case of the same op
     return [
         ("add", {"a": vec(d), "b": vec(d)}, lambda t: nm.add(t["a"], t["b"])),
         ("sub", {"a": vec(d), "b": vec(d)}, lambda t: nm.sub(t["a"], t["b"])),
         ("mul", {"a": vec(d), "b": vec(d)}, lambda t: nm.mul(t["a"], t["b"])),
-        ("mul_scalar", {"a": np.array(rng.normal()), "b": vec(d)},
+        ("mul/scalar", {"a": np.array(rng.normal()), "b": vec(d)},
          lambda t: nm.mul(t["a"], t["b"])),
         ("scale", {"a": vec(d)}, lambda t: nm.scale(t["a"], -1.7)),
-        ("matvec", {"w": mat(m, d), "x": vec(d)}, lambda t: nm.matvec(t["w"], t["x"])),
+        ("linear", {"x": vec(d), "w": mat(m, d)}, lambda t: nm.linear(t["x"], t["w"])),
+        ("linear/bias", {"x": vec(d), "w": mat(m, d), "b": vec(m)},
+         lambda t: nm.linear(t["x"], t["w"], t["b"])),
+        ("linear/rows", {"x": mat(n, d), "w": mat(m, d), "b": vec(m)},
+         lambda t: nm.linear(t["x"], t["w"], t["b"])),
         ("vecmat", {"w": vec(n), "m": mat(n, d)}, lambda t: nm.vecmat(t["w"], t["m"])),
-        ("linear_rows", {"m": mat(n, d), "w": mat(m, d), "b": vec(m)},
-         lambda t: nm.linear_rows(t["m"], t["w"], t["b"])),
         ("tanh", {"a": vec(d)}, lambda t: nm.tanh(t["a"])),
         ("exp", {"a": np.array(rng.normal())}, lambda t: nm.exp(t["a"])),
         ("squash", {"a": vec(d)}, lambda t: nm.squash(t["a"])),
-        ("squash_rows", {"m": mat(n, d)}, lambda t: nm.squash_rows(t["m"])),
+        ("squash/rows", {"m": mat(n, d)}, lambda t: nm.squash(t["m"])),
         ("softmax", {"a": vec(d)}, lambda t: nm.softmax(t["a"])),
-        ("softmax_rows", {"m": mat(n, d)}, lambda t: nm.softmax_rows(t["m"])),
+        ("softmax/rows", {"m": mat(n, d)}, lambda t: nm.softmax(t["m"])),
         ("logsumexp", {"a": vec(d)}, lambda t: nm.logsumexp(t["a"])),
         ("dot", {"a": vec(d), "b": vec(d)}, lambda t: nm.dot(t["a"], t["b"])),
         ("index", {"a": vec(d)}, lambda t: nm.index(t["a"], d - 1)),
@@ -227,14 +236,12 @@ def _op_cases(rng):
          lambda t: nm.stack_rows([t["a"], t["b"]])),
         ("stack_cols", {"a": vec(n), "b": vec(n)},
          lambda t: nm.stack_cols([t["a"], t["b"]])),
-        ("center", {"a": vec(d)}, lambda t: nm.center(t["a"])),
-        ("center_rows", {"m": mat(n, d)}, lambda t: nm.center_rows(t["m"])),
         ("cosine", {"a": vec(d), "b": vec(d)}, lambda t: nm.cosine(t["a"], t["b"])),
-        ("cosine_rows", {"m": mat(n, d), "q": vec(d)},
-         lambda t: nm.cosine_rows(t["m"], t["q"])),
+        ("cosine/rows", {"m": mat(n, d), "q": vec(d)},
+         lambda t: nm.cosine(t["m"], t["q"])),
         ("pccs", {"a": vec(d), "b": vec(d)}, lambda t: nm.pccs(t["a"], t["b"])),
-        ("pccs_rows", {"m": mat(n, d), "q": vec(d)},
-         lambda t: nm.pccs_rows(t["m"], t["q"])),
+        ("pccs/rows", {"m": mat(n, d), "q": vec(d)},
+         lambda t: nm.pccs(t["m"], t["q"])),
     ]
 
 
@@ -265,3 +272,76 @@ def test_gradients_match_finite_differences_across_ops():
             cases_done += 1
             if cases_done >= 1000:
                 break
+
+
+# ---------------------------------------------------------------------------
+# row ops: EPS guards, row consistency, and the public op list
+# ---------------------------------------------------------------------------
+
+def _probe_grads(build, arrays):
+    """Output array and probe gradients of ``build`` on taped ``arrays``."""
+    tape = nm.Tape()
+    tensors = {k: tape.leaf(v) for k, v in arrays.items()}
+    out = build(tensors)
+    grads = nm.backward(tape, _probe(out, np.random.default_rng(5)))
+    return out.array, {k: grads[t.node_id] for k, t in tensors.items()}
+
+
+def test_eps_guards_give_exact_zeros_and_zero_gradients():
+    # rows: all zero, constant (zero variance), ordinary
+    m = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.1], [1.0, -2.0, 0.5]])
+    q = np.array([0.3, -1.2, 2.0])
+    for name, build, guarded in (
+            ("squash", lambda t: nm.squash(t["m"]), [0]),
+            ("cosine", lambda t: nm.cosine(t["m"], t["q"]), [0]),
+            ("pccs", lambda t: nm.pccs(t["m"], t["q"]), [0, 1])):
+        out, grads = _probe_grads(build, {"m": m, "q": q})
+        for i in range(3):
+            if i in guarded:
+                assert np.all(out[i] == 0.0), name
+                assert np.all(grads["m"][i] == 0.0), name
+            else:
+                assert np.any(out[i] != 0.0), name
+                assert np.any(grads["m"][i] != 0.0), name
+    # a guarded query zeroes every row and both gradients
+    for name, build, dead_q in (
+            ("cosine", lambda t: nm.cosine(t["m"], t["q"]), np.zeros(3)),
+            ("pccs", lambda t: nm.pccs(t["m"], t["q"]), np.full(3, 0.1))):
+        out, grads = _probe_grads(build, {"m": m, "q": dead_q})
+        assert np.all(out == 0.0), name
+        assert np.all(grads["m"] == 0.0) and np.all(grads["q"] == 0.0), name
+
+
+def test_row_ops_match_single_row_calls():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n, d = int(rng.integers(1, 8)), int(rng.integers(2, 20))
+        m = rng.normal(0.0, 2.0, (n, d))
+        q = rng.normal(0.0, 2.0, d)
+        for op in (nm.squash, nm.softmax):
+            whole = op(c(m)).array
+            for i in range(n):
+                npt.assert_array_equal(whole[i], op(c(m[i])).array)
+        # the row dot is one matrix-vector product, so only the last bit
+        # may differ from one dot per row
+        for op in (nm.cosine, nm.pccs):
+            whole = op(c(m), c(q)).array
+            for i in range(n):
+                assert abs(whole[i] - op(c(m[i]), c(q)).item()) <= 1e-15
+
+
+NOT_OPS = {"EPS", "NumericError", "Tensor", "Tape", "constant", "backward"}
+
+
+def test_all_names_exactly_the_public_callables():
+    defined = {name for name, obj in vars(nm).items()
+               if callable(obj) and not name.startswith("_")
+               and getattr(obj, "__module__", None) == nm.__name__}
+    assert len(set(nm.__all__)) == len(nm.__all__)
+    assert set(nm.__all__) - {"EPS"} == defined
+
+
+def test_every_differentiable_op_has_a_gradient_case():
+    covered = {name.split("/")[0]
+               for name, _, _ in _op_cases(np.random.default_rng(0))}
+    assert covered == set(nm.__all__) - NOT_OPS

@@ -90,17 +90,6 @@ class TestDmrBasics:
         want = dmr_reference(ws, bs, mem, q, iterations=1)
         npt.assert_allclose(got, want, atol=1e-12, rtol=0)
 
-    def test_accepts_list_of_rows(self):
-        rng = np.random.default_rng(5)
-        cfg = RoutingConfig(input_dim=4, capsule_count=2, capsule_dim=2,
-                            iterations=2)
-        params = as_constant_params(*make_params(rng, cfg))
-        rows = [rng.normal(size=4) for _ in range(3)]
-        q = nm.constant(rng.normal(size=4))
-        from_list = dmr(params, cfg, [nm.constant(r) for r in rows], q).array
-        from_mat = dmr(params, cfg, nm.constant(np.stack(rows)), q).array
-        npt.assert_array_equal(from_list, from_mat)
-
     def test_errors(self):
         cfg = RoutingConfig(input_dim=4, capsule_count=2, capsule_dim=2,
                             iterations=1)
@@ -109,6 +98,10 @@ class TestDmrBasics:
         q = nm.constant(np.ones(4))
         with pytest.raises(ValueError):
             dmr(params, cfg, [], q)
+        with pytest.raises(ValueError):  # rows must be stacked first
+            dmr(params, cfg, [nm.constant(np.ones(4))] * 2, q)
+        with pytest.raises(ValueError):
+            dmr(params, cfg, nm.constant(np.ones((0, 4))), q)
         with pytest.raises(ValueError):
             dmr(params, cfg, nm.constant(np.ones((2, 5))), q)
         with pytest.raises(ValueError):
