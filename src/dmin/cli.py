@@ -18,6 +18,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import numerics as nm
 from .encoder import EncoderConfig
 from .episodes import (DataError, Dataset, gen_synthetic,
@@ -269,7 +271,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # every op checks its own result and raises NumericError, so
+        # numpy's floating-point warnings would only repeat that one line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SystemExit as err:  # argparse --help or a usage error
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     except (DataError, CheckpointError) as err:

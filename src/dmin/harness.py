@@ -24,6 +24,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -129,7 +130,8 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def _build(cls, key: str, val):
-    """A config dataclass from a JSON object; int fields must be ints."""
+    """A config dataclass from a JSON object; int fields must hold JSON
+    integers and float fields JSON numbers, and booleans are neither."""
     if val is None:
         return cls()
     if not isinstance(val, dict):
@@ -142,12 +144,23 @@ def _build(cls, key: str, val):
     for name, v in val.items():
         if fields[name].type in (int, "int"):
             _require_int(f"{key}.{name}", v)
+        elif fields[name].type in (float, "float") \
+                and type(v) not in (int, float):
+            raise DataError(
+                f"config field {key}.{name} must be a number, got {v!r}")
     return cls(**val)
 
 
 def _require_int(name: str, v) -> None:
     if type(v) is not int:  # rejects bools and floats such as 2.0
         raise DataError(f"config field {name} must be an integer, got {v!r}")
+
+
+def _require_bool(name: str, v) -> bool:
+    if type(v) is not bool:  # "false" or 0 would otherwise read as a flag
+        raise DataError(f"config field {name} must be true or false, "
+                        f"got {v!r}")
+    return v
 
 
 def train_config_from_dict(raw: dict) -> TrainConfig:
@@ -168,7 +181,8 @@ def train_config_from_dict(raw: dict) -> TrainConfig:
             routing = RoutingPair(
                 dmm=_build(RoutingConfig, "routing.dmm", r["dmm"]),
                 qim=_build(RoutingConfig, "routing.qim", r["qim"]),
-                share_params=bool(r.get("share_params", False)),
+                share_params=_require_bool("routing.share_params",
+                                           r.get("share_params", False)),
             )
         return TrainConfig(
             stage1=_build(Stage1Config, "stage1", raw.get("stage1")),
@@ -180,7 +194,8 @@ def train_config_from_dict(raw: dict) -> TrainConfig:
             ablation=raw.get("ablation", "full"),
             num_base=num_base,
             meta_source=raw.get("meta_source", "novel"),
-            freeze_tau=bool(raw.get("freeze_tau", False)),
+            freeze_tau=_require_bool("freeze_tau",
+                                     raw.get("freeze_tau", False)),
         )
     except (TypeError, KeyError) as err:
         raise DataError(f"bad train config: {err}") from err
@@ -420,14 +435,15 @@ def evaluate(model: Model, dataset: Dataset, cfg: TrainConfig, *,
 
     start = time.monotonic()
     workers = _eval_workers()
-    accs = [0.0] * episodes
     if workers <= 1 or episodes == 1:
-        for i in range(episodes):
-            accs[i] = run(i)
+        accs = [run(i) for i in range(episodes)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, acc in enumerate(pool.map(run, range(episodes))):
-                accs[i] = acc
+            # each episode runs in a copy of the caller's context, so the
+            # caller's numpy error state applies in the workers too
+            futures = [pool.submit(copy_context().run, run, i)
+                       for i in range(episodes)]
+            accs = [f.result() for f in futures]
     wall_ms = int((time.monotonic() - start) * 1000.0)
     mean = float(np.mean(accs))
     undefined = episodes < 2

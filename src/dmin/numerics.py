@@ -7,16 +7,20 @@ adjoints for every leaf parameter.
 
 Conventions:
 
-- scalars are rank-0, vectors rank-1, matrices rank-2.  :func:`linear`,
-  :func:`squash`, :func:`softmax`, :func:`cosine` and :func:`pccs` act
-  along the last axis and treat any leading axes as independent rows; the
-  rank-1 ``q`` of :func:`cosine` and :func:`pccs` is broadcast against
-  every row, so a rank-1 input is simply a single row.  There is no other
+- scalars are rank-0 and vectors rank-1.  :func:`linear`, :func:`squash`,
+  :func:`softmax`, :func:`dot`, :func:`cosine` and :func:`pccs` act along
+  the last axis and treat any leading axes as independent rows, so a
+  rank-1 input is simply a single row.  The second operand of :func:`dot`,
+  :func:`cosine` and :func:`pccs` has the shape of the first's trailing
+  axes and is broadcast over its leading ones; :func:`vecmat` weights and
+  sums the leading axis of its second operand.  There is no other
   broadcasting except scalar-times-tensor in :func:`mul`,
 - every public operation validates that its result is finite and raises
   :class:`NumericError` otherwise (silent NaN/Inf propagation is a bug),
 - a result is recorded on a tape iff at least one input is recorded; mixing
   inputs from two different tapes is an error,
+- a VJP closes over arrays, never over Tensors: their tape link would make
+  a cycle that keeps the whole tape alive until a gc pass,
 - norm and variance denominators are guarded by ``EPS = 1e-12``: squash maps
   (near-)zero rows to zero, and cosine and pccs of a (near-)zero or constant
   row are 0, with zero gradient.
@@ -25,6 +29,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,10 +55,8 @@ __all__ = [
     "logsumexp",
     "dot",
     "index",
-    "col",
-    "concat",
     "stack_rows",
-    "stack_cols",
+    "reshape",
     "cosine",
     "pccs",
     "backward",
@@ -211,9 +214,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         ga = g * bv
         gb = g * av
-        if a.ndim == 0 and g.ndim != 0:
+        if av.ndim == 0 and g.ndim != 0:
             ga = np.sum(g * bv)
-        if b.ndim == 0 and g.ndim != 0:
+        if bv.ndim == 0 and g.ndim != 0:
             gb = np.sum(g * av)
         return ga, gb
 
@@ -238,11 +241,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             f"linear: shape mismatch x={x.shape} w={w.shape} "
             f"b={None if b is None else b.shape}")
     xv, wv = x.array, w.array
+    bv = None if b is None else b.array
     out = xv @ wv.T
-    if b is None:
+    if bv is None:
         parents = (x, w)
     else:
-        out = out + b.array
+        out = out + bv
         parents = (x, w, b)
 
     def vjp(g):
@@ -252,29 +256,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         xrows = xv.reshape(-1, wv.shape[1])
         gw = np.outer(rows, xrows) if len(rows) == 1 else rows.T @ xrows
         grads = (g @ wv, gw)
-        return grads if b is None else grads + (rows.sum(axis=0),)
+        return grads if bv is None else grads + (rows.sum(axis=0),)
 
     return _result("linear", out, parents, vjp)
 
 
 def vecmat(w: Tensor, m: Tensor) -> Tensor:
-    """Row mixture ``w @ m`` = sum_i w_i * m[i].
+    """Row mixture ``sum_i w[i, ...] * m[i, ...]`` over the leading axis.
 
-    The reduction over rows is done with exactly rounded summation
-    (``math.fsum``) so the result is bit-identical under any permutation of
-    the rows together with ``w``.  This is the only place a memory-indexed
-    sum occurs in dynamic routing, which makes routing output exactly
-    permutation invariant.
+    ``w`` has the shape of ``m`` without its last axis, so each weight
+    scales one row of length ``m.shape[-1]``; the result has shape
+    ``m.shape[1:]``.  The reduction over ``i`` is done with exactly rounded
+    summation (``math.fsum``) so the result is bit-identical under any
+    permutation of ``i`` applied to ``w`` and ``m`` together.  This is the
+    only place a memory-indexed sum occurs in dynamic routing, which makes
+    routing output exactly permutation invariant.
     """
-    _need_shape("vecmat", w, 1)
-    _need_shape("vecmat", m, 2)
-    if w.shape[0] != m.shape[0]:
+    if m.ndim < 2 or w.shape != m.shape[:-1]:
         raise ValueError(f"vecmat: shape mismatch {w.shape} @ {m.shape}")
     wv, mv = w.array, m.array
-    prods = wv[:, None] * mv
-    out = np.array([math.fsum(prods[:, k]) for k in range(mv.shape[1])])
-    return _result("vecmat", out, (w, m),
-                   lambda g: (mv @ g, np.outer(wv, g)))
+    prods = (wv[..., None] * mv).reshape(mv.shape[0], -1)
+    out = np.array([math.fsum(c) for c in prods.T.tolist()])
+    return _result("vecmat", out.reshape(mv.shape[1:]), (w, m),
+                   lambda g: (_rowdot(mv, g), wv[..., None] * g))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -348,90 +352,59 @@ def logsumexp(x: Tensor) -> Tensor:
 # reductions, selection and assembly
 # ---------------------------------------------------------------------------
 
+def _check_trailing(op: str, m: Tensor, q: Tensor, min_len: int = 1) -> None:
+    if q.ndim < 1 or m.shape[m.ndim - q.ndim:] != q.shape:
+        raise ValueError(f"{op}: shape mismatch {m.shape} vs {q.shape}")
+    if q.shape[-1] < min_len:
+        raise ValueError(
+            f"{op}: need rows of length >= {min_len}, got shape {m.shape}")
+
+
 def dot(a: Tensor, b: Tensor) -> Tensor:
-    _need_shape("dot", a, 1)
-    _need_shape("dot", b, 1)
-    if a.shape != b.shape:
-        raise ValueError(f"dot: shape mismatch {a.shape} vs {b.shape}")
+    """Dot product of each row of ``a`` with the matching row of ``b``.
+
+    ``b`` has the shape of ``a``'s trailing axes and is broadcast over the
+    leading ones; the result has shape ``a.shape[:-1]``.
+    """
+    _check_trailing("dot", a, b)
     av, bv = a.array, b.array
-    return _result("dot", av @ bv, (a, b),
-                   lambda g: (float(g) * bv, float(g) * av))
+    lead = tuple(range(a.ndim - b.ndim))
+    return _result("dot", _rowdot(av, bv), (a, b),
+                   lambda g: (g[..., None] * bv,
+                              (g[..., None] * av).sum(axis=lead)))
 
 
 def index(x: Tensor, i: int) -> Tensor:
     """Select entry ``i`` of a vector as a scalar."""
     _need_shape("index", x, 1)
-    i = int(i)
-    if not 0 <= i < x.shape[0]:
-        raise ValueError(f"index: {i} out of range for length {x.shape[0]}")
+    i, n = int(i), x.shape[0]
+    if not 0 <= i < n:
+        raise ValueError(f"index: {i} out of range for length {n}")
 
     def vjp(g):
-        gx = np.zeros(x.shape)
+        gx = np.zeros(n)
         gx[i] = float(g)
         return (gx,)
 
     return _result("index", x.array[i], (x,), vjp)
 
 
-def col(a: Tensor, j: int) -> Tensor:
-    """Select column ``j`` of a matrix as a vector."""
-    _need_shape("col", a, 2)
-    j = int(j)
-    if not 0 <= j < a.shape[1]:
-        raise ValueError(f"col: {j} out of range for {a.shape[1]} columns")
-
-    def vjp(g):
-        ga = np.zeros(a.shape)
-        ga[:, j] = g
-        return (ga,)
-
-    return _result("col", a.array[:, j].copy(), (a,), vjp)
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate vectors into one vector."""
-    if not parts:
-        raise ValueError("concat: empty input")
-    for p in parts:
-        _need_shape("concat", p, 1)
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[offsets[k]:offsets[k + 1]] for k in range(len(parts)))
-
-    return _result("concat", np.concatenate([p.array for p in parts]), tuple(parts), vjp)
-
-
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors as the rows of a matrix."""
+    """Stack equal-shape tensors along a new leading axis."""
     if not rows:
         raise ValueError("stack_rows: empty input")
-    for r in rows:
-        _need_shape("stack_rows", r, 1)
-    if len({r.shape[0] for r in rows}) != 1:
-        raise ValueError("stack_rows: rows have differing lengths")
+    if len({r.shape for r in rows}) != 1:
+        raise ValueError("stack_rows: inputs have differing shapes")
 
-    def vjp(g):
-        return tuple(g[k] for k in range(len(rows)))
-
-    return _result("stack_rows", np.stack([r.array for r in rows]), tuple(rows), vjp)
+    return _result("stack_rows", np.stack([r.array for r in rows]), tuple(rows),
+                   lambda g: tuple(g))
 
 
-def stack_cols(cols: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors as the columns of a matrix."""
-    if not cols:
-        raise ValueError("stack_cols: empty input")
-    for c in cols:
-        _need_shape("stack_cols", c, 1)
-    if len({c.shape[0] for c in cols}) != 1:
-        raise ValueError("stack_cols: columns have differing lengths")
-
-    def vjp(g):
-        return tuple(g[:, k] for k in range(len(cols)))
-
-    return _result("stack_cols", np.stack([c.array for c in cols], axis=1),
-                   tuple(cols), vjp)
+def reshape(x: Tensor, shape: tuple) -> Tensor:
+    """The same entries, in row-major order, with a new shape."""
+    old = x.shape
+    return _result("reshape", x.array.reshape(shape), (x,),
+                   lambda g: (g.reshape(old),))
 
 
 # ---------------------------------------------------------------------------
@@ -443,60 +416,64 @@ def _centre(a):
     return a - a.sum(axis=-1, keepdims=True) / a.shape[-1]
 
 
-def _check_rows_vs_query(op: str, m: Tensor, q: Tensor, min_len: int) -> None:
-    if m.ndim < 1 or q.ndim != 1 or m.shape[-1] != q.shape[0]:
-        raise ValueError(f"{op}: shape mismatch {m.shape} vs {q.shape}")
-    if q.shape[0] < min_len:
-        raise ValueError(
-            f"{op}: need rows of length >= {min_len}, got shape {m.shape}")
-
-
 def _row_cosines(op, mv, qv, parents, project):
-    """Cosine of each row of ``mv`` with ``qv``, recorded as one node.
+    """Cosine of each row of ``mv`` with the matching row of ``qv``.
 
+    ``qv`` has the shape of ``mv``'s trailing axes.  Recorded as one node;
     ``project`` maps the (row, query) gradients of the cosine to those of
     ``parents``.
     """
-    nq = math.sqrt(float(qv @ qv))
+    # a rank-1 query keeps the arithmetic the classifier's scores are
+    # pinned to: one matrix-vector product for the row dots and for the
+    # query's gradient
+    rank1 = qv.ndim == 1
+    rowdot = operator.matmul if rank1 else _rowdot
+    nq = np.sqrt(rowdot(qv, qv))
     nrows = np.sqrt(_rowdot(mv, mv))
     live = (nrows > EPS) & (nq > EPS)
     safe_rows = np.where(live, nrows, 1.0)
-    safe_q = nq if nq > EPS else 1.0
-    c = np.where(live, (mv @ qv) / (safe_rows * safe_q), 0.0)
+    safe_q = nq + (nq <= EPS)  # every row of a dead query is masked
+    c = np.where(live, rowdot(mv, qv) / (safe_rows * safe_q), 0.0)
 
     def vjp(g):
         gl = np.where(live, g, 0.0)
         a = gl / (safe_rows * safe_q)
         gm = a[..., None] * qv \
             - (gl * c / (safe_rows * safe_rows))[..., None] * mv
-        gq = mv.reshape(-1, qv.shape[0]).T @ a.reshape(-1) \
-            - qv * float((gl * c).sum()) / (safe_q * safe_q)
+        if rank1:
+            gq = mv.reshape(-1, qv.shape[0]).T @ a.reshape(-1) \
+                - qv * float((gl * c).sum()) / (safe_q * safe_q)
+        else:
+            lead = tuple(range(mv.ndim - qv.ndim))
+            gq = (a[..., None] * mv).sum(axis=lead) - qv * (
+                (gl * c).sum(axis=lead) / (safe_q * safe_q))[..., None]
         return project(gm, gq)
 
     return _result(op, np.clip(c, -1.0, 1.0), parents, vjp)
 
 
 def cosine(m: Tensor, q: Tensor) -> Tensor:
-    """Cosine similarity of each row of ``m`` with ``q``.
+    """Cosine similarity of each row of ``m`` with the matching row of ``q``.
 
-    0 where either norm is below EPS.  A rank-1 ``m`` gives a scalar.
+    ``q`` has the shape of ``m``'s trailing axes.  0 where either norm is
+    below EPS.  A rank-1 ``m`` gives a scalar.
     """
-    _check_rows_vs_query("cosine", m, q, 1)
+    _check_trailing("cosine", m, q)
     return _row_cosines("cosine", m.array, q.array, (m, q),
                         lambda gm, gq: (gm, gq))
 
 
 def pccs(m: Tensor, q: Tensor) -> Tensor:
-    """Pearson correlation of each row of ``m`` with ``q``.
+    """Pearson correlation of each row of ``m`` with the matching row of ``q``.
 
-    The entries of a row and of ``q`` are paired samples, so rows need
-    length 2 or more: a single sample has no variance to correlate.  Equal
-    to the cosine of the mean-centred row and query, so rows with (near)
-    zero variance yield 0, a neutral value for routing.  Centring is fused
-    into the node: it is a symmetric projection, so the VJP applies it
-    unchanged to the incoming gradients.
+    ``q`` has the shape of ``m``'s trailing axes.  The entries of a row are
+    paired samples, so rows need length 2 or more: a single sample has no
+    variance to correlate.  Equal to the cosine of the mean-centred rows,
+    so rows with (near) zero variance yield 0, a neutral value for routing.
+    Centring is fused into the node: it is a symmetric projection, so the
+    VJP applies it unchanged to the incoming gradients.
     """
-    _check_rows_vs_query("pccs", m, q, 2)
+    _check_trailing("pccs", m, q, 2)
     return _row_cosines("pccs", _centre(m.array), _centre(q.array), (m, q),
                         lambda gu, gw: (_centre(gu), _centre(gw)))
 

@@ -71,24 +71,21 @@ class RoutingConfig:
 
 @dataclass
 class RoutingParams:
-    """One transform ``(W_j, b_j)`` per output capsule, shared across rows."""
+    """The ``l`` capsule transforms ``(W_j, b_j)``, stacked into one map.
 
-    ws: tuple  # capsule_count tensors of shape (capsule_dim, input_dim)
-    bs: tuple  # capsule_count tensors of shape (capsule_dim,)
+    Rows ``j * capsule_dim`` to ``(j + 1) * capsule_dim`` of ``w`` and
+    ``b`` are capsule ``j``'s transform, shared across memory rows.
+    """
+
+    w: Tensor  # (capsule_count * capsule_dim, input_dim)
+    b: Tensor  # (capsule_count * capsule_dim,)
 
     def check(self, cfg: RoutingConfig) -> None:
-        if len(self.ws) != cfg.capsule_count or len(self.bs) != cfg.capsule_count:
+        if self.w.shape != (cfg.output_dim, cfg.input_dim) \
+                or self.b.shape != (cfg.output_dim,):
             raise ValueError(
-                f"expected {cfg.capsule_count} capsule transforms, got "
-                f"{len(self.ws)} weights / {len(self.bs)} biases")
-        for j, (w, b) in enumerate(zip(self.ws, self.bs)):
-            if w.shape != (cfg.capsule_dim, cfg.input_dim):
-                raise ValueError(
-                    f"W[{j}] has shape {w.shape}, expected "
-                    f"({cfg.capsule_dim}, {cfg.input_dim})")
-            if b.shape != (cfg.capsule_dim,):
-                raise ValueError(
-                    f"b[{j}] has shape {b.shape}, expected ({cfg.capsule_dim},)")
+                f"W / b have shapes {self.w.shape} / {self.b.shape}, expected "
+                f"({cfg.output_dim}, {cfg.input_dim}) / ({cfg.output_dim},)")
 
 
 @dataclass
@@ -109,9 +106,11 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
         query: Tensor, trace: RoutingTrace | None = None) -> Tensor:
     """Route ``memory`` rows toward ``query``; returns the concatenated capsules.
 
-    ``memory`` is a rank-2 Tensor (n, input_dim) with n >= 1.  The result
-    has dimension ``cfg.output_dim`` and is exactly invariant under
-    permutations of the memory rows: every cross-row reduction is an
+    ``memory`` is a rank-2 Tensor (n, input_dim) with n >= 1.  All capsules
+    are routed together: transformed rows are (n, l, d_v), the query and
+    the output capsules (l, d_v), and gates, logits and coupling (n, l).
+    The result has dimension ``cfg.output_dim`` and is exactly invariant
+    under permutations of the memory rows: every cross-row reduction is an
     exactly-rounded sum.
     """
     params.check(cfg)
@@ -128,35 +127,29 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
         raise ValueError(
             f"query has shape {query.array.shape}, config expects "
             f"({cfg.input_dim},)")
+    caps = (cfg.capsule_count, cfg.capsule_dim)
 
     # transform every row and the query into each capsule space
-    mhat = [nm.squash(nm.linear(memory, params.ws[j], params.bs[j]))
-            for j in range(cfg.capsule_count)]
-    qhat = [nm.squash(nm.linear(query, params.ws[j], params.bs[j]))
-            for j in range(cfg.capsule_count)]
-    gates = [nm.tanh(nm.pccs(mhat[j], qhat[j]))
-             for j in range(cfg.capsule_count)]
-    logits = [nm.constant(np.zeros(n)) for _ in range(cfg.capsule_count)]
+    mhat = nm.squash(nm.reshape(nm.linear(memory, params.w, params.b),
+                                (n,) + caps))
+    qhat = nm.squash(nm.reshape(nm.linear(query, params.w, params.b), caps))
+    gates = nm.tanh(nm.pccs(mhat, qhat))
+    logits = nm.constant(np.zeros((n, cfg.capsule_count)))
 
-    capsules = [None] * cfg.capsule_count
     for _ in range(cfg.iterations):
-        coupling = nm.softmax(nm.stack_cols(logits))
-        for j in range(cfg.capsule_count):
-            weight = nm.add(nm.col(coupling, j), gates[j])
-            pre = nm.vecmat(weight, mhat[j])
-            capsules[j] = nm.squash(pre)
-            agree = nm.linear(capsules[j], mhat[j])
-            logits[j] = nm.add(logits[j], nm.mul(gates[j], agree))
-            qhat[j] = nm.scale(nm.add(qhat[j], capsules[j]), 0.5)
-            gates[j] = nm.tanh(nm.pccs(mhat[j], qhat[j]))
+        coupling = nm.softmax(logits)
+        capsules = nm.squash(nm.vecmat(nm.add(coupling, gates), mhat))
+        agree = nm.dot(mhat, capsules)
+        logits = nm.add(logits, nm.mul(gates, agree))
+        qhat = nm.scale(nm.add(qhat, capsules), 0.5)
+        gates = nm.tanh(nm.pccs(mhat, qhat))
         if trace is not None:
-            trace.coupling.append(coupling.array.copy())
-            trace.gates.append(
-                np.stack([g.array for g in gates], axis=1))
+            trace.coupling.append(coupling.array)
+            trace.gates.append(gates.array)
     if trace is not None:
-        trace.capsule_outputs = np.stack([v.array for v in capsules])
-        trace.logits = np.stack([a.array for a in logits], axis=1)
-    return nm.concat(capsules)
+        trace.capsule_outputs = capsules.array
+        trace.logits = logits.array
+    return nm.reshape(capsules, (cfg.output_dim,))
 
 
 def dmm_adapt(params: RoutingParams, cfg: RoutingConfig, w_base,
@@ -202,12 +195,17 @@ def init_routing_arrays(cfg: RoutingConfig, rng: np.random.Generator,
 
 def params_from_tensors(tensors: dict, prefix: str,
                         cfg: RoutingConfig) -> RoutingParams:
-    """Collect ``{prefix}w_j`` / ``{prefix}b_j`` tensors into RoutingParams."""
+    """Stack ``{prefix}w_j`` / ``{prefix}b_j`` tensors into RoutingParams."""
     try:
-        ws = tuple(tensors[f"{prefix}w_{j}"] for j in range(cfg.capsule_count))
-        bs = tuple(tensors[f"{prefix}b_{j}"] for j in range(cfg.capsule_count))
+        ws = [tensors[f"{prefix}w_{j}"] for j in range(cfg.capsule_count)]
+        bs = [tensors[f"{prefix}b_{j}"] for j in range(cfg.capsule_count)]
     except KeyError as missing:
         raise ValueError(f"missing routing parameter {missing}") from None
-    p = RoutingParams(ws=ws, bs=bs)
-    p.check(cfg)
-    return p
+    w, b = nm.stack_rows(ws), nm.stack_rows(bs)
+    caps = (cfg.capsule_count, cfg.capsule_dim)
+    if w.shape != caps + (cfg.input_dim,) or b.shape != caps:
+        raise ValueError(
+            f"{prefix}w_j / {prefix}b_j stack to shapes {w.shape} / "
+            f"{b.shape}, expected {caps + (cfg.input_dim,)} / {caps}")
+    return RoutingParams(w=nm.reshape(w, (cfg.output_dim, cfg.input_dim)),
+                         b=nm.reshape(b, (cfg.output_dim,)))

@@ -1,14 +1,16 @@
 """End-to-end checks of the command-line interface.
 
-Every test drives ``cli.main`` in-process with an argv list and asserts on
+Most tests drive ``cli.main`` in-process with an argv list and assert on
 the exit code and the files it writes.  Exit-code contract: 0 success,
 1 usage error, 2 data error, 3 numeric failure.
 """
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,7 +402,11 @@ EVAL = ["eval", "--model", BAD, "--data", DATA, "--episodes", "1",
 EVAL_CONFIG = ["eval", "--config", BAD, "--model", MODEL, "--data", DATA,
                "--episodes", "1", "--out", OUT]
 PRETRAIN_CONFIG = ["pretrain", "--config", BAD, "--data", DATA, "--out", OUT]
+METATRAIN_CONFIG = ["metatrain", "--config", BAD, "--model", MODEL,
+                    "--data", DATA, "--out", OUT]
 ROUTING_BOOL = {"input_dim": 8, "capsule_count": True, "capsule_dim": 8}
+ROUTING_OK = {"input_dim": 8, "capsule_count": 2, "capsule_dim": 4}
+ONE_EPISODE = {"episodes": 1, "C": 3, "K": 1, "L": 2}
 
 # (case, file suffix, file maker, argv)
 MALFORMED = [
@@ -416,9 +422,17 @@ MALFORMED = [
     ("config_bool_int", ".json", _config({"eval": {"episodes": True}}),
      EVAL_CONFIG),
     ("config_float_shot", ".json",
-     _config({"stage2": {"episodes": 1, "K": 1.0}}),
-     ["metatrain", "--config", BAD, "--model", MODEL, "--data", DATA,
-      "--out", OUT]),
+     _config({"stage2": {"episodes": 1, "K": 1.0}}), METATRAIN_CONFIG),
+    ("config_bool_float", ".json",
+     _config({"stage2": {**ONE_EPISODE, "learning_rate": True}}),
+     METATRAIN_CONFIG),
+    ("config_string_freeze_tau", ".json",
+     _config({"freeze_tau": "false", "stage2": ONE_EPISODE}),
+     METATRAIN_CONFIG),
+    ("config_string_share_params", ".json",
+     _config({"routing": {"dmm": ROUTING_OK, "qim": ROUTING_OK,
+                          "share_params": "no"}}),
+     PRETRAIN_CONFIG),
     ("config_string_seed", ".json", _config({"seed": "3"}), EVAL_CONFIG),
     ("config_bool_routing", ".json",
      _config({"routing": {"dmm": ROUTING_BOOL, "qim": ROUTING_BOOL}}),
@@ -450,3 +464,43 @@ def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
     assert err.startswith("dmin: data error:"), err
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert "Traceback" not in err
+
+
+def _run_cli(argv, env_extra=None):
+    """Run the CLI in a fresh interpreter, where numpy warnings would print."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **(env_extra or {})}
+    return subprocess.run([sys.executable, "-m", "dmin.cli",
+                           *map(str, argv)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def _assert_one_line_numeric_failure(proc):
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("dmin: numeric failure:"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+def test_overflowing_training_is_one_line(tmp_path, pretrained_path,
+                                          data_path):
+    cfg = tmp_path / "hot.json"
+    cfg.write_text(json.dumps(
+        {"stage2": {**ONE_EPISODE, "episodes": 2, "learning_rate": 1e300}}),
+        encoding="utf-8")
+    _assert_one_line_numeric_failure(_run_cli(
+        ["metatrain", "--config", cfg, "--model", pretrained_path,
+         "--data", data_path, "--out", tmp_path / "m.ckpt"]))
+
+
+def test_overflowing_pooled_eval_is_one_line(tmp_path, pretrained_path,
+                                             data_path):
+    model = load_checkpoint(pretrained_path)
+    model.params["dmm.w_0"] = model.params["dmm.w_0"] * 1e300
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(model, ckpt)
+    _assert_one_line_numeric_failure(_run_cli(
+        _eval_args(ckpt, data_path, tmp_path / "r.json", episodes=4, way=3,
+                   shot=1, queries=2),
+        {"DMIN_THREADS": "2"}))

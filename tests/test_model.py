@@ -40,7 +40,10 @@ class TestModelInit:
         tensors = m.tensors()
         qp = m.qim_params(tensors)
         dp = m.dmm_params(tensors)
-        assert qp.ws[0] is dp.ws[0]
+        dmm_w = np.concatenate([m.params["dmm.w_0"], m.params["dmm.w_1"]])
+        npt.assert_array_equal(qp.w.array, dmm_w)
+        npt.assert_array_equal(dp.w.array, dmm_w)
+        npt.assert_array_equal(qp.b.array, dp.b.array)
 
     def test_seeded_determinism(self):
         a = init_model(small_config(), seed=7)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -191,14 +193,8 @@ def _probe(out, rng):
     if out.ndim == 0:
         return out
     w = rng.normal(0.0, 1.0, out.shape)
-    if out.ndim == 1:
-        return nm.dot(out, nm.constant(w))
-    # rank-2: probe each column, then sum the pieces
-    parts = [nm.dot(nm.col(out, j), nm.constant(w[:, j])) for j in range(out.shape[1])]
-    total = parts[0]
-    for p in parts[1:]:
-        total = nm.add(total, p)
-    return total
+    flat = (out.array.size,)
+    return nm.dot(nm.reshape(out, flat), nm.constant(w.reshape(flat)))
 
 
 def _op_cases(rng):
@@ -207,6 +203,7 @@ def _op_cases(rng):
     m = int(rng.integers(2, 5))
     vec = lambda k: rng.normal(0.0, 2.0, k)
     mat = lambda r, cdim: rng.normal(0.0, 2.0, (r, cdim))
+    cube = lambda r: rng.normal(0.0, 2.0, (r, m, d))
     # "op/variant" names a further case of the same op
     return [
         ("add", {"a": vec(d), "b": vec(d)}, lambda t: nm.add(t["a"], t["b"])),
@@ -221,6 +218,8 @@ def _op_cases(rng):
         ("linear/rows", {"x": mat(n, d), "w": mat(m, d), "b": vec(m)},
          lambda t: nm.linear(t["x"], t["w"], t["b"])),
         ("vecmat", {"w": vec(n), "m": mat(n, d)}, lambda t: nm.vecmat(t["w"], t["m"])),
+        ("vecmat/lead", {"w": mat(n, m), "m": cube(n)},
+         lambda t: nm.vecmat(t["w"], t["m"])),
         ("tanh", {"a": vec(d)}, lambda t: nm.tanh(t["a"])),
         ("exp", {"a": np.array(rng.normal())}, lambda t: nm.exp(t["a"])),
         ("squash", {"a": vec(d)}, lambda t: nm.squash(t["a"])),
@@ -229,18 +228,21 @@ def _op_cases(rng):
         ("softmax/rows", {"m": mat(n, d)}, lambda t: nm.softmax(t["m"])),
         ("logsumexp", {"a": vec(d)}, lambda t: nm.logsumexp(t["a"])),
         ("dot", {"a": vec(d), "b": vec(d)}, lambda t: nm.dot(t["a"], t["b"])),
+        ("dot/broadcast", {"m": cube(n), "q": mat(m, d)},
+         lambda t: nm.dot(t["m"], t["q"])),
         ("index", {"a": vec(d)}, lambda t: nm.index(t["a"], d - 1)),
-        ("col", {"m": mat(n, d)}, lambda t: nm.col(t["m"], 0)),
-        ("concat", {"a": vec(d), "b": vec(m)}, lambda t: nm.concat([t["a"], t["b"]])),
         ("stack_rows", {"a": vec(d), "b": vec(d)},
          lambda t: nm.stack_rows([t["a"], t["b"]])),
-        ("stack_cols", {"a": vec(n), "b": vec(n)},
-         lambda t: nm.stack_cols([t["a"], t["b"]])),
+        ("stack_rows/matrices", {"a": mat(n, d), "b": mat(n, d)},
+         lambda t: nm.stack_rows([t["a"], t["b"]])),
+        ("reshape", {"m": mat(n, d)}, lambda t: nm.reshape(t["m"], (d, n))),
         ("cosine", {"a": vec(d), "b": vec(d)}, lambda t: nm.cosine(t["a"], t["b"])),
         ("cosine/rows", {"m": mat(n, d), "q": vec(d)},
          lambda t: nm.cosine(t["m"], t["q"])),
         ("pccs", {"a": vec(d), "b": vec(d)}, lambda t: nm.pccs(t["a"], t["b"])),
         ("pccs/rows", {"m": mat(n, d), "q": vec(d)},
+         lambda t: nm.pccs(t["m"], t["q"])),
+        ("pccs/broadcast", {"m": cube(n), "q": mat(m, d)},
          lambda t: nm.pccs(t["m"], t["q"])),
     ]
 
@@ -272,6 +274,21 @@ def test_gradients_match_finite_differences_across_ops():
             cases_done += 1
             if cases_done >= 1000:
                 break
+
+
+def test_tapes_are_freed_without_the_cycle_collector():
+    # a node must not hold its input Tensors: they point back at the tape,
+    # and the cycle would keep every array on it alive until a gc pass
+    gc.disable()
+    try:
+        for name, params, build in _op_cases(np.random.default_rng(3)):
+            tape = nm.Tape()
+            out = build({k: tape.leaf(v) for k, v in params.items()})
+            ref = weakref.ref(tape)
+            del tape, out
+            assert ref() is None, name
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +345,15 @@ def test_row_ops_match_single_row_calls():
             whole = op(c(m), c(q)).array
             for i in range(n):
                 assert abs(whole[i] - op(c(m[i]), c(q)).item()) <= 1e-15
+        # a rank-2 q pairs its row j with row j of every m[i]
+        l = int(rng.integers(1, 4))
+        m3 = rng.normal(0.0, 2.0, (n, l, d))
+        q2 = rng.normal(0.0, 2.0, (l, d))
+        for op in (nm.cosine, nm.pccs):
+            whole = op(c(m3), c(q2)).array
+            for j in range(l):
+                npt.assert_allclose(whole[:, j], op(c(m3[:, j]), c(q2[j])).array,
+                                    rtol=0, atol=1e-15)
 
 
 NOT_OPS = {"EPS", "NumericError", "Tensor", "Tape", "constant", "backward"}

@@ -20,8 +20,8 @@ def make_params(rng, cfg, std=0.5):
 
 
 def as_constant_params(ws, bs):
-    return RoutingParams(ws=tuple(nm.constant(w) for w in ws),
-                         bs=tuple(nm.constant(b) for b in bs))
+    return RoutingParams(w=nm.constant(np.concatenate(ws)),
+                         b=nm.constant(np.concatenate(bs)))
 
 
 class TestConfig:
@@ -107,9 +107,42 @@ class TestDmrBasics:
         with pytest.raises(ValueError):
             dmr(params, cfg, nm.constant(np.ones((2, 4))),
                 nm.constant(np.ones(5)))
-        short = RoutingParams(ws=params.ws[:1], bs=params.bs[:1])
+        short = RoutingParams(w=nm.constant(params.w.array[:2]),
+                              b=nm.constant(params.b.array[:2]))
         with pytest.raises(ValueError):
             dmr(short, cfg, nm.constant(np.ones((2, 4))), q)
+
+    def test_tape_nodes_do_not_depend_on_capsule_count(self):
+        rng = np.random.default_rng(43)
+        counts = set()
+        for l in (1, 2, 4, 8):
+            cfg = RoutingConfig(input_dim=8, capsule_count=l, capsule_dim=3,
+                                iterations=3)
+            tape = nm.Tape()
+            leaves = {k: tape.leaf(v) for k, v in
+                      init_routing_arrays(cfg, rng).items()}
+            params = params_from_tensors(leaves, "", cfg)
+            before = len(tape)
+            dmr(params, cfg, nm.constant(rng.normal(size=(5, 8))),
+                nm.constant(rng.normal(size=8)))
+            counts.add(len(tape) - before)
+        assert len(counts) == 1, counts
+
+    def test_params_from_tensors_rejects_bad_shapes(self):
+        cfg = RoutingConfig(input_dim=4, capsule_count=2, capsule_dim=2)
+        good = {f"w_{j}": nm.constant(np.ones((2, 4))) for j in range(2)}
+        good.update({f"b_{j}": nm.constant(np.ones(2)) for j in range(2)})
+        params = params_from_tensors(good, "", cfg)
+        assert params.w.shape == (4, 4) and params.b.shape == (4,)
+        for bad in ({"w_1": nm.constant(np.ones((4, 2)))},
+                    {"w_0": nm.constant(np.ones((4, 2))),
+                     "w_1": nm.constant(np.ones((4, 2)))},
+                    {"b_0": nm.constant(np.ones(3))}):
+            with pytest.raises(ValueError):
+                params_from_tensors({**good, **bad}, "", cfg)
+        with pytest.raises(ValueError):
+            params_from_tensors({k: v for k, v in good.items()
+                                 if k != "b_1"}, "", cfg)
 
 
 class TestOracleEquivalence:
