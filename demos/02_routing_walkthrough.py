@@ -2,7 +2,8 @@
 
 A routing call reads a memory (a stack of vectors) and a query, then runs a
 fixed number of agreement iterations.  The trace records the coupling
-matrix and correlation gates at every step so we can watch them drift.
+matrix and correlation gates each iteration mixes the memory with, so we
+can watch them drift.
 """
 
 import numpy as np
@@ -31,7 +32,8 @@ for it, coupling in enumerate(trace.coupling):
         print("   " + "  ".join(f"{v:.3f}" for v in row))
 print("each row sums to 1: the capsules compete for every memory entry")
 
-print("final correlation gates (rows = memory entries, cols = capsules):")
+print("correlation gates used in the last iteration "
+      "(rows = memory entries, cols = capsules):")
 for row in trace.gates[-1]:
     print("   " + "  ".join(f"{v:+.3f}" for v in row))
 

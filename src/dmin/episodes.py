@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -158,10 +159,21 @@ def _dense_ids(names: Sequence[str]):
     return labels, order
 
 
+@contextmanager
+def _open_utf8(path):
+    """``path`` opened as UTF-8 text; a decoding error inside the block
+    becomes a DataError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not valid UTF-8: {err}") from None
+
+
 def load_tsv(path) -> Dataset:
     """``label<TAB>text`` per line; labels become ids by first appearance."""
     names, texts = [], []
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -195,7 +207,7 @@ def load_jsonl_vectors(path) -> Dataset:
     """
     names, vectors, skipped = [], [], 0
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -32,7 +32,7 @@ import numpy as np
 from . import numerics as nm
 from .classifier import few_scores, loss_episode, loss_supervised, base_scores
 from .encoder import EncoderConfig
-from .episodes import (DataError, Dataset, EpisodeConfig, Episode,
+from .episodes import (_F64_MAX, DataError, Dataset, EpisodeConfig, Episode,
                        sample_episode, split_base_novel)
 from .model import Adam, Model, ModelConfig, init_model
 from .routing import RoutingConfig, dmm_adapt, qim_induce
@@ -131,7 +131,8 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 
 def _build(cls, key: str, val):
     """A config dataclass from a JSON object; int fields must hold JSON
-    integers and float fields JSON numbers, and booleans are neither."""
+    integers and float fields finite JSON numbers, and booleans are
+    neither."""
     if val is None:
         return cls()
     if not isinstance(val, dict):
@@ -145,9 +146,12 @@ def _build(cls, key: str, val):
         if fields[name].type in (int, "int"):
             _require_int(f"{key}.{name}", v)
         elif fields[name].type in (float, "float") \
-                and type(v) not in (int, float):
+                and not (type(v) in (int, float) and abs(v) <= _F64_MAX):
+            # abs(v) <= max refuses NaN, infinities (JSON's Infinity, or
+            # 1e999) and integers that overflow float64
             raise DataError(
-                f"config field {key}.{name} must be a number, got {v!r}")
+                f"config field {key}.{name} must be a finite number, "
+                f"got {v!r}")
     return cls(**val)
 
 

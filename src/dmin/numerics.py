@@ -270,13 +270,18 @@ def vecmat(w: Tensor, m: Tensor) -> Tensor:
     summation (``math.fsum``) so the result is bit-identical under any
     permutation of ``i`` applied to ``w`` and ``m`` together.  This is the
     only place a memory-indexed sum occurs in dynamic routing, which makes
-    routing output exactly permutation invariant.
+    routing output exactly permutation invariant.  With one or two rows a
+    plain sum is already exactly rounded, and ``+ 0.0`` gives fsum's
+    ``+0.0`` for a sum of negative zeros.
     """
     if m.ndim < 2 or w.shape != m.shape[:-1]:
         raise ValueError(f"vecmat: shape mismatch {w.shape} @ {m.shape}")
     wv, mv = w.array, m.array
     prods = (wv[..., None] * mv).reshape(mv.shape[0], -1)
-    out = np.array([math.fsum(c) for c in prods.T.tolist()])
+    if len(prods) <= 2:
+        out = prods.sum(axis=0) + 0.0
+    else:
+        out = np.array([math.fsum(c) for c in prods.T.tolist()])
     return _result("vecmat", out.reshape(mv.shape[1:]), (w, m),
                    lambda g: (_rowdot(mv, g), wv[..., None] * g))
 

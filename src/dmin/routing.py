@@ -14,6 +14,12 @@ their own routing weight.  Two wrappers specialize the operator:
 
 All arithmetic goes through :mod:`dmin.numerics`, so outputs are
 differentiable whenever the inputs carry a tape.
+
+Within one forward pass the same memory (``W_base``, a class's support
+stack) and the same query meet the same transforms in many calls.
+:meth:`RoutingParams.transform` maps each input into capsule space once
+and hands the result to every later call: ``params_from_tensors`` builds
+fresh params for each forward pass, so that memo lives exactly one pass.
 """
 
 from __future__ import annotations
@@ -79,6 +85,8 @@ class RoutingParams:
 
     w: Tensor  # (capsule_count * capsule_dim, input_dim)
     b: Tensor  # (capsule_count * capsule_dim,)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def check(self, cfg: RoutingConfig) -> None:
         if self.w.shape != (cfg.output_dim, cfg.input_dim) \
@@ -87,13 +95,30 @@ class RoutingParams:
                 f"W / b have shapes {self.w.shape} / {self.b.shape}, expected "
                 f"({cfg.output_dim}, {cfg.input_dim}) / ({cfg.output_dim},)")
 
+    def transform(self, cfg: RoutingConfig, x: Tensor) -> Tensor:
+        """``x``'s rows mapped into every capsule space: (..., l, d_v).
+
+        Memoised per input Tensor and capsule shape for the life of these
+        params.  An entry keeps ``x`` alive, so its ``id`` cannot be
+        reused; params kept across passes keep every input alive.
+        """
+        caps = (cfg.capsule_count, cfg.capsule_dim)
+        key = (id(x), caps)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = (x, nm.squash(nm.reshape(
+                nm.linear(x, self.w, self.b), x.shape[:-1] + caps)))
+        return hit[1]
+
 
 @dataclass
 class RoutingTrace:
     """Numpy snapshots of routing internals, for inspection and testing.
 
-    ``coupling`` and ``gates`` hold one (n, capsule_count) array per
-    iteration; the remaining fields are final-iteration values.
+    ``coupling[i]`` and ``gates[i]`` are the (n, capsule_count) coupling
+    and gates that iteration ``i`` mixes the memory rows with, so
+    ``gates[0]`` holds the initial gates.  ``capsule_outputs`` are the
+    final capsules and ``logits`` the logits behind the last coupling.
     """
 
     coupling: list = field(default_factory=list)
@@ -112,6 +137,12 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
     The result has dimension ``cfg.output_dim`` and is exactly invariant
     under permutations of the memory rows: every cross-row reduction is an
     exactly-rounded sum.
+
+    Memory and query go through ``params.transform``, so a call reuses
+    the transforms of any earlier call with the same params and the same
+    Tensors.  The agreement, logit, query and gate updates run at the top
+    of iterations 2..r: after the last iteration nothing reads them, so
+    they are not computed.
     """
     params.check(cfg)
     if not isinstance(memory, Tensor) or memory.ndim != 2 \
@@ -127,22 +158,21 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
         raise ValueError(
             f"query has shape {query.array.shape}, config expects "
             f"({cfg.input_dim},)")
-    caps = (cfg.capsule_count, cfg.capsule_dim)
 
-    # transform every row and the query into each capsule space
-    mhat = nm.squash(nm.reshape(nm.linear(memory, params.w, params.b),
-                                (n,) + caps))
-    qhat = nm.squash(nm.reshape(nm.linear(query, params.w, params.b), caps))
+    # every row and the query in each capsule space
+    mhat = params.transform(cfg, memory)
+    qhat = params.transform(cfg, query)
     gates = nm.tanh(nm.pccs(mhat, qhat))
     logits = nm.constant(np.zeros((n, cfg.capsule_count)))
 
-    for _ in range(cfg.iterations):
+    for it in range(cfg.iterations):
+        if it:
+            agree = nm.dot(mhat, capsules)
+            logits = nm.add(logits, nm.mul(gates, agree))
+            qhat = nm.scale(nm.add(qhat, capsules), 0.5)
+            gates = nm.tanh(nm.pccs(mhat, qhat))
         coupling = nm.softmax(logits)
         capsules = nm.squash(nm.vecmat(nm.add(coupling, gates), mhat))
-        agree = nm.dot(mhat, capsules)
-        logits = nm.add(logits, nm.mul(gates, agree))
-        qhat = nm.scale(nm.add(qhat, capsules), 0.5)
-        gates = nm.tanh(nm.pccs(mhat, qhat))
         if trace is not None:
             trace.coupling.append(coupling.array)
             trace.gates.append(gates.array)
@@ -195,7 +225,11 @@ def init_routing_arrays(cfg: RoutingConfig, rng: np.random.Generator,
 
 def params_from_tensors(tensors: dict, prefix: str,
                         cfg: RoutingConfig) -> RoutingParams:
-    """Stack ``{prefix}w_j`` / ``{prefix}b_j`` tensors into RoutingParams."""
+    """Stack ``{prefix}w_j`` / ``{prefix}b_j`` tensors into RoutingParams.
+
+    The params are fresh, with an empty transform memo; the pipeline
+    calls this once per forward pass.
+    """
     try:
         ws = [tensors[f"{prefix}w_{j}"] for j in range(cfg.capsule_count)]
         bs = [tensors[f"{prefix}b_{j}"] for j in range(cfg.capsule_count)]

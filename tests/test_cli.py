@@ -395,6 +395,11 @@ def _config(obj):
     return lambda body, lines: json.dumps(obj)
 
 
+def _text(content):
+    """A fixed file body: JSON that ``json.dumps`` cannot write, or bytes."""
+    return lambda body, lines: content
+
+
 # argv templates: BAD is the malformed file, MODEL the trained checkpoint
 BAD, MODEL, DATA, OUT = "{bad}", "{model}", "{data}", "{out}"
 EVAL = ["eval", "--model", BAD, "--data", DATA, "--episodes", "1",
@@ -434,6 +439,13 @@ MALFORMED = [
                           "share_params": "no"}}),
      PRETRAIN_CONFIG),
     ("config_string_seed", ".json", _config({"seed": "3"}), EVAL_CONFIG),
+    ("config_overflowing_stage1_lr", ".json",
+     _text('{"stage1": {"learning_rate": 1e999}}'), PRETRAIN_CONFIG),
+    ("config_overflowing_stage2_lr", ".json",
+     _text('{"stage2": {"episodes": 1, "C": 3, "K": 1, "L": 2, '
+           '"learning_rate": 1e999}}'), METATRAIN_CONFIG),
+    ("config_infinity_lr", ".json",
+     _config({"stage1": {"learning_rate": float("inf")}}), PRETRAIN_CONFIG),
     ("config_bool_routing", ".json",
      _config({"routing": {"dmm": ROUTING_BOOL, "qim": ROUTING_BOOL}}),
      PRETRAIN_CONFIG),
@@ -443,6 +455,13 @@ MALFORMED = [
      ["eval", "--model", MODEL, "--data", BAD, "--episodes", "1",
       "--out", OUT]),
     ("jsonl_huge_int", ".jsonl", _jsonl_with("1" + "0" * 400),
+     ["pretrain", "--data", BAD, "--out", OUT]),
+    ("jsonl_invalid_utf8", ".jsonl",
+     _text(b'{"label": "a\xff", "vector": [1.0, 2.0]}\n'),
+     ["pretrain", "--data", BAD, "--out", OUT]),
+    ("tsv_no_tab", ".tsv", _text("red\tcrimson scarlet\nblue navy azure\n"),
+     ["pretrain", "--data", BAD, "--out", OUT]),
+    ("tsv_invalid_utf8", ".tsv", _text(b"red\tcrimson\nblue\tn\xffvy\n"),
      ["pretrain", "--data", BAD, "--out", OUT]),
 ]
 
@@ -455,7 +474,9 @@ def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
     body = json.loads(trained_path.read_text(encoding="utf-8"))
     lines = data_path.read_text(encoding="utf-8").splitlines()
     bad = tmp_path / f"{case}{suffix}"
-    bad.write_text(make(body, lines), encoding="utf-8")
+    content = make(body, lines)
+    bad.write_bytes(content if isinstance(content, bytes)
+                    else content.encode("utf-8"))
     names = {"bad": bad, "model": trained_path, "data": data_path,
              "out": tmp_path / "out"}
     capsys.readouterr()
@@ -464,6 +485,8 @@ def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
     assert err.startswith("dmin: data error:"), err
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert "Traceback" not in err
+    if suffix in (".tsv", ".jsonl"):  # a bad data file is named
+        assert bad.name in err, err
 
 
 def _run_cli(argv, env_extra=None):

@@ -1,8 +1,10 @@
+import math
 import time
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
 from dmin.routing import (RoutingConfig, RoutingParams, RoutingTrace, dmr,
@@ -145,6 +147,166 @@ class TestDmrBasics:
                                  if k != "b_1"}, "", cfg)
 
 
+def _new_nodes_unreached(tape, start, out):
+    """Ids of nodes recorded from ``start`` on that ``out`` does not read."""
+    reached, todo = set(), [out.node_id]
+    while todo:
+        k = todo.pop()
+        if k is not None and k >= start and k not in reached:
+            reached.add(k)
+            todo.extend(tape.nodes[k].parent_ids)
+    return set(range(start, len(tape))) - reached
+
+
+class TestSharedTransforms:
+    """One params object per forward pass shares transforms across calls;
+    outputs must equal those of fresh params bit for bit."""
+
+    def test_dmm_over_supports_matches_fresh_params(self):
+        rng = np.random.default_rng(51)
+        cfg = RoutingConfig.for_pipeline(16, capsule_count=4, iterations=3)
+        ws, bs = make_params(rng, cfg)
+        shared = as_constant_params(ws, bs)
+        w_base = nm.constant(rng.normal(size=(10, 16)))
+        for _ in range(6):
+            s = nm.constant(rng.normal(size=16))
+            npt.assert_array_equal(
+                dmm_adapt(shared, cfg, w_base, s).array,
+                dmm_adapt(as_constant_params(ws, bs), cfg, w_base, s).array)
+
+    def test_qim_over_queries_and_stacks_matches_fresh_params(self):
+        rng = np.random.default_rng(52)
+        cfg = RoutingConfig.for_pipeline(16, capsule_count=4, iterations=3)
+        ws, bs = make_params(rng, cfg)
+        shared = as_constant_params(ws, bs)
+        stacks = [nm.constant(rng.normal(size=(k, 16))) for k in (1, 2, 5)]
+        for _ in range(4):
+            q = nm.constant(rng.normal(size=16))
+            for stk in stacks:
+                npt.assert_array_equal(
+                    qim_induce(shared, cfg, stk, q).array,
+                    qim_induce(as_constant_params(ws, bs), cfg, stk,
+                               q).array)
+
+    def test_dmr_records_no_node_its_output_does_not_read(self):
+        rng = np.random.default_rng(53)
+        for r in (1, 2, 3):
+            cfg = RoutingConfig(input_dim=8, capsule_count=2, capsule_dim=4,
+                                iterations=r)
+            tape = nm.Tape()
+            leaves = {k: tape.leaf(v) for k, v in
+                      init_routing_arrays(cfg, rng).items()}
+            params = params_from_tensors(leaves, "", cfg)
+            memory = tape.leaf(rng.normal(size=(3, 8)))
+            query = tape.leaf(rng.normal(size=8))
+            start = len(tape)
+            out = dmr(params, cfg, memory, query)
+            assert _new_nodes_unreached(tape, start, out) == set(), r
+
+    def test_second_call_with_the_same_memory_records_3_fewer_nodes(self):
+        rng = np.random.default_rng(54)
+        cfg = RoutingConfig(input_dim=8, capsule_count=2, capsule_dim=4,
+                            iterations=3)
+        tape = nm.Tape()
+        leaves = {k: tape.leaf(v) for k, v in
+                  init_routing_arrays(cfg, rng).items()}
+        params = params_from_tensors(leaves, "", cfg)
+        memory = nm.constant(rng.normal(size=(5, 8)))
+        counts = []
+        for _ in range(3):
+            before = len(tape)
+            dmr(params, cfg, memory, nm.constant(rng.normal(size=8)))
+            counts.append(len(tape) - before)
+        # linear, reshape and squash of the memory are recorded once
+        assert counts[0] - counts[1] == 3 and counts[1] == counts[2]
+
+    def test_configs_of_equal_output_dim_keep_their_own_transforms(self):
+        rng = np.random.default_rng(55)
+        cfg_a = RoutingConfig(input_dim=8, capsule_count=2, capsule_dim=4)
+        cfg_b = RoutingConfig(input_dim=8, capsule_count=4, capsule_dim=2)
+        w, b = rng.normal(0.0, 0.5, (8, 8)), rng.normal(0.0, 0.5, 8)
+
+        def fresh():
+            return RoutingParams(w=nm.constant(w), b=nm.constant(b))
+
+        shared = fresh()
+        memory = nm.constant(rng.normal(size=(4, 8)))
+        query = nm.constant(rng.normal(size=8))
+        for cfg in (cfg_a, cfg_b, cfg_a):
+            npt.assert_array_equal(dmr(shared, cfg, memory, query).array,
+                                   dmr(fresh(), cfg, memory, query).array)
+
+    def test_params_compare_and_print_without_the_memo(self):
+        rng = np.random.default_rng(56)
+        cfg = RoutingConfig(input_dim=4, capsule_count=2, capsule_dim=2)
+        params = as_constant_params(*make_params(rng, cfg))
+        before = repr(params)
+        dmr(params, cfg, nm.constant(np.ones((2, 4))), nm.constant(np.ones(4)))
+        assert repr(params) == before
+        assert params == RoutingParams(w=params.w, b=params.b)
+
+    def test_vecmat_of_one_or_two_rows_equals_fsum(self):
+        rng = np.random.default_rng(57)
+        for _ in range(2000):
+            n, k = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+            w = rng.normal(size=(n, 3))
+            m = rng.normal(size=(n, 3, k)) * 10.0 ** rng.integers(
+                -200, 200, size=(n, 3, k))
+            m[rng.random(m.shape) < 0.2] = 0.0
+            m[rng.random(m.shape) < 0.2] = -0.0
+            w[rng.random(w.shape) < 0.2] *= -1.0
+            got = nm.vecmat(nm.constant(w), nm.constant(m)).array
+            prods = (w[..., None] * m).reshape(n, -1)
+            want = np.array([math.fsum(c) for c in prods.T.tolist()])
+            npt.assert_array_equal(got.view(np.int64).reshape(-1),
+                                   want.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), d_in=st.integers(2, 9), l=st.integers(1, 3),
+       d_v=st.integers(2, 4), r=st.integers(1, 3),
+       pairs=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                      min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_params_match_fresh_params(n, d_in, l, d_v, r, pairs, seed):
+    """Over (memory, query) pairs that repeat memories and queries, one
+    shared params object gives fresh params' outputs bit for bit, and its
+    gradients to 1e-12: shared nodes change only the order in which
+    adjoints are summed."""
+    rng = np.random.default_rng(seed)
+    cfg = RoutingConfig(input_dim=d_in, capsule_count=l, capsule_dim=d_v,
+                        iterations=r)
+    w = rng.normal(0.0, 0.5, (l * d_v, d_in))
+    b = rng.normal(0.0, 0.5, l * d_v)
+    memories = [rng.normal(size=(n, d_in)) for _ in range(3)]
+    queries = [rng.normal(size=d_in) for _ in range(3)]
+    probes = [rng.normal(size=l * d_v) for _ in pairs]
+
+    def run(shared):
+        tape = nm.Tape()
+        wt, bt = tape.leaf(w), tape.leaf(b)
+        mems = [tape.leaf(m) for m in memories]
+        qs = [tape.leaf(q) for q in queries]
+        params = RoutingParams(w=wt, b=bt)
+        outs, loss = [], None
+        for (i, j), probe in zip(pairs, probes):
+            if not shared:
+                params = RoutingParams(w=wt, b=bt)
+            out = dmr(params, cfg, mems[i], qs[j])
+            outs.append(out.array)
+            term = nm.dot(out, nm.constant(probe))
+            loss = term if loss is None else nm.add(loss, term)
+        grads = nm.backward(tape, loss)
+        return outs, [grads[t.node_id] for t in [wt, bt] + mems + qs]
+
+    outs_s, grads_s = run(shared=True)
+    outs_f, grads_f = run(shared=False)
+    for a, c in zip(outs_s, outs_f):
+        npt.assert_array_equal(a, c)
+    for a, c in zip(grads_s, grads_f):
+        npt.assert_allclose(a, c, rtol=0, atol=1e-12)
+
+
 class TestOracleEquivalence:
     def test_100_random_instances_within_1e12(self):
         rng = np.random.default_rng(99)
@@ -194,6 +356,28 @@ class TestTraceInvariants:
                 assert np.all(p > -1.0) and np.all(p < 1.0)
             norms = np.linalg.norm(trace.capsule_outputs, axis=1)
             assert np.all(norms < 1.0)
+
+
+    def test_trace_holds_what_each_iteration_mixed_with(self):
+        rng = np.random.default_rng(23)
+        cfg = RoutingConfig(input_dim=6, capsule_count=2, capsule_dim=3,
+                            iterations=3)
+        params = as_constant_params(*make_params(rng, cfg))
+        memory = nm.constant(rng.normal(size=(4, 6)))
+        query = nm.constant(rng.normal(size=6))
+        trace = RoutingTrace()
+        dmr(params, cfg, memory, query, trace=trace)
+        mhat = params.transform(cfg, memory)
+        qhat = params.transform(cfg, query)
+        npt.assert_array_equal(trace.gates[0],
+                               nm.tanh(nm.pccs(mhat, qhat)).array)
+        npt.assert_array_equal(trace.coupling[0], np.full((4, 2), 0.5))
+        npt.assert_array_equal(
+            trace.coupling[-1], nm.softmax(nm.constant(trace.logits)).array)
+        last = nm.add(nm.constant(trace.coupling[-1]),
+                      nm.constant(trace.gates[-1]))
+        npt.assert_array_equal(trace.capsule_outputs,
+                               nm.squash(nm.vecmat(last, mhat)).array)
 
 
 class TestDmmQim:
