@@ -56,7 +56,11 @@ def load_dataset(path) -> Dataset:
         "lines) or .jsonl (vector records)")
 
 
-def _read_json_object(path) -> dict:
+def _load_config(path) -> tuple[dict, TrainConfig]:
+    """(JSON object, validated config) of a config file, or the defaults
+    when ``path`` is None; every error names the file."""
+    if path is None:
+        return {}, train_config_from_dict({})
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -64,7 +68,10 @@ def _read_json_object(path) -> dict:
         raise DataError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
-    return raw
+    try:
+        return raw, train_config_from_dict(raw)
+    except ValueError as err:  # DataError included
+        raise DataError(f"{path}: {err}") from err
 
 
 def _config_for(path, dataset: Dataset) -> TrainConfig:
@@ -75,8 +82,7 @@ def _config_for(path, dataset: Dataset) -> TrainConfig:
     observed dimension, text uses feature hashing.  An explicitly
     configured encoder that cannot consume the data is an error.
     """
-    raw = _read_json_object(path) if path is not None else {}
-    cfg = train_config_from_dict(raw)
+    raw, cfg = _load_config(path)
     explicit = "encoder" in raw
     enc = cfg.encoder
     if dataset.dim is None:  # text payloads
@@ -129,8 +135,7 @@ def _cmd_metatrain(args) -> int:
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)
-    raw = _read_json_object(args.config) if args.config is not None else {}
-    cfg = train_config_from_dict(raw)
+    cfg = _load_config(args.config)[1]
     result = meta_train(model, dataset, cfg)
     save_checkpoint(model, args.out)
     tail = (f"; final loss {result.losses[-1]:.4f}" if result.losses else "")
@@ -144,8 +149,7 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)
-    raw = _read_json_object(args.config) if args.config is not None else {}
-    cfg = train_config_from_dict(raw)
+    cfg = _load_config(args.config)[1]
     report = evaluate(model, dataset, cfg, episodes=args.episodes,
                       way=args.way, shot=args.shot, queries=args.queries,
                       seed=args.seed, ablation=args.ablation)

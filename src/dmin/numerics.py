@@ -16,7 +16,11 @@ Conventions:
   sums the leading axis of its second operand.  There is no other
   broadcasting except scalar-times-tensor in :func:`mul`,
 - every public operation validates that its result is finite and raises
-  :class:`NumericError` otherwise (silent NaN/Inf propagation is a bug),
+  :class:`NumericError` otherwise (silent NaN/Inf propagation is a bug).
+  :func:`route` checks its output only: its intermediates are bounded
+  (gates in [-1, 1], coupling in [0, 1], capsule norms below 1), and
+  :func:`backward` checks every leaf gradient,
+- :func:`route` and the public row ops share private forward/VJP pairs,
 - a result is recorded on a tape iff at least one input is recorded; mixing
   inputs from two different tapes is an error,
 - a VJP closes over arrays, never over Tensors: their tape link would make
@@ -33,6 +37,11 @@ import operator
 from typing import Callable, Sequence
 
 import numpy as np
+
+try:  # what np.einsum calls, minus its Python dispatch layers
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
 
 EPS = 1e-12
 
@@ -59,6 +68,7 @@ __all__ = [
     "reshape",
     "cosine",
     "pccs",
+    "route",
     "backward",
 ]
 
@@ -186,7 +196,7 @@ def _need_shape(op: str, t: Tensor, ndim: int) -> None:
 
 def _rowdot(a, b):
     """Dot products of corresponding rows (along the last axis)."""
-    return np.einsum("...i,...i->...", a, b)
+    return _einsum("...i,...i->...", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +271,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _result("linear", out, parents, vjp)
 
 
+def _mix(wv, mv):
+    """``vecmat``'s exactly-rounded row mixture and its VJP."""
+    prods = (wv[..., None] * mv).reshape(mv.shape[0], -1)
+    if len(prods) <= 2:
+        out = prods.sum(axis=0) + 0.0
+    else:
+        out = np.array([math.fsum(c) for c in prods.T.tolist()])
+    return (out.reshape(mv.shape[1:]),
+            lambda g: (_rowdot(mv, g), wv[..., None] * g))
+
+
 def vecmat(w: Tensor, m: Tensor) -> Tensor:
     """Row mixture ``sum_i w[i, ...] * m[i, ...]`` over the leading axis.
 
@@ -276,14 +297,8 @@ def vecmat(w: Tensor, m: Tensor) -> Tensor:
     """
     if m.ndim < 2 or w.shape != m.shape[:-1]:
         raise ValueError(f"vecmat: shape mismatch {w.shape} @ {m.shape}")
-    wv, mv = w.array, m.array
-    prods = (wv[..., None] * mv).reshape(mv.shape[0], -1)
-    if len(prods) <= 2:
-        out = prods.sum(axis=0) + 0.0
-    else:
-        out = np.array([math.fsum(c) for c in prods.T.tolist()])
-    return _result("vecmat", out.reshape(mv.shape[1:]), (w, m),
-                   lambda g: (_rowdot(mv, g), wv[..., None] * g))
+    out, vjp = _mix(w.array, m.array)
+    return _result("vecmat", out, (w, m), vjp)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -301,15 +316,8 @@ def exp(x: Tensor) -> Tensor:
 # capsule nonlinearity
 # ---------------------------------------------------------------------------
 
-def squash(x: Tensor) -> Tensor:
-    """Norm-bounding nonlinearity of each row: ``x * ||x|| / (1 + ||x||^2)``.
-
-    Maps (near-)zero rows to zero; otherwise preserves direction and maps
-    the norm to ``n^2/(1+n^2)``, which lies in [0, 1).
-    """
-    if x.ndim < 1:
-        raise ValueError(f"squash: expected rows, got shape {x.shape}")
-    xv = x.array
+def _squash(xv):
+    """``squash``'s rows and their VJP."""
     n2 = _rowdot(xv, xv)
     live = n2 > EPS * EPS
     # masks instead of np.where keep a single row on cheap numpy scalars;
@@ -320,28 +328,40 @@ def squash(x: Tensor) -> Tensor:
     def vjp(g):
         fp = (1.0 - n2) / ((1.0 + n2) ** 2)  # d/dn of n/(1+n^2)
         coef = fp * _rowdot(g, xv) / n * live
-        return (f * g + coef[..., None] * xv,)
+        return f * g + coef[..., None] * xv
 
-    return _result("squash", f * xv, (x,), vjp)
+    return f * xv, vjp
+
+
+def squash(x: Tensor) -> Tensor:
+    """Norm-bounding nonlinearity of each row: ``x * ||x|| / (1 + ||x||^2)``.
+
+    Maps (near-)zero rows to zero; otherwise preserves direction and maps
+    the norm to ``n^2/(1+n^2)``, which lies in [0, 1).
+    """
+    if x.ndim < 1:
+        raise ValueError(f"squash: expected rows, got shape {x.shape}")
+    y, vjp = _squash(x.array)
+    return _result("squash", y, (x,), lambda g: (vjp(g),))
 
 
 # ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------
 
+def _softmax(xv):
+    """``softmax``'s rows and their VJP."""
+    z = np.exp(xv - xv.max(axis=-1, keepdims=True))
+    y = z / z.sum(axis=-1, keepdims=True)
+    return y, lambda g: y * (g - _rowdot(g, y)[..., None])
+
+
 def softmax(x: Tensor) -> Tensor:
     """Stable softmax of each row (max-subtracted; entries sum to 1)."""
     if x.ndim < 1:
         raise ValueError(f"softmax: expected rows, got shape {x.shape}")
-    xv = x.array
-    z = np.exp(xv - xv.max(axis=-1, keepdims=True))
-    y = z / z.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        inner = _rowdot(g, y)
-        return (y * (g - inner[..., None]),)
-
-    return _result("softmax", y, (x,), vjp)
+    y, vjp = _softmax(x.array)
+    return _result("softmax", y, (x,), lambda g: (vjp(g),))
 
 
 def logsumexp(x: Tensor) -> Tensor:
@@ -421,12 +441,13 @@ def _centre(a):
     return a - a.sum(axis=-1, keepdims=True) / a.shape[-1]
 
 
-def _row_cosines(op, mv, qv, parents, project):
-    """Cosine of each row of ``mv`` with the matching row of ``qv``.
+def _cosines(mv, qv, nrows=None, centred=False):
+    """Cosine of each row of ``mv`` with the matching row of ``qv`` (the
+    shape of ``mv``'s trailing axes) and its VJP to (row, query) gradients.
 
-    ``qv`` has the shape of ``mv``'s trailing axes.  Recorded as one node;
-    ``project`` maps the (row, query) gradients of the cosine to those of
-    ``parents``.
+    ``nrows`` may pass in the row norms of ``mv``.  ``centred`` inputs are
+    mean-centred (Pearson): centring is a symmetric projection, so the VJP
+    applies it unchanged to both gradients.
     """
     # a rank-1 query keeps the arithmetic the classifier's scores are
     # pinned to: one matrix-vector product for the row dots and for the
@@ -434,27 +455,30 @@ def _row_cosines(op, mv, qv, parents, project):
     rank1 = qv.ndim == 1
     rowdot = operator.matmul if rank1 else _rowdot
     nq = np.sqrt(rowdot(qv, qv))
-    nrows = np.sqrt(_rowdot(mv, mv))
+    if nrows is None:
+        nrows = np.sqrt(_rowdot(mv, mv))
     live = (nrows > EPS) & (nq > EPS)
     safe_rows = np.where(live, nrows, 1.0)
     safe_q = nq + (nq <= EPS)  # every row of a dead query is masked
-    c = np.where(live, rowdot(mv, qv) / (safe_rows * safe_q), 0.0)
+    norms = safe_rows * safe_q
+    c = np.where(live, rowdot(mv, qv) / norms, 0.0)
 
     def vjp(g):
         gl = np.where(live, g, 0.0)
-        a = gl / (safe_rows * safe_q)
+        a = gl / norms
+        glc = gl * c
         gm = a[..., None] * qv \
-            - (gl * c / (safe_rows * safe_rows))[..., None] * mv
+            - (glc / (safe_rows * safe_rows))[..., None] * mv
         if rank1:
             gq = mv.reshape(-1, qv.shape[0]).T @ a.reshape(-1) \
-                - qv * float((gl * c).sum()) / (safe_q * safe_q)
+                - qv * float(glc.sum()) / (safe_q * safe_q)
         else:
             lead = tuple(range(mv.ndim - qv.ndim))
             gq = (a[..., None] * mv).sum(axis=lead) - qv * (
-                (gl * c).sum(axis=lead) / (safe_q * safe_q))[..., None]
-        return project(gm, gq)
+                glc.sum(axis=lead) / (safe_q * safe_q))[..., None]
+        return (_centre(gm), _centre(gq)) if centred else (gm, gq)
 
-    return _result(op, np.clip(c, -1.0, 1.0), parents, vjp)
+    return np.clip(c, -1.0, 1.0), vjp
 
 
 def cosine(m: Tensor, q: Tensor) -> Tensor:
@@ -464,8 +488,8 @@ def cosine(m: Tensor, q: Tensor) -> Tensor:
     below EPS.  A rank-1 ``m`` gives a scalar.
     """
     _check_trailing("cosine", m, q)
-    return _row_cosines("cosine", m.array, q.array, (m, q),
-                        lambda gm, gq: (gm, gq))
+    c, vjp = _cosines(m.array, q.array)
+    return _result("cosine", c, (m, q), vjp)
 
 
 def pccs(m: Tensor, q: Tensor) -> Tensor:
@@ -475,12 +499,81 @@ def pccs(m: Tensor, q: Tensor) -> Tensor:
     paired samples, so rows need length 2 or more: a single sample has no
     variance to correlate.  Equal to the cosine of the mean-centred rows,
     so rows with (near) zero variance yield 0, a neutral value for routing.
-    Centring is fused into the node: it is a symmetric projection, so the
-    VJP applies it unchanged to the incoming gradients.
+    Centring is fused into the node.
     """
     _check_trailing("pccs", m, q, 2)
-    return _row_cosines("pccs", _centre(m.array), _centre(q.array), (m, q),
-                        lambda gu, gw: (_centre(gu), _centre(gw)))
+    c, vjp = _cosines(_centre(m.array), _centre(q.array), centred=True)
+    return _result("pccs", c, (m, q), vjp)
+
+
+# ---------------------------------------------------------------------------
+# dynamic routing
+# ---------------------------------------------------------------------------
+
+def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
+    """Dynamic routing of memory capsules ``m`` (n, l, d_v) toward query
+    capsules ``q`` (l, d_v) as one node: the loop ``routing.dmr`` documents.
+
+    Output and gradients equal, bit for bit, those of the same loop built
+    from the public ops; the VJP replays the rounds in reverse and sums
+    each adjoint in that chain's order.  Without a recorded input no
+    per-round state is kept.  Returns the (l * d_v,) capsules and numpy
+    snapshots: per-round lists ``coupling`` and ``gates``, and ``logits``.
+    """
+    if m.ndim != 3 or q.shape != m.shape[1:] or q.shape[-1] < 2 \
+            or not m.shape[0] or iterations < 1:
+        raise ValueError(f"route: need n >= 1, d_v >= 2 and iterations >= 1, "
+                         f"got {m.shape}, {q.shape}, {iterations!r}")
+    mv, qv = m.array, q.array
+    mc = _centre(mv)
+    nrows = np.sqrt(_rowdot(mc, mc))
+    logits = np.zeros(mv.shape[:2])
+    seen = {"coupling": [], "gates": []}
+    steps = []
+    gates = caps = agree = None
+    for it in range(iterations):
+        last_gates, last_caps = gates, caps
+        if it:
+            agree = _rowdot(mv, caps)
+            logits = logits + gates * agree
+            qv = (qv + caps) * 0.5
+        corr, corr_vjp = _cosines(mc, _centre(qv), nrows, centred=True)
+        gates = np.tanh(corr)
+        coupling, soft_vjp = _softmax(logits)
+        mixed, mix_vjp = _mix(coupling + gates, mv)
+        caps, squash_vjp = _squash(mixed)
+        seen["coupling"].append(coupling)
+        seen["gates"].append(gates)
+        if m.tape is not None or q.tape is not None:
+            steps.append((last_gates, last_caps, agree, gates, corr_vjp,
+                          soft_vjp, mix_vjp, squash_vjp))
+    seen["logits"] = logits
+
+    def vjp(g):
+        g_caps = g.reshape(caps.shape)
+        g_m = g_logits = g_gates = g_q = None
+        for (last_gates, last_caps, agree, gates, corr_vjp, soft_vjp,
+             mix_vjp, squash_vjp) in reversed(steps):
+            g_weights, gm = mix_vjp(squash_vjp(g_caps))
+            g_m = gm if g_m is None else g_m + gm
+            g_gates = g_weights if g_gates is None else g_gates + g_weights
+            if agree is not None:  # round 1's logits are a constant
+                g_soft = soft_vjp(g_weights)
+                g_logits = g_soft if g_logits is None else g_logits + g_soft
+            gm, gq = corr_vjp(g_gates * (1.0 - gates * gates))
+            g_m = g_m + gm
+            g_q = gq if g_q is None else g_q + gq
+            if agree is None:
+                break
+            # back through the round's query, logit and agreement updates
+            g_q = g_caps = g_q * 0.5
+            g_gates = g_logits * agree
+            g_agree = g_logits * last_gates
+            g_m = g_m + g_agree[..., None] * last_caps
+            g_caps = g_caps + (g_agree[..., None] * mv).sum(axis=(0,))
+        return g_m, g_q
+
+    return _result("route", caps.reshape(-1), (m, q), vjp), seen
 
 
 # ---------------------------------------------------------------------------

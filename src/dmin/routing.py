@@ -13,7 +13,8 @@ their own routing weight.  Two wrappers specialize the operator:
   vectors of one class, producing a query-conditioned class vector.
 
 All arithmetic goes through :mod:`dmin.numerics`, so outputs are
-differentiable whenever the inputs carry a tape.
+differentiable whenever the inputs carry a tape.  One routing call
+records one tape node, :func:`dmin.numerics.route`, after the transforms.
 
 Within one forward pass the same memory (``W_base``, a class's support
 stack) and the same query meet the same transforms in many calls.
@@ -140,46 +141,28 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
 
     Memory and query go through ``params.transform``, so a call reuses
     the transforms of any earlier call with the same params and the same
-    Tensors.  The agreement, logit, query and gate updates run at the top
-    of iterations 2..r: after the last iteration nothing reads them, so
-    they are not computed.
+    Tensors.  The iterations are one tape node, :func:`nm.route`.  The
+    agreement, logit, query and gate updates run at the top of iterations
+    2..r: after the last iteration nothing reads them.
     """
     params.check(cfg)
     if not isinstance(memory, Tensor) or memory.ndim != 2 \
-            or memory.shape[0] < 1:
-        raise ValueError(
-            f"memory must be a non-empty rank-2 Tensor, got {memory!r}")
-    n, d_in = memory.shape
-    if d_in != cfg.input_dim:
-        raise ValueError(
-            f"memory rows have dimension {d_in}, config expects "
-            f"{cfg.input_dim}")
+            or memory.shape[0] < 1 or memory.shape[1] != cfg.input_dim:
+        raise ValueError(f"memory must be a non-empty (n, {cfg.input_dim}) "
+                         f"Tensor, got {memory!r}")
     if query.array.shape != (cfg.input_dim,):
-        raise ValueError(
-            f"query has shape {query.array.shape}, config expects "
-            f"({cfg.input_dim},)")
+        raise ValueError(f"query has shape {query.array.shape}, config "
+                         f"expects ({cfg.input_dim},)")
 
-    # every row and the query in each capsule space
-    mhat = params.transform(cfg, memory)
-    qhat = params.transform(cfg, query)
-    gates = nm.tanh(nm.pccs(mhat, qhat))
-    logits = nm.constant(np.zeros((n, cfg.capsule_count)))
-
-    for it in range(cfg.iterations):
-        if it:
-            agree = nm.dot(mhat, capsules)
-            logits = nm.add(logits, nm.mul(gates, agree))
-            qhat = nm.scale(nm.add(qhat, capsules), 0.5)
-            gates = nm.tanh(nm.pccs(mhat, qhat))
-        coupling = nm.softmax(logits)
-        capsules = nm.squash(nm.vecmat(nm.add(coupling, gates), mhat))
-        if trace is not None:
-            trace.coupling.append(coupling.array)
-            trace.gates.append(gates.array)
+    out, seen = nm.route(params.transform(cfg, memory),
+                         params.transform(cfg, query), cfg.iterations)
     if trace is not None:
-        trace.capsule_outputs = capsules.array
-        trace.logits = logits.array
-    return nm.reshape(capsules, (cfg.output_dim,))
+        trace.coupling.extend(seen["coupling"])
+        trace.gates.extend(seen["gates"])
+        trace.capsule_outputs = out.array.reshape(
+            cfg.capsule_count, cfg.capsule_dim)
+        trace.logits = seen["logits"]
+    return out
 
 
 def dmm_adapt(params: RoutingParams, cfg: RoutingConfig, w_base,

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
 from dmin.encoder import EncoderConfig
 from dmin.episodes import (DataError, EpisodeConfig, gen_synthetic,
                            sample_episode, split_base_novel)
-from dmin.harness import (EvalSettings, MetaTrainResult, PipelineResult,
-                          RoutingPair, Stage1Config, Stage2Config,
-                          TrainConfig, config_hash_hex, episode_accuracy,
+from dmin.harness import (ABLATIONS, EvalSettings, MetaTrainResult,
+                          PipelineResult, RoutingPair, Stage1Config,
+                          Stage2Config, TrainConfig, config_hash_hex,
+                          episode_accuracy,
                           episode_forward, episode_step, evaluate,
                           meta_train, model_config_from,
                           pretrain, run_ablation_suite, run_pipeline,
@@ -39,6 +41,10 @@ def small_cfg(dim=8, **kwargs):
 
 def blob_dataset(num_classes=8, per_class=20, dim=8, separation=4.0, seed=0):
     return gen_synthetic(num_classes, per_class, dim, separation, 1.0, seed)
+
+
+# classes enough for C = 5 and items enough for K + L = 6
+_CONFIG_FUZZ_DATA = blob_dataset(num_classes=6, per_class=7)
 
 
 class TestTrainConfig:
@@ -188,6 +194,57 @@ class TestMetaTrain:
                   for _ in range(50)]
         assert losses[-1] < losses[0]
         assert min(losses) == min(losses[-10:])  # still improving late
+
+    @settings(max_examples=30, deadline=None)
+    @given(C=st.integers(2, 5), K=st.integers(1, 3), L=st.integers(1, 3),
+           dmm_caps=st.sampled_from([1, 2, 4]),
+           qim_caps=st.sampled_from([1, 2, 4]),
+           dmm_iters=st.integers(1, 3), qim_iters=st.integers(1, 3),
+           share=st.booleans(), ablation=st.sampled_from(ABLATIONS),
+           freeze_tau=st.booleans(), seed=st.integers(0, 2**31 - 1),
+           episode=st.integers(0, 99))
+    def test_random_configs_round_trip_and_train_one_episode(
+            self, C, K, L, dmm_caps, qim_caps, dmm_iters, qim_iters, share,
+            ablation, freeze_tau, seed, episode):
+        dim = 8
+
+        def routing(caps, iters):
+            return {"input_dim": dim, "capsule_count": caps,
+                    "capsule_dim": dim // caps, "iterations": iters}
+
+        raw = {"stage2": {"episodes": 1, "learning_rate": 1e-3,
+                          "C": C, "K": K, "L": L},
+               "encoder": {"kind": "precomputed", "embed_dim": dim},
+               "routing": {"dmm": routing(dmm_caps, dmm_iters),
+                           # shared params need one routing config
+                           "qim": (routing(dmm_caps, dmm_iters) if share
+                                   else routing(qim_caps, qim_iters)),
+                           "share_params": share},
+               "seed": seed, "ablation": ablation, "freeze_tau": freeze_tau}
+        cfg = train_config_from_dict(raw)
+        as_json = json.loads(json.dumps(train_config_to_dict(cfg)))
+        assert train_config_from_dict(as_json) == cfg
+        ds = _CONFIG_FUZZ_DATA
+
+        def run():
+            model = init_model(model_config_from(cfg, 4), seed=cfg.seed)
+            ep = sample_episode(ds, EpisodeConfig(way=C, shot=K, queries=L,
+                                                  seed=cfg.seed), episode)
+            scores, _ = episode_forward(model, model.tensors(), ep,
+                                        cfg.ablation_flags)
+            loss = episode_step(model, ep, Adam(lr=cfg.stage2.learning_rate),
+                                cfg.ablation_flags, freeze_tau=cfg.freeze_tau)
+            return np.stack([s.array for s in scores]), loss, model.params
+
+        scores, loss, params = run()
+        assert math.isfinite(loss)
+        assert scores.shape == (C * L, C)
+        again_scores, again_loss, again_params = run()
+        npt.assert_array_equal(again_scores, scores)
+        assert again_loss == loss
+        assert again_params.keys() == params.keys()
+        for name, arr in params.items():
+            npt.assert_array_equal(again_params[name], arr)
 
     def test_freeze_tau(self):
         ds = blob_dataset()

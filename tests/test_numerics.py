@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
 from oracles import assert_gradients_close, finite_difference_gradients
@@ -244,6 +245,8 @@ def _op_cases(rng):
          lambda t: nm.pccs(t["m"], t["q"])),
         ("pccs/broadcast", {"m": cube(n), "q": mat(m, d)},
          lambda t: nm.pccs(t["m"], t["q"])),
+        ("route", {"m": 0.3 * cube(n), "q": 0.3 * mat(m, d)},
+         lambda t: nm.route(t["m"], t["q"], 3)[0]),
     ]
 
 
@@ -371,3 +374,70 @@ def test_every_differentiable_op_has_a_gradient_case():
     covered = {name.split("/")[0]
                for name, _, _ in _op_cases(np.random.default_rng(0))}
     assert covered == set(nm.__all__) - NOT_OPS
+
+
+# ---------------------------------------------------------------------------
+# the fused routing op against the same loop composed from the public ops
+# ---------------------------------------------------------------------------
+
+def _composed_route(m, q, iterations):
+    gates = nm.tanh(nm.pccs(m, q))
+    logits = nm.constant(np.zeros(m.shape[:2]))
+    for it in range(iterations):
+        if it:
+            logits = nm.add(logits, nm.mul(gates, nm.dot(m, caps)))
+            q = nm.scale(nm.add(q, caps), 0.5)
+            gates = nm.tanh(nm.pccs(m, q))
+        coupling = nm.softmax(logits)
+        caps = nm.squash(nm.vecmat(nm.add(coupling, gates), m))
+    return nm.reshape(caps, (caps.array.size,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 20), l=st.integers(1, 4), d_v=st.integers(2, 6),
+       r=st.integers(1, 4),
+       inputs=st.sampled_from(["random", "zero", "constant_rows",
+                               "zero_row"]),
+       recorded=st.sampled_from(["mq", "m", "q"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_route_equals_the_composed_loop_bit_for_bit(n, l, d_v, r, inputs,
+                                                    recorded, seed):
+    """Forward output and every gradient, on squashed capsules as the
+    transforms make them; degenerate inputs hit the EPS guards."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, l, d_v))
+    q = rng.normal(size=(l, d_v))
+    if inputs == "zero":  # zero transforms
+        m[:], q[:] = 0.0, 0.0
+    elif inputs == "constant_rows":
+        m[:] = rng.normal(size=(n, l, 1))
+    elif inputs == "zero_row":
+        m[int(rng.integers(n))] = 0.0
+    m, q = nm.squash(c(m)).array, nm.squash(c(q)).array
+    probe = rng.normal(size=l * d_v)
+
+    def run(build):
+        tape = nm.Tape()
+        mt = tape.leaf(m) if "m" in recorded else c(m)
+        qt = tape.leaf(q) if "q" in recorded else c(q)
+        out = build(mt, qt)
+        grads = nm.backward(tape, nm.dot(out, c(probe)))
+        return [out.array] + [grads[t.node_id] for t in (mt, qt)
+                              if t.node_id is not None]
+
+    fused = run(lambda mt, qt: nm.route(mt, qt, r)[0])
+    for got, want in zip(fused, run(lambda mt, qt: _composed_route(mt, qt, r))):
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_route_returns_its_rounds_and_checks_its_arguments():
+    rng = np.random.default_rng(8)
+    m = c(nm.squash(c(rng.normal(size=(4, 2, 3)))).array)
+    q = c(nm.squash(c(rng.normal(size=(2, 3)))).array)
+    out, seen = nm.route(m, q, 3)
+    assert out.tape is None and out.shape == (6,)
+    assert len(seen["coupling"]) == len(seen["gates"]) == 3
+    with pytest.raises(ValueError):
+        nm.route(m, c(np.ones((2, 4))), 3)
+    with pytest.raises(ValueError):
+        nm.route(m, q, 0)

@@ -220,6 +220,24 @@ class TestSharedTransforms:
         # linear, reshape and squash of the memory are recorded once
         assert counts[0] - counts[1] == 3 and counts[1] == counts[2]
 
+    def test_a_call_on_transformed_inputs_records_one_node(self):
+        rng = np.random.default_rng(58)
+        for r in (1, 3):
+            cfg = RoutingConfig(input_dim=8, capsule_count=2, capsule_dim=4,
+                                iterations=r)
+            tape = nm.Tape()
+            leaves = {k: tape.leaf(v) for k, v in
+                      init_routing_arrays(cfg, rng).items()}
+            params = params_from_tensors(leaves, "", cfg)
+            memory = tape.leaf(rng.normal(size=(5, 8)))
+            query = tape.leaf(rng.normal(size=8))
+            params.transform(cfg, memory)
+            params.transform(cfg, query)
+            before = len(tape)
+            out = dmr(params, cfg, memory, query)
+            assert len(tape) - before == 1, r
+            assert tape.nodes[out.node_id].op == "route"
+
     def test_configs_of_equal_output_dim_keep_their_own_transforms(self):
         rng = np.random.default_rng(55)
         cfg_a = RoutingConfig(input_dim=8, capsule_count=2, capsule_dim=4)
