@@ -90,15 +90,16 @@ def _config_for(path, dataset: Dataset) -> TrainConfig:
             return cfg
         if explicit:
             raise DataError(
-                "text data needs encoder.kind='feature_hash', config says "
-                f"{enc.kind!r}")
+                f"{path}: text data needs encoder.kind='feature_hash', "
+                f"config says {enc.kind!r}")
         return replace(cfg, encoder=EncoderConfig(kind="feature_hash"))
     if enc.kind == "precomputed" and enc.embed_dim == dataset.dim:
         return cfg
     if explicit:
         raise DataError(
-            f"config encoder (kind={enc.kind!r}, embed_dim={enc.embed_dim}) "
-            f"cannot consume vector data of dimension {dataset.dim}")
+            f"{path}: config encoder (kind={enc.kind!r}, "
+            f"embed_dim={enc.embed_dim}) cannot consume vector data of "
+            f"dimension {dataset.dim}")
     return replace(cfg, encoder=EncoderConfig(kind="precomputed",
                                               embed_dim=dataset.dim))
 

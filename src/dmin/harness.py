@@ -10,9 +10,10 @@ loss.  Ablations cut individual pieces: ``no_dmm`` skips adaptation,
 ``no_qim`` replaces induction with the mean of the adapted supports;
 combined they reduce to a prototypical mean-of-supports baseline.
 
-Evaluation is forward-only and episode-parallel: every episode is
-regenerated from ``(seed, episode_index)``, so results are identical
-whatever the thread count.  ``DMIN_THREADS`` caps the pool size.
+Evaluation is forward-only and runs its episodes one after another in
+the caller's thread, under the caller's numpy error state.  Every episode
+is regenerated from ``(seed, episode_index)``, so an episode's accuracy
+does not depend on how many episodes run or in what order.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -74,6 +72,11 @@ class RoutingPair:
     dmm: RoutingConfig
     qim: RoutingConfig
     share_params: bool = False
+
+    def __post_init__(self):
+        if self.share_params and self.dmm != self.qim:
+            raise ValueError("routing.share_params requires identical "
+                             "routing.dmm and routing.qim configs")
 
 
 @dataclass(frozen=True)
@@ -400,20 +403,6 @@ class EvalReport:
                 "std_undefined": self.std_undefined}
 
 
-def _eval_workers() -> int:
-    cap = os.environ.get("DMIN_THREADS")
-    default = min(8, os.cpu_count() or 1)
-    if cap is None:
-        return default
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise DataError(f"DMIN_THREADS must be an integer, got {cap!r}")
-    if cap < 1:
-        raise DataError(f"DMIN_THREADS must be >= 1, got {cap}")
-    return min(default, cap)
-
-
 def evaluate(model: Model, dataset: Dataset, cfg: TrainConfig, *,
              episodes: int | None = None, way: int | None = None,
              shot: int | None = None, queries: int | None = None,
@@ -431,23 +420,12 @@ def evaluate(model: Model, dataset: Dataset, cfg: TrainConfig, *,
              else replace(cfg, ablation=ablation).ablation_flags)
     ep_cfg = EpisodeConfig(way=way, shot=shot, queries=queries, seed=seed)
     tensors = model.tensors()  # constants: evaluation never mutates params
-
-    def run(index: int) -> float:
-        episode = sample_episode(dataset, ep_cfg, index)
-        scores, labels = episode_forward(model, tensors, episode, flags)
-        return episode_accuracy(scores, labels)
-
     start = time.monotonic()
-    workers = _eval_workers()
-    if workers <= 1 or episodes == 1:
-        accs = [run(i) for i in range(episodes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # each episode runs in a copy of the caller's context, so the
-            # caller's numpy error state applies in the workers too
-            futures = [pool.submit(copy_context().run, run, i)
-                       for i in range(episodes)]
-            accs = [f.result() for f in futures]
+    accs = []
+    for index in range(episodes):
+        episode = sample_episode(dataset, ep_cfg, index)
+        accs.append(episode_accuracy(
+            *episode_forward(model, tensors, episode, flags)))
     wall_ms = int((time.monotonic() - start) * 1000.0)
     mean = float(np.mean(accs))
     undefined = episodes < 2

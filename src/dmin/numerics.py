@@ -15,6 +15,9 @@ Conventions:
   axes and is broadcast over its leading ones; :func:`vecmat` weights and
   sums the leading axis of its second operand.  There is no other
   broadcasting except scalar-times-tensor in :func:`mul`,
+- :func:`vecmat`'s sum over rows (and so :func:`route`'s capsule mix) is
+  order-fixed: each column's products are sorted before they are added,
+  so the result does not depend on the order of the rows,
 - every public operation validates that its result is finite and raises
   :class:`NumericError` otherwise (silent NaN/Inf propagation is a bug).
   :func:`route` checks its output only: its intermediates are bounded
@@ -38,10 +41,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-try:  # what np.einsum calls, minus its Python dispatch layers
+# what np.einsum, np.clip, .sum and .max call, minus their Python dispatch
+# layers; the results are bit-identical
+try:
     from numpy._core.multiarray import c_einsum as _einsum
+    from numpy._core.umath import clip as _clip
 except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
     _einsum = np.einsum
+_add, _max = np.add.reduce, np.maximum.reduce
 
 EPS = 1e-12
 
@@ -272,12 +280,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def _mix(wv, mv):
-    """``vecmat``'s exactly-rounded row mixture and its VJP."""
+    """``vecmat``'s order-fixed row mixture and its VJP."""
     prods = (wv[..., None] * mv).reshape(mv.shape[0], -1)
-    if len(prods) <= 2:
-        out = prods.sum(axis=0) + 0.0
-    else:
-        out = np.array([math.fsum(c) for c in prods.T.tolist()])
+    if len(prods) > 2:  # one add of two rows needs no fixed order
+        prods.sort(axis=0)
+    out = _add(prods, axis=0) + 0.0
     return (out.reshape(mv.shape[1:]),
             lambda g: (_rowdot(mv, g), wv[..., None] * g))
 
@@ -287,13 +294,17 @@ def vecmat(w: Tensor, m: Tensor) -> Tensor:
 
     ``w`` has the shape of ``m`` without its last axis, so each weight
     scales one row of length ``m.shape[-1]``; the result has shape
-    ``m.shape[1:]``.  The reduction over ``i`` is done with exactly rounded
-    summation (``math.fsum``) so the result is bit-identical under any
-    permutation of ``i`` applied to ``w`` and ``m`` together.  This is the
-    only place a memory-indexed sum occurs in dynamic routing, which makes
-    routing output exactly permutation invariant.  With one or two rows a
-    plain sum is already exactly rounded, and ``+ 0.0`` gives fsum's
-    ``+0.0`` for a sum of negative zeros.
+    ``m.shape[1:]``.  The reduction over ``i`` is order-fixed: the
+    products of each column are sorted by value and then summed in that
+    order, so the result is bit-identical under any permutation of ``i``
+    applied to ``w`` and ``m`` together (equal values have equal bits,
+    except for signed zeros, which cannot change a sum's value).  This is
+    the only place a memory-indexed sum occurs in dynamic routing, which
+    makes routing output exactly permutation invariant.  With one or two
+    rows the sort is skipped: one IEEE add is exactly rounded, so the
+    result equals ``math.fsum``.  The error of a longer sum is at most
+    ``n * 2**-53 * sum(|products|)``.  ``+ 0.0`` turns a sum of negative
+    zeros into ``+0.0``.
     """
     if m.ndim < 2 or w.shape != m.shape[:-1]:
         raise ValueError(f"vecmat: shape mismatch {w.shape} @ {m.shape}")
@@ -351,8 +362,8 @@ def squash(x: Tensor) -> Tensor:
 
 def _softmax(xv):
     """``softmax``'s rows and their VJP."""
-    z = np.exp(xv - xv.max(axis=-1, keepdims=True))
-    y = z / z.sum(axis=-1, keepdims=True)
+    z = np.exp(xv - _max(xv, axis=-1, keepdims=True))
+    y = z / _add(z, axis=-1, keepdims=True)
     return y, lambda g: y * (g - _rowdot(g, y)[..., None])
 
 
@@ -438,7 +449,7 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
 
 def _centre(a):
     # sum / count is exactly how numpy computes mean(), minus its overhead
-    return a - a.sum(axis=-1, keepdims=True) / a.shape[-1]
+    return a - _add(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
 def _cosines(mv, qv, nrows=None, centred=False):
@@ -478,7 +489,7 @@ def _cosines(mv, qv, nrows=None, centred=False):
                 glc.sum(axis=lead) / (safe_q * safe_q))[..., None]
         return (_centre(gm), _centre(gq)) if centred else (gm, gq)
 
-    return np.clip(c, -1.0, 1.0), vjp
+    return _clip(c, -1.0, 1.0), vjp
 
 
 def cosine(m: Tensor, q: Tensor) -> Tensor:

@@ -136,8 +136,8 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
     are routed together: transformed rows are (n, l, d_v), the query and
     the output capsules (l, d_v), and gates, logits and coupling (n, l).
     The result has dimension ``cfg.output_dim`` and is exactly invariant
-    under permutations of the memory rows: every cross-row reduction is an
-    exactly-rounded sum.
+    under permutations of the memory rows: the one cross-row reduction,
+    the capsule mix, sorts each column's products before it sums them.
 
     Memory and query go through ``params.transform``, so a call reuses
     the transforms of any earlier call with the same params and the same

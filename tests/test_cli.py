@@ -235,8 +235,7 @@ def test_ablate_writes_five_row_table(tmp_path, data_path):
 
 
 def test_module_invocation_smoke():
-    proc = subprocess.run([sys.executable, "-m", "dmin.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = _run_cli(["--help"])
     assert proc.returncode == 0
     assert "pretrain" in proc.stdout
 
@@ -333,14 +332,6 @@ def test_bad_ablation_value_is_data_error(tmp_path, trained_path, data_path):
                                ablation="bogus")) == 2
 
 
-def test_bad_thread_env_is_data_error(tmp_path, trained_path, data_path,
-                                      monkeypatch):
-    monkeypatch.setenv("DMIN_THREADS", "zero")
-    assert cli.main(_eval_args(trained_path, data_path,
-                               tmp_path / "r.json", episodes=2, way=3,
-                               shot=1, queries=2)) == 2
-
-
 def test_overflowing_model_is_numeric_failure(tmp_path, data_path, capsys):
     cfg = TrainConfig(encoder=EncoderConfig(kind="precomputed", embed_dim=8))
     model = init_model(model_config_from(cfg, 6), seed=0)
@@ -401,7 +392,7 @@ def _text(content):
 
 
 # argv templates: BAD is the malformed file, MODEL the trained checkpoint
-BAD, MODEL, DATA, OUT = "{bad}", "{model}", "{data}", "{out}"
+BAD, MODEL, DATA, TEXT, OUT = "{bad}", "{model}", "{data}", "{text}", "{out}"
 EVAL = ["eval", "--model", BAD, "--data", DATA, "--episodes", "1",
         "--out", OUT]
 EVAL_CONFIG = ["eval", "--config", BAD, "--model", MODEL, "--data", DATA,
@@ -411,6 +402,7 @@ METATRAIN_CONFIG = ["metatrain", "--config", BAD, "--model", MODEL,
                     "--data", DATA, "--out", OUT]
 ROUTING_BOOL = {"input_dim": 8, "capsule_count": True, "capsule_dim": 8}
 ROUTING_OK = {"input_dim": 8, "capsule_count": 2, "capsule_dim": 4}
+ROUTING_WIDE = {"input_dim": 8, "capsule_count": 4, "capsule_dim": 2}
 ONE_EPISODE = {"episodes": 1, "C": 3, "K": 1, "L": 2}
 
 # (case, file suffix, file maker, argv)
@@ -438,6 +430,16 @@ MALFORMED = [
      _config({"routing": {"dmm": ROUTING_OK, "qim": ROUTING_OK,
                           "share_params": "no"}}),
      PRETRAIN_CONFIG),
+    ("config_unequal_shared_routing", ".json",
+     _config({"routing": {"dmm": ROUTING_OK, "qim": ROUTING_WIDE,
+                          "share_params": True}}),
+     PRETRAIN_CONFIG),
+    ("config_encoder_dim_for_vectors", ".json",
+     _config({"encoder": {"kind": "precomputed", "embed_dim": 5}}),
+     PRETRAIN_CONFIG),
+    ("config_vector_encoder_for_text", ".json",
+     _config({"encoder": {"kind": "precomputed", "embed_dim": 8}}),
+     ["pretrain", "--config", BAD, "--data", TEXT, "--out", OUT]),
     ("config_string_seed", ".json", _config({"seed": "3"}), EVAL_CONFIG),
     ("config_overflowing_stage1_lr", ".json",
      _text('{"stage1": {"learning_rate": 1e999}}'), PRETRAIN_CONFIG),
@@ -469,8 +471,8 @@ MALFORMED = [
 @pytest.mark.parametrize("case,suffix,make,argv", MALFORMED,
                          ids=[row[0] for row in MALFORMED])
 def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
-                                               data_path, capsys, case,
-                                               suffix, make, argv):
+                                               data_path, text_path, capsys,
+                                               case, suffix, make, argv):
     body = json.loads(trained_path.read_text(encoding="utf-8"))
     lines = data_path.read_text(encoding="utf-8").splitlines()
     bad = tmp_path / f"{case}{suffix}"
@@ -478,7 +480,7 @@ def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
     bad.write_bytes(content if isinstance(content, bytes)
                     else content.encode("utf-8"))
     names = {"bad": bad, "model": trained_path, "data": data_path,
-             "out": tmp_path / "out"}
+             "text": text_path, "out": tmp_path / "out"}
     capsys.readouterr()
     assert cli.main([arg.format(**names) for arg in argv]) == 2
     err = capsys.readouterr().err
@@ -525,5 +527,4 @@ def test_overflowing_pooled_eval_is_one_line(tmp_path, pretrained_path,
     save_checkpoint(model, ckpt)
     _assert_one_line_numeric_failure(_run_cli(
         _eval_args(ckpt, data_path, tmp_path / "r.json", episodes=4, way=3,
-                   shot=1, queries=2),
-        {"DMIN_THREADS": "2"}))
+                   shot=1, queries=2)))

@@ -69,6 +69,15 @@ class TestTrainConfig:
         with pytest.raises(DataError):
             train_config_from_dict({"stage1": {"nope": 1}})
 
+    def test_shared_routing_needs_equal_configs(self):
+        rc = {"input_dim": 8, "capsule_count": 2, "capsule_dim": 4}
+        raw = {"routing": {"dmm": rc, "qim": {**rc, "iterations": 2},
+                           "share_params": True}}
+        with pytest.raises(ValueError, match="share_params"):
+            train_config_from_dict(raw)
+        raw["routing"]["share_params"] = False
+        assert train_config_from_dict(raw).routing.qim.iterations == 2
+
     def test_ablation_values(self):
         assert small_cfg(ablation="no_dmm").ablation_flags == {"no_dmm"}
         assert small_cfg(ablation="no_dmm+no_qim").ablation_flags == {
@@ -315,25 +324,18 @@ class TestEvaluate:
         evaluate(model, ds, cfg)
         assert model.param_digest() == digest
 
-    def test_deterministic_and_thread_invariant(self, monkeypatch):
+    def test_each_episode_depends_only_on_seed_and_index(self):
         ds = blob_dataset()
         cfg = small_cfg(eval=EvalSettings(episodes=6, queries_per_class=2))
         model = init_model(model_config_from(cfg, 8), seed=2)
-        monkeypatch.setenv("DMIN_THREADS", "1")
-        seq = evaluate(model, ds, cfg)
-        monkeypatch.setenv("DMIN_THREADS", "4")
-        par = evaluate(model, ds, cfg)
-        assert seq.per_episode == par.per_episode
-        assert seq.config_hash == par.config_hash
-        assert seq.mean_accuracy == par.mean_accuracy
-
-    def test_bad_thread_env_is_data_error(self, monkeypatch):
-        ds = blob_dataset()
-        cfg = small_cfg()
-        model = init_model(model_config_from(cfg, 8), seed=2)
-        monkeypatch.setenv("DMIN_THREADS", "lots")
-        with pytest.raises(DataError):
-            evaluate(model, ds, cfg)
+        short = evaluate(model, ds, cfg, episodes=3)
+        full = evaluate(model, ds, cfg)
+        again = evaluate(model, ds, cfg)
+        assert len(full.per_episode) == 6
+        assert short.per_episode == full.per_episode[:3]
+        assert again.per_episode == full.per_episode
+        assert again.config_hash == full.config_hash
+        assert again.mean_accuracy == full.mean_accuracy
 
     def test_single_episode_std_flagged(self):
         ds = blob_dataset()

@@ -185,6 +185,40 @@ class TestInvariants:
                 nm.cosine(c(a), c(b)).item(), abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 20), lead=st.integers(1, 3), d=st.integers(1, 5),
+       values=st.sampled_from(["normal", "ties", "wide"]),
+       zero_column=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_vecmat_is_order_fixed_and_close_to_fsum(n, lead, d, values,
+                                                 zero_column, seed, data):
+    """With 3+ rows the mix is bit-identical under any joint permutation
+    of the rows of ``w`` and ``m``, and within ``n * 2**-53 * sum|prods|``
+    of the exactly rounded sum, ties and signed zeros included."""
+    rng = np.random.default_rng(seed)
+    shape = (n, lead, d)
+    if values == "ties":
+        w = rng.choice([-1.0, 0.5, 1.0], size=shape[:2])
+        m = rng.choice([-1.5, -0.25, 0.25, 2.0], size=shape)
+    else:
+        w = rng.normal(size=shape[:2])
+        m = rng.normal(size=shape)
+        if values == "wide":
+            m *= 10.0 ** rng.integers(-30, 30, size=shape)
+    m[rng.random(shape) < 0.15] = 0.0
+    m[rng.random(shape) < 0.15] = -0.0
+    if zero_column:
+        m[..., int(rng.integers(d))] = rng.choice([0.0, -0.0], size=shape[:2])
+    perm = np.array(data.draw(st.permutations(range(n))))
+    got = nm.vecmat(c(w), c(m)).array
+    permuted = nm.vecmat(c(w[perm]), c(m[perm])).array
+    npt.assert_array_equal(got.view(np.int64), permuted.view(np.int64))
+    prods = (w[..., None] * m).reshape(n, -1)
+    exact = np.array([math.fsum(col) for col in prods.T.tolist()])
+    bound = n * 2.0**-53 * np.abs(prods).sum(axis=0)
+    assert np.all(np.abs(got.reshape(-1) - exact) <= bound)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference check of every differentiable op
 # ---------------------------------------------------------------------------
