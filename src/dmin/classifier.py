@@ -4,12 +4,17 @@ The same classifier scores both stages of training: against the base
 weight matrix during supervised pretraining, and against induced class
 vectors during episodic training.  Scores are ``tau * cos(e, w)``; the
 temperature is stored as ``log tau`` so it stays positive no matter
-what the optimizer does.
+what the optimizer does.  A classifier is built once per forward pass
+and computes ``tau = exp(log tau)`` then, so one pass records one ``exp``
+however many scores it takes.
+
+Both losses are one :func:`dmin.numerics.cross_entropy` node over the
+stacked score rows; they differ only in the constant row weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +30,7 @@ W_BASE_INIT_STD = 0.02
 class CosineClassifier:
     w_base: Tensor   # (num_base_classes, embed_dim)
     log_tau: Tensor  # 0-d
+    tau: Tensor = field(init=False)  # exp(log_tau)
 
     def __post_init__(self):
         if self.w_base.array.ndim != 2:
@@ -34,6 +40,7 @@ class CosineClassifier:
             raise ValueError(
                 f"log_tau must be a scalar, got shape "
                 f"{self.log_tau.array.shape}")
+        self.tau = nm.exp(self.log_tau)
 
     @property
     def num_base_classes(self) -> int:
@@ -42,9 +49,6 @@ class CosineClassifier:
     @property
     def embed_dim(self) -> int:
         return self.w_base.array.shape[1]
-
-    def tau(self) -> Tensor:
-        return nm.exp(self.log_tau)
 
 
 def _check_nonzero(vec: Tensor, what: str) -> None:
@@ -59,7 +63,7 @@ def base_scores(clf: CosineClassifier, e: Tensor) -> Tensor:
         raise ValueError(
             f"input has shape {e.array.shape}, classifier expects "
             f"({clf.embed_dim},)")
-    return nm.mul(clf.tau(), nm.cosine(clf.w_base, e))
+    return nm.mul(clf.tau, nm.cosine(clf.w_base, e))
 
 
 def few_scores(clf: CosineClassifier, e_q: Tensor, class_vectors) -> Tensor:
@@ -79,44 +83,39 @@ def few_scores(clf: CosineClassifier, e_q: Tensor, class_vectors) -> Tensor:
         raise ValueError(
             f"class vectors have dimension {mat.array.shape[1]}, query has "
             f"{e_q.array.shape[0]}")
-    return nm.mul(clf.tau(), nm.cosine(mat, e_q))
+    return nm.mul(clf.tau, nm.cosine(mat, e_q))
 
 
-def loss_supervised(scores: Tensor, label: int) -> Tensor:
-    """Cross-entropy of softmaxed scores against a one-hot label."""
-    n = scores.array.shape[0]
-    if not 0 <= label < n:
-        raise ValueError(f"label {label} out of range for {n} classes")
-    return nm.sub(nm.logsumexp(scores), nm.index(scores, label))
+def loss_supervised(scores: Tensor, labels) -> Tensor:
+    """Mean cross-entropy of softmaxed score rows against their labels.
+
+    ``scores`` is one (C,) row with an int label, or a (B, C) stack with
+    B labels.
+    """
+    labels = np.asarray(labels)
+    return nm.cross_entropy(scores, labels,
+                            np.full(labels.shape, 1.0 / labels.size))
 
 
 def loss_episode(all_scores: Sequence[Tensor],
                  labels: Sequence[int]) -> Tensor:
     """Mean over classes of the mean cross-entropy of that class's queries.
 
-    With the same number of queries per class this equals the flat mean;
-    with uneven counts every class still contributes equally.
+    The query rows are stacked once and each is weighted by
+    ``1 / (classes * queries of its class)``.  With the same number of
+    queries per class this equals the flat mean; with uneven counts every
+    class still contributes equally.
     """
     if len(all_scores) == 0:
         raise ValueError("empty query set")
     if len(all_scores) != len(labels):
         raise ValueError(
             f"{len(all_scores)} score vectors but {len(labels)} labels")
-    by_class: dict[int, list[Tensor]] = {}
-    for scores, label in zip(all_scores, labels):
-        by_class.setdefault(int(label), []).append(
-            loss_supervised(scores, int(label)))
-    class_means = []
-    for label in sorted(by_class):
-        losses = by_class[label]
-        total = losses[0]
-        for extra in losses[1:]:
-            total = nm.add(total, extra)
-        class_means.append(nm.scale(total, 1.0 / len(losses)))
-    overall = class_means[0]
-    for extra in class_means[1:]:
-        overall = nm.add(overall, extra)
-    return nm.scale(overall, 1.0 / len(class_means))
+    labels = np.asarray(labels)
+    classes, inverse, counts = np.unique(labels, return_inverse=True,
+                                         return_counts=True)
+    weights = 1.0 / (len(classes) * counts[inverse])
+    return nm.cross_entropy(nm.stack_rows(all_scores), labels, weights)
 
 
 def init_classifier_arrays(num_base_classes: int, embed_dim: int,

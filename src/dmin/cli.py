@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from . import numerics as nm
 from .encoder import EncoderConfig
 from .episodes import (DataError, Dataset, gen_synthetic,
                        load_jsonl_vectors, load_tsv, save_jsonl_vectors)
-from .harness import (TrainConfig, evaluate, meta_train, pretrain,
-                      run_ablation_suite, separation_report,
+from .harness import (TrainConfig, evaluate, meta_train, model_config_from,
+                      pretrain, run_ablation_suite, separation_report,
                       train_config_from_dict)
 from .model import CheckpointError, Model, load_checkpoint, save_checkpoint
 
@@ -80,28 +80,32 @@ def _config_for(path, dataset: Dataset) -> TrainConfig:
     When the file does not pin an encoder (or no file is given), the
     encoder is inferred from the data: vectors use a pass-through of the
     observed dimension, text uses feature hashing.  An explicitly
-    configured encoder that cannot consume the data is an error.
+    configured encoder that cannot consume the data is an error, and so
+    are routing dimensions that differ from the settled encoder's.
     """
     raw, cfg = _load_config(path)
     explicit = "encoder" in raw
     enc = cfg.encoder
     if dataset.dim is None:  # text payloads
-        if enc.kind == "feature_hash":
-            return cfg
+        if enc.kind != "feature_hash":
+            if explicit:
+                raise DataError(
+                    f"{path}: text data needs encoder.kind='feature_hash', "
+                    f"config says {enc.kind!r}")
+            cfg = replace(cfg, encoder=EncoderConfig(kind="feature_hash"))
+    elif enc.kind != "precomputed" or enc.embed_dim != dataset.dim:
         if explicit:
             raise DataError(
-                f"{path}: text data needs encoder.kind='feature_hash', "
-                f"config says {enc.kind!r}")
-        return replace(cfg, encoder=EncoderConfig(kind="feature_hash"))
-    if enc.kind == "precomputed" and enc.embed_dim == dataset.dim:
-        return cfg
-    if explicit:
-        raise DataError(
-            f"{path}: config encoder (kind={enc.kind!r}, "
-            f"embed_dim={enc.embed_dim}) cannot consume vector data of "
-            f"dimension {dataset.dim}")
-    return replace(cfg, encoder=EncoderConfig(kind="precomputed",
-                                              embed_dim=dataset.dim))
+                f"{path}: config encoder (kind={enc.kind!r}, "
+                f"embed_dim={enc.embed_dim}) cannot consume vector data of "
+                f"dimension {dataset.dim}")
+        cfg = replace(cfg, encoder=EncoderConfig(kind="precomputed",
+                                                 embed_dim=dataset.dim))
+    try:
+        model_config_from(cfg, dataset.num_classes)
+    except ValueError as err:
+        raise DataError(f"{path}: {err}" if path else str(err)) from err
+    return cfg
 
 
 def _check_data_matches(model: Model, dataset: Dataset) -> None:
@@ -155,7 +159,7 @@ def _cmd_eval(args) -> int:
                       way=args.way, shot=args.shot, queries=args.queries,
                       seed=args.seed, ablation=args.ablation)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     spread = ("n/a" if report.std_undefined
               else f"{report.std_accuracy:.4f}")

@@ -23,7 +23,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, replace
 
 import numpy as np
 
@@ -132,12 +132,9 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     return out
 
 
-def _build(cls, key: str, val):
-    """A config dataclass from a JSON object; int fields must hold JSON
-    integers and float fields finite JSON numbers, and booleans are
-    neither."""
-    if val is None:
-        return cls()
+def _check_keys(cls, key: str, val) -> dict:
+    """The fields of dataclass ``cls``, once ``val`` is known to be a JSON
+    object that names no unknown field and every field without a default."""
     if not isinstance(val, dict):
         raise DataError(f"config key {key!r} must be an object")
     fields = cls.__dataclass_fields__
@@ -145,6 +142,18 @@ def _build(cls, key: str, val):
     if unknown:
         raise DataError(
             f"config key {key!r} has unknown fields {sorted(unknown)}")
+    for name, f in fields.items():
+        if f.default is MISSING and name not in val:
+            raise DataError(f"config key {key}.{name} is missing")
+    return fields
+
+
+def _build(cls, key: str, val):
+    """A config dataclass from a JSON object (None: all defaults); int
+    fields must hold JSON integers and float fields finite JSON numbers,
+    and booleans are neither."""
+    val = {} if val is None else val
+    fields = _check_keys(cls, key, val)
     for name, v in val.items():
         if fields[name].type in (int, "int"):
             _require_int(f"{key}.{name}", v)
@@ -182,9 +191,9 @@ def train_config_from_dict(raw: dict) -> TrainConfig:
     if num_base is not None:
         _require_int("num_base", num_base)
     try:
-        routing = None
-        if raw.get("routing") is not None:
-            r = raw["routing"]
+        routing = r = raw.get("routing")
+        if r is not None:
+            _check_keys(RoutingPair, "routing", r)
             routing = RoutingPair(
                 dmm=_build(RoutingConfig, "routing.dmm", r["dmm"]),
                 qim=_build(RoutingConfig, "routing.qim", r["qim"]),
@@ -204,7 +213,7 @@ def train_config_from_dict(raw: dict) -> TrainConfig:
             freeze_tau=_require_bool("freeze_tau",
                                      raw.get("freeze_tau", False)),
         )
-    except (TypeError, KeyError) as err:
+    except TypeError as err:
         raise DataError(f"bad train config: {err}") from err
 
 
@@ -326,13 +335,12 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
         tape = nm.Tape()
         tensors = model.tensors(tape)
         clf = model.classifier(tensors)
-        total = None
-        for i in batch:
-            e = model.encode(tensors, base_dataset.payloads[int(i)])
-            item_loss = loss_supervised(base_scores(clf, e),
-                                        base_dataset.labels[int(i)])
-            total = item_loss if total is None else nm.add(total, item_loss)
-        loss = nm.scale(total, 1.0 / len(batch))
+        scores = nm.stack_rows([
+            base_scores(clf, model.encode(tensors,
+                                          base_dataset.payloads[int(i)]))
+            for i in batch])
+        loss = loss_supervised(scores,
+                               [base_dataset.labels[int(i)] for i in batch])
         grads = nm.backward(tape, loss)
         optimizer.step(model.params,
                        {name: grads[t.node_id]
@@ -392,15 +400,6 @@ class EvalReport:
     config_hash: str
     wall_time_ms: int
     std_undefined: bool = False
-
-    def to_dict(self) -> dict:
-        return {"mean_accuracy": self.mean_accuracy,
-                "std_accuracy": self.std_accuracy,
-                "episodes": self.episodes,
-                "per_episode": self.per_episode,
-                "config_hash": self.config_hash,
-                "wall_time_ms": self.wall_time_ms,
-                "std_undefined": self.std_undefined}
 
 
 def evaluate(model: Model, dataset: Dataset, cfg: TrainConfig, *,

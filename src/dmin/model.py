@@ -174,10 +174,6 @@ class Adam:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    return asdict(config)
-
-
 def _config_from_dict(raw: dict) -> ModelConfig:
     try:
         return ModelConfig(
@@ -202,7 +198,7 @@ def _manifest(model: Model) -> dict:
         }
     return {
         "format_version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "meta": model.meta,
         "params": arrays,
     }

@@ -13,8 +13,10 @@ Conventions:
   rank-1 input is simply a single row.  The second operand of :func:`dot`,
   :func:`cosine` and :func:`pccs` has the shape of the first's trailing
   axes and is broadcast over its leading ones; :func:`vecmat` weights and
-  sums the leading axis of its second operand.  There is no other
-  broadcasting except scalar-times-tensor in :func:`mul`,
+  sums the leading axis of its second operand.  :func:`cross_entropy`
+  takes one label and one weight per row and sums the rows to a scalar;
+  its labels and weights are plain constants, never recorded.  There is
+  no other broadcasting except scalar-times-tensor in :func:`mul`,
 - :func:`vecmat`'s sum over rows (and so :func:`route`'s capsule mix) is
   order-fixed: each column's products are sorted before they are added,
   so the result does not depend on the order of the rows,
@@ -23,7 +25,8 @@ Conventions:
   :func:`route` checks its output only: its intermediates are bounded
   (gates in [-1, 1], coupling in [0, 1], capsule norms below 1), and
   :func:`backward` checks every leaf gradient,
-- :func:`route` and the public row ops share private forward/VJP pairs,
+- :func:`route`, :func:`cross_entropy` and the public row ops share
+  private forward/VJP pairs, so each formula is written once,
 - a result is recorded on a tape iff at least one input is recorded; mixing
   inputs from two different tapes is an error,
 - a VJP closes over arrays, never over Tensors: their tape link would make
@@ -60,7 +63,6 @@ __all__ = [
     "Tape",
     "constant",
     "add",
-    "sub",
     "mul",
     "scale",
     "linear",
@@ -69,9 +71,8 @@ __all__ = [
     "exp",
     "squash",
     "softmax",
-    "logsumexp",
+    "cross_entropy",
     "dot",
-    "index",
     "stack_rows",
     "reshape",
     "cosine",
@@ -197,11 +198,6 @@ def _result(op: str, value, parents: Sequence[Tensor],
     return Tensor(value, tape, len(tape.nodes) - 1)
 
 
-def _need_shape(op: str, t: Tensor, ndim: int) -> None:
-    if t.ndim != ndim:
-        raise ValueError(f"{op}: expected rank-{ndim} tensor, got shape {t.shape}")
-
-
 def _rowdot(a, b):
     """Dot products of corresponding rows (along the last axis)."""
     return _einsum("...i,...i->...", a, b)
@@ -215,12 +211,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
     return _result("add", a.array + b.array, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-    return _result("sub", a.array - b.array, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -361,31 +351,55 @@ def squash(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _softmax(xv):
-    """``softmax``'s rows and their VJP."""
-    z = np.exp(xv - _max(xv, axis=-1, keepdims=True))
-    y = z / _add(z, axis=-1, keepdims=True)
-    return y, lambda g: y * (g - _rowdot(g, y)[..., None])
+    """``softmax``'s rows, their VJP, and a function that gives each row's
+    log-sum-exp (only the loss asks for it, so it is made on demand)."""
+    top = _max(xv, axis=-1, keepdims=True)
+    z = np.exp(xv - top)
+    total = _add(z, axis=-1, keepdims=True)
+    y = z / total
+    return (y, lambda g: y * (g - _rowdot(g, y)[..., None]),
+            lambda: (top + np.log(total))[..., 0])
 
 
 def softmax(x: Tensor) -> Tensor:
     """Stable softmax of each row (max-subtracted; entries sum to 1)."""
     if x.ndim < 1:
         raise ValueError(f"softmax: expected rows, got shape {x.shape}")
-    y, vjp = _softmax(x.array)
+    y, vjp, _ = _softmax(x.array)
     return _result("softmax", y, (x,), lambda g: (vjp(g),))
 
 
-def logsumexp(x: Tensor) -> Tensor:
-    """Stable log(sum(exp(x))) as a scalar."""
-    _need_shape("logsumexp", x, 1)
-    m = float(np.max(x.array))
-    z = np.exp(x.array - m)
-    s = float(z.sum())
-    return _result("logsumexp", m + math.log(s), (x,), lambda g: (float(g) * z / s,))
+def cross_entropy(scores: Tensor, labels, weights) -> Tensor:
+    """Weighted softmax cross-entropy of every row, summed to a scalar.
+
+    ``scores`` is one row of C class scores or a stack of such rows;
+    ``labels`` (ints in [0, C)) and ``weights`` (plain floats, never
+    differentiated) have the shape of its leading axes.  The result is
+    ``sum_r weights[r] * (logsumexp(scores[r]) - scores[r, labels[r]])``,
+    summed exactly rounded (``math.fsum``), so the order of the rows does
+    not matter; the gradient of row ``r`` is
+    ``weights[r] * (softmax(scores[r]) - onehot(labels[r]))``.
+    """
+    labels, weights = np.asarray(labels), np.asarray(weights, np.float64)
+    n = scores.shape[-1] if scores.ndim else 0
+    if not labels.shape == weights.shape == scores.shape[:-1] \
+            or labels.dtype.kind not in "iu" or np.any(labels >= n) \
+            or np.any(labels < 0):
+        raise ValueError(
+            f"cross_entropy: need one integer label in [0, {n}) and one "
+            f"weight per row of scores {scores.shape}, got labels "
+            f"{labels.tolist()} and weights of shape {weights.shape}")
+    sv = scores.array
+    onehot = labels[..., None] == np.arange(n)
+    y, _, lse = _softmax(sv)
+    loss = math.fsum((weights * (lse() - sv[onehot].reshape(labels.shape)))
+                     .reshape(-1).tolist())
+    return _result("cross_entropy", loss, (scores,),
+                   lambda g: ((y - onehot) * (g * weights)[..., None],))
 
 
 # ---------------------------------------------------------------------------
-# reductions, selection and assembly
+# reductions and assembly
 # ---------------------------------------------------------------------------
 
 def _check_trailing(op: str, m: Tensor, q: Tensor, min_len: int = 1) -> None:
@@ -408,21 +422,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return _result("dot", _rowdot(av, bv), (a, b),
                    lambda g: (g[..., None] * bv,
                               (g[..., None] * av).sum(axis=lead)))
-
-
-def index(x: Tensor, i: int) -> Tensor:
-    """Select entry ``i`` of a vector as a scalar."""
-    _need_shape("index", x, 1)
-    i, n = int(i), x.shape[0]
-    if not 0 <= i < n:
-        raise ValueError(f"index: {i} out of range for length {n}")
-
-    def vjp(g):
-        gx = np.zeros(n)
-        gx[i] = float(g)
-        return (gx,)
-
-    return _result("index", x.array[i], (x,), vjp)
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
@@ -550,7 +549,7 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
             qv = (qv + caps) * 0.5
         corr, corr_vjp = _cosines(mc, _centre(qv), nrows, centred=True)
         gates = np.tanh(corr)
-        coupling, soft_vjp = _softmax(logits)
+        coupling, soft_vjp, _ = _softmax(logits)
         mixed, mix_vjp = _mix(coupling + gates, mv)
         caps, squash_vjp = _squash(mixed)
         seen["coupling"].append(coupling)

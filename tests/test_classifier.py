@@ -72,7 +72,7 @@ class TestBaseScores:
         for log_tau in (-40.0, -1.0, 0.0, 3.0):
             clf = CosineClassifier(nm.constant(np.eye(2)),
                                    nm.constant(np.array(log_tau)))
-            assert clf.tau().item() > 0.0
+            assert clf.tau.item() > 0.0
 
 
 class TestFewScores:
@@ -143,6 +143,17 @@ class TestLossSupervised:
         with pytest.raises(ValueError):
             loss_supervised(nm.constant(np.zeros(3)), -1)
 
+    def test_a_stack_of_rows_gives_the_mean_of_single_rows(self):
+        rng = np.random.default_rng(17)
+        scores = rng.normal(0.0, 3.0, (6, 4))
+        labels = [0, 3, 1, 1, 2, 0]
+        singles = [loss_supervised(nm.constant(s), lab).item()
+                   for s, lab in zip(scores, labels)]
+        got = loss_supervised(nm.constant(scores), labels).item()
+        assert got == pytest.approx(math.fsum(singles) / 6, abs=1e-15)
+        with pytest.raises(ValueError):
+            loss_supervised(nm.constant(scores), labels[:5])
+
 
 class TestLossEpisode:
     def test_perfect_predictions_give_zero(self):
@@ -192,6 +203,49 @@ class TestLossEpisode:
         with pytest.raises(ValueError):
             loss_episode([], [])
 
+    @pytest.mark.parametrize("queries", [1, 2, 7, 25])
+    def test_records_one_stack_and_one_cross_entropy(self, queries):
+        rng = np.random.default_rng(queries)
+        tape = nm.Tape()
+        rows = [tape.leaf(rng.normal(size=4)) for _ in range(queries)]
+        before = len(tape)
+        loss_episode(rows, [q % 4 for q in range(queries)])
+        assert [node.op for node in tape.nodes[before:]] == [
+            "stack_rows", "cross_entropy"]
+
+    def test_uneven_classes_match_an_exact_per_class_mean(self):
+        # losses near log(classes) < 2, where 1e-15 is over 4 ulps; the
+        # sum is exactly rounded, so the order of the queries is moot
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            classes = int(rng.integers(2, 6))
+            labels = list(rng.integers(0, classes, size=int(
+                rng.integers(1, 60))))
+            scores = rng.normal(0.0, 1.0, (len(labels), classes))
+            top = scores.max(axis=1, keepdims=True)
+            lse = (top + np.log(np.exp(scores - top).sum(axis=1,
+                                                          keepdims=True)))
+            per_row = lse[:, 0] - scores[np.arange(len(labels)), labels]
+            means = [math.fsum(per_row[np.equal(labels, k)]) /
+                     np.count_nonzero(np.equal(labels, k))
+                     for k in sorted(set(labels))]
+            want = math.fsum(means) / len(means)
+            got = loss_episode([nm.constant(s) for s in scores],
+                               labels).item()
+            assert abs(got - want) <= 1e-15
+            perm = rng.permutation(len(labels))
+            assert loss_episode([nm.constant(scores[i]) for i in perm],
+                                [labels[i] for i in perm]).item() == got
+
+    def test_gradient_is_weighted_softmax_minus_onehot(self):
+        tape = nm.Tape()
+        rows = [tape.leaf(np.zeros(2)) for _ in range(3)]
+        grads = nm.backward(tape, loss_episode(rows, [0, 0, 1]))
+        # class 0's two queries weigh 1/4 each, class 1's one query 1/2
+        npt.assert_allclose([grads[r.node_id] for r in rows],
+                            [[-0.125, 0.125], [-0.125, 0.125],
+                             [0.25, -0.25]], atol=1e-15)
+
 
 class TestGradientsFlow:
     def test_w_base_and_tau_receive_gradients(self):
@@ -205,6 +259,20 @@ class TestGradientsFlow:
         assert np.any(grads[w.node_id] != 0.0)
         assert grads[log_tau.node_id].shape == ()
         assert np.isfinite(grads[log_tau.node_id])
+
+    def test_a_forward_pass_records_one_exp(self):
+        rng = np.random.default_rng(21)
+        tape = nm.Tape()
+        clf = CosineClassifier(tape.leaf(rng.normal(size=(4, 6))),
+                               tape.leaf(np.array(math.log(10.0))))
+        rows = [base_scores(clf, nm.constant(rng.normal(size=6)))
+                for _ in range(3)]
+        rows.append(few_scores(clf, nm.constant(rng.normal(size=6)),
+                               nm.constant(rng.normal(size=(4, 6)))))
+        grads = nm.backward(tape, loss_supervised(nm.stack_rows(rows),
+                                                  [0, 1, 2, 3]))
+        assert [node.op for node in tape.nodes].count("exp") == 1
+        assert grads[clf.log_tau.node_id] != 0.0
 
     def test_init_arrays(self):
         arrays = init_classifier_arrays(7, 16, np.random.default_rng(2))

@@ -403,6 +403,7 @@ METATRAIN_CONFIG = ["metatrain", "--config", BAD, "--model", MODEL,
 ROUTING_BOOL = {"input_dim": 8, "capsule_count": True, "capsule_dim": 8}
 ROUTING_OK = {"input_dim": 8, "capsule_count": 2, "capsule_dim": 4}
 ROUTING_WIDE = {"input_dim": 8, "capsule_count": 4, "capsule_dim": 2}
+ROUTING_NARROW = {"input_dim": 6, "capsule_count": 2, "capsule_dim": 3}
 ONE_EPISODE = {"episodes": 1, "C": 3, "K": 1, "L": 2}
 
 # (case, file suffix, file maker, argv)
@@ -433,6 +434,13 @@ MALFORMED = [
     ("config_unequal_shared_routing", ".json",
      _config({"routing": {"dmm": ROUTING_OK, "qim": ROUTING_WIDE,
                           "share_params": True}}),
+     PRETRAIN_CONFIG),
+    ("config_routing_dim_for_vectors", ".json",
+     _config({"routing": {"dmm": ROUTING_NARROW, "qim": ROUTING_NARROW}}),
+     PRETRAIN_CONFIG),
+    ("config_routing_qim_missing", ".json",
+     _config({"routing": {"dmm": ROUTING_OK}}), PRETRAIN_CONFIG),
+    ("config_routing_not_object", ".json", _config({"routing": [1]}),
      PRETRAIN_CONFIG),
     ("config_encoder_dim_for_vectors", ".json",
      _config({"encoder": {"kind": "precomputed", "embed_dim": 5}}),

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
+from dmin.classifier import loss_episode
 from dmin.encoder import EncoderConfig
 from dmin.episodes import (DataError, EpisodeConfig, gen_synthetic,
                            sample_episode, split_base_novel)
@@ -77,6 +79,21 @@ class TestTrainConfig:
             train_config_from_dict(raw)
         raw["routing"]["share_params"] = False
         assert train_config_from_dict(raw).routing.qim.iterations == 2
+
+    @pytest.mark.parametrize("routing,message", [
+        ({"dmm": {"input_dim": 8}}, "config key routing.qim is missing"),
+        ({"qim": {"input_dim": 8}}, "config key routing.dmm is missing"),
+        ({"dmm": {"input_dim": 8}, "qim": {"capsule_count": 2}},
+         "config key routing.qim.input_dim is missing"),
+        ([1], "config key 'routing' must be an object"),
+        ("dmm", "config key 'routing' must be an object"),
+        ({"dmm": {"input_dim": 8}, "qim": {"input_dim": 8}, "shared": True},
+         "config key 'routing' has unknown fields ['shared']"),
+    ])
+    def test_routing_errors_say_which_key(self, routing, message):
+        with pytest.raises(DataError) as err:
+            train_config_from_dict({"routing": routing})
+        assert str(err.value) == message
 
     def test_ablation_values(self):
         assert small_cfg(ablation="no_dmm").ablation_flags == {"no_dmm"}
@@ -191,6 +208,20 @@ class TestMetaTrain:
         assert not np.array_equal(model.params["dmm.w_0"], before_dmm)
         assert not np.array_equal(model.params["qim.w_0"], before_qim)
         assert model.meta["meta_trained"] is True
+
+    def test_an_episode_records_one_exp_and_one_cross_entropy(self):
+        ds = blob_dataset()
+        cfg = small_cfg()
+        model = init_model(model_config_from(cfg, ds.num_classes), seed=3)
+        episode = sample_episode(ds, EpisodeConfig(way=3, shot=2, queries=3,
+                                                   seed=1), 0)
+        for flags in map(frozenset, ([], ["no_dmm"], ["no_qim"])):
+            tape = nm.Tape()
+            scores, labels = episode_forward(model, model.tensors(tape),
+                                             episode, flags)
+            nm.backward(tape, loss_episode(scores, labels))
+            ops = [node.op for node in tape.nodes]
+            assert ops.count("exp") == ops.count("cross_entropy") == 1
 
     def test_frozen_episode_loss_decreases_over_50_steps(self):
         ds = blob_dataset(num_classes=6, per_class=15)
@@ -349,7 +380,7 @@ class TestEvaluate:
         ds = blob_dataset()
         cfg = small_cfg()
         model = init_model(model_config_from(cfg, 8), seed=2)
-        d = evaluate(model, ds, cfg, episodes=2).to_dict()
+        d = asdict(evaluate(model, ds, cfg, episodes=2))
         assert set(d) == {"mean_accuracy", "std_accuracy", "episodes",
                           "per_episode", "config_hash", "wall_time_ms",
                           "std_undefined"}
