@@ -2,9 +2,12 @@
 
 :class:`FeatureHashEncoder` lowercases text, splits on whitespace, hashes
 each token with 64-bit FNV-1a into one of ``vocab_buckets`` count buckets,
-L2-normalizes the counts, and applies a learned linear projection followed
-by tanh.  The projection is the only trainable piece and participates in
-both training stages.
+L2-normalizes the counts, and maps them through a learned projection
+followed by tanh.  The projection step gathers only the columns of the
+buckets a line's tokens hit (:func:`dmin.numerics.embed`), so an item and
+its gradient cost what its tokens cost, not the whole vocabulary.  The
+projection is the only trainable piece and participates in both training
+stages.
 
 :class:`EncoderConfig` also names the ``"precomputed"`` kind: datasets of
 externally computed vectors, which :meth:`dmin.model.Model.encode` passes
@@ -71,7 +74,7 @@ def hash_counts(text: str, buckets: int) -> np.ndarray:
 
 @dataclass
 class FeatureHashEncoder:
-    """Trainable text encoder: hashed counts -> linear projection -> tanh."""
+    """Trainable text encoder: hashed counts -> projection columns -> tanh."""
 
     config: EncoderConfig
     projection: Tensor  # (embed_dim, vocab_buckets)
@@ -85,7 +88,9 @@ class FeatureHashEncoder:
 
     def encode(self, item: str) -> Tensor:
         counts = hash_counts(item, self.config.vocab_buckets)
-        return nm.tanh(nm.linear(nm.constant(counts), self.projection))
+        # nonzero of the bool mask is about 5x faster than of the floats
+        ids = (counts != 0).nonzero()[0]
+        return nm.tanh(nm.embed(self.projection, ids, counts[ids]))
 
 
 def init_encoder_arrays(cfg: EncoderConfig, rng: np.random.Generator,

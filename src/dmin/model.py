@@ -18,6 +18,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -150,24 +151,44 @@ class Adam:
     v: dict = field(default_factory=dict)
 
     def step(self, params: dict, grads: dict) -> None:
-        self.t += 1
+        """One update of every parameter named in ``grads``, in place.
+
+        Raises :class:`NumericError` before any parameter or state moves
+        if a gradient has a nan or inf entry.
+        """
         for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
+            # the sum is the cheap test (any nan or inf makes it
+            # non-finite); a finite gradient may still overflow it
+            if not math.isfinite(g.sum()) and not np.isfinite(g).all():
                 raise nm.NumericError(
-                    f"non-finite gradient for {name} at step {self.t}")
+                    f"non-finite gradient for {name} at step {self.t + 1}")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for name, g in grads.items():
             m = self.m.get(name)
             if m is None:
-                m = np.zeros_like(params[name])
-                self.m[name] = m
+                m = self.m[name] = np.zeros_like(params[name])
                 self.v[name] = np.zeros_like(params[name])
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            mhat = m / (1.0 - self.beta1 ** self.t)
-            vhat = v / (1.0 - self.beta2 ** self.t)
-            params[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+            # p -= lr*(m/c1) / (sqrt(v/c2) + eps), in that operation order,
+            # through two scratch arrays; out= keeps a rank-0 result an
+            # array, where the plain ufunc would return a scalar
+            s, u = np.empty_like(m), np.empty_like(m)
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=s)
+            v *= b2
+            np.multiply(1.0 - b2, g, out=s)
+            s *= g
+            v += s
+            np.divide(m, c1, out=s)
+            np.divide(v, c2, out=u)
+            np.sqrt(u, out=u)
+            u += self.eps
+            s *= self.lr
+            s /= u
+            params[name] -= s
 
 
 # ---------------------------------------------------------------------------

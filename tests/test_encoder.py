@@ -90,6 +90,32 @@ class TestFeatureHashEncoder:
         assert g.shape == (4, 8)
         assert np.any(g != 0.0) and np.all(np.isfinite(g))
 
+    def test_default_shape_matches_oracle(self):
+        cfg = EncoderConfig()
+        proj = np.random.default_rng(4).normal(
+            0.0, 0.5, (cfg.embed_dim, cfg.vocab_buckets))
+        enc = FeatureHashEncoder(cfg, nm.constant(proj))
+        for text in ("the striker curled the free kick",
+                     "Thunderstorms expected after noon", "a a a b"):
+            npt.assert_allclose(enc.encode(text).array,
+                                hash_encode_reference(text, 4096, proj),
+                                atol=1e-14, rtol=0)
+
+    def test_taped_encode_records_embed_and_tanh(self):
+        cfg = EncoderConfig(embed_dim=6, vocab_buckets=64)
+        rng = np.random.default_rng(5)
+        tape = nm.Tape()
+        proj = tape.leaf(rng.normal(size=(6, 64)))
+        text = "one two two three three three four"
+        out = FeatureHashEncoder(cfg, proj).encode(text)
+        assert [node.op for node in tape.nodes] == ["leaf", "embed", "tanh"]
+        probe = rng.normal(size=6)
+        grad = nm.backward(tape, nm.dot(out, nm.constant(probe)))[proj.node_id]
+        # the adjoint tanh hands back, times every bucket's count; the
+        # buckets no token hit get exact zeros
+        g = probe * (1.0 - out.array * out.array)
+        npt.assert_array_equal(grad, np.outer(g, hash_counts(text, 64)))
+
     def test_shape_validation(self):
         cfg = EncoderConfig(embed_dim=4, vocab_buckets=8)
         with pytest.raises(ValueError):

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from dmin import numerics as nm
 from dmin.classifier import loss_episode
 from dmin.encoder import EncoderConfig
-from dmin.episodes import (DataError, EpisodeConfig, gen_synthetic,
-                           sample_episode, split_base_novel)
+from dmin.episodes import (DataError, Dataset, EpisodeConfig,
+                           gen_synthetic, sample_episode, split_base_novel)
 from dmin.harness import (ABLATIONS, EvalSettings, MetaTrainResult,
                           PipelineResult, RoutingPair, Stage1Config,
                           Stage2Config, TrainConfig, config_hash_hex,
@@ -189,6 +189,23 @@ class TestPretrain:
         model = init_model(model_config_from(cfg, 5), seed=1)
         with pytest.raises(DataError):
             pretrain(ds, cfg, model=model)
+
+    def test_text_pretraining_is_deterministic(self):
+        rng = np.random.default_rng(6)
+        words = [f"w{i}" for i in range(40)]
+        payloads = [" ".join(rng.choice(words[10 * (k % 3):10 * (k % 3) + 14],
+                                        size=rng.integers(2, 8)))
+                    for k in range(30)]
+        ds = Dataset(payloads=payloads, labels=[k % 3 for k in range(30)],
+                     class_names=["a", "b", "c"])
+        cfg = small_cfg(encoder=EncoderConfig(embed_dim=8, vocab_buckets=64),
+                        stage1=Stage1Config(steps=15, batch_size=8,
+                                            learning_rate=1e-2))
+        first, second = pretrain(ds, cfg), pretrain(ds, cfg)
+        assert first.losses == second.losses
+        assert first.model.param_digest() == second.model.param_digest()
+        fresh = init_model(model_config_from(cfg, 3), seed=cfg.seed)
+        assert first.model.param_digest() != fresh.param_digest()
 
     def test_marks_pretrained(self):
         ds = blob_dataset(num_classes=3, per_class=10)

@@ -119,6 +119,78 @@ class TestAdam:
             Adam(lr=0.1).step({"x": np.zeros(2)},
                               {"x": np.array([1.0, np.nan])})
 
+    def test_in_place_step_is_bit_identical_to_the_textbook_formula(self):
+        rng = np.random.default_rng(31)
+        shapes = {"w": (3, 4), "tau": (), "late": (5,)}
+        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        got, want = {k: v.copy() for k, v in start.items()}, \
+            {k: v.copy() for k, v in start.items()}
+        opt, ref = Adam(lr=0.01), Adam(lr=0.01)
+        for step in range(25):
+            grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 3), shape)
+                     for k, shape in shapes.items()
+                     if k != "late" or step >= 7}  # first seen at step 8
+            opt.step(got, grads)
+            _textbook_adam_step(ref, want, grads)
+            for k in got:
+                for a, b in ((got[k], want[k]), (opt.m.get(k), ref.m.get(k)),
+                             (opt.v.get(k), ref.v.get(k))):
+                    if a is None:
+                        assert b is None
+                        continue
+                    assert np.asarray(a).shape == np.asarray(b).shape
+                    npt.assert_array_equal(np.asarray(a).view(np.int64),
+                                           np.asarray(b).view(np.int64))
+        assert opt.t == ref.t == 25
+        assert type(got["tau"]) is np.ndarray and got["tau"].ndim == 0
+
+    def test_finite_gradient_whose_sum_overflows_is_accepted(self):
+        params = {"x": np.zeros(2)}
+        with np.errstate(over="ignore"):  # g * g overflows in v
+            Adam(lr=0.1).step(params, {"x": np.array([1e308, 1e308])})
+        assert np.all(np.isfinite(params["x"]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_gradient_names_the_parameter(self, bad):
+        with pytest.raises(nm.NumericError, match="gradient for b at step 1"):
+            Adam(lr=0.1).step({"a": np.zeros(2), "b": np.zeros(2)},
+                              {"a": np.ones(2), "b": np.array([1.0, bad])})
+
+    def test_rejected_step_leaves_params_and_state_unchanged(self):
+        opt = Adam(lr=0.1)
+        params = {"a": np.ones(2), "b": np.ones(2), "c": np.ones(())}
+        opt.step(params, {"a": np.ones(2), "c": np.array(0.5)})
+        before = ({k: v.copy() for k, v in params.items()},
+                  {k: v.copy() for k, v in opt.m.items()},
+                  {k: v.copy() for k, v in opt.v.items()})
+        with pytest.raises(nm.NumericError, match="for b at step 2"):
+            opt.step(params, {"a": np.ones(2), "c": np.array(0.5),
+                              "b": np.array([1.0, np.nan])})
+        assert opt.t == 1 and set(opt.m) == set(opt.v) == {"a", "c"}
+        for want, got in zip(before, (params, opt.m, opt.v)):
+            for k in want:
+                npt.assert_array_equal(got[k], want[k])
+
+
+def _textbook_adam_step(opt, params, grads):
+    """Adam.step as written before it updated through scratch arrays: the
+    reference its in-place form must equal bit for bit."""
+    opt.t += 1
+    for name, g in grads.items():
+        m = opt.m.get(name)
+        if m is None:
+            m = np.zeros_like(params[name])
+            opt.m[name] = m
+            opt.v[name] = np.zeros_like(params[name])
+        v = opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g * g
+        mhat = m / (1.0 - opt.beta1 ** opt.t)
+        vhat = v / (1.0 - opt.beta2 ** opt.t)
+        params[name] -= opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
+
 
 class TestCheckpoint:
     def test_round_trip_values(self, tmp_path):

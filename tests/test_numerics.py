@@ -242,6 +242,80 @@ def test_cross_entropy_value_and_argument_checks():
             nm.cross_entropy(c(m), bad_labels, bad_weights)
 
 
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 40),
+       uses=st.lists(st.sampled_from(["sparse", "dense", "self_add",
+                                      "add_other"]), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_embed_equals_linear_of_the_dense_row(rows, cols, uses, seed):
+    """Forward within the summation-order bound, and weight gradients
+    equal entry for entry, whatever the order of the column-block and
+    dense contributions and whether an ``add`` aliases the adjoints.
+
+    Each use of ``w`` is ``embed`` in one tape and ``linear`` of the same
+    row written out densely in the other: ``sparse`` reads ``w``,
+    ``self_add`` reads ``add(w, w)`` and ``add_other`` reads ``add(w, u)``,
+    whose VJP hands ``w`` and ``u`` one array.  ``dense`` is an ordinary
+    ``linear`` of ``w`` in both tapes."""
+    rng = np.random.default_rng(seed)
+    w, u = rng.normal(size=(rows, cols)), rng.normal(size=(rows, cols))
+    args = []
+    for _ in uses:
+        ids = np.sort(rng.choice(cols, int(rng.integers(0, min(cols, 12) + 1)),
+                                 replace=False))
+        vals = rng.uniform(-2.0, 2.0, len(ids))
+        dense = np.zeros(cols)
+        dense[ids] = vals
+        args.append((ids, vals, dense, rng.normal(size=cols)))
+    probe = rng.normal(size=len(uses) * rows)
+
+    def run(sparse):
+        tape = nm.Tape()
+        wt, ut = tape.leaf(w), tape.leaf(u)
+        outs = []
+        for use, (ids, vals, dense, x) in zip(uses, args):
+            if use == "dense":
+                outs.append(nm.linear(c(x), wt))
+                continue
+            src = {"sparse": wt, "self_add": nm.add(wt, wt),
+                   "add_other": nm.add(wt, ut)}[use]
+            outs.append(nm.embed(src, ids, vals) if sparse
+                        else nm.linear(c(dense), src))
+        flat = nm.reshape(nm.stack_rows(outs), (len(uses) * rows,))
+        grads = nm.backward(tape, nm.dot(flat, c(probe)))
+        return flat.array, grads[wt.node_id], grads[ut.node_id]
+
+    (got, gw, gu), (want, dw, du) = run(True), run(False)
+    npt.assert_array_equal(gw, dw)
+    npt.assert_array_equal(gu, du)
+    srcs = {"dense": w, "sparse": w, "self_add": w + w, "add_other": w + u}
+    for i, (use, (ids, _, dense, _)) in enumerate(zip(uses, args)):
+        # each side rounds a sum of len(ids) products, in its own order
+        bound = (use != "dense") * max(len(ids), 1) * 2.0**-52 \
+            * (np.abs(srcs[use]) @ np.abs(dense))
+        part = slice(i * rows, (i + 1) * rows)
+        assert np.all(np.abs(got[part] - want[part]) <= bound)
+
+
+def test_embed_checks_its_arguments():
+    w = c(np.arange(12.0).reshape(3, 4))
+    npt.assert_array_equal(nm.embed(w, [1, 3], [2.0, -1.0]).array,
+                           [-1.0, 3.0, 7.0])
+    npt.assert_array_equal(nm.embed(w, np.array([], int), []).array,
+                           np.zeros(3))
+    for ids, vals in (([1, 4], [1.0, 1.0]),  # out of range
+                      ([-1, 2], [1.0, 1.0]),
+                      ([2, 2], [1.0, 1.0]),  # duplicate
+                      ([3, 1], [1.0, 1.0]),  # unsorted
+                      ([1, 3], [1.0]),  # length mismatch
+                      ([1.0, 3.0], [1.0, 1.0]),  # not integers
+                      ([[1, 3]], [[1.0, 1.0]])):  # not 1-D
+        with pytest.raises(ValueError):
+            nm.embed(w, ids, vals)
+    with pytest.raises(ValueError):
+        nm.embed(c(np.ones(4)), [1], [1.0])
+
+
 # ---------------------------------------------------------------------------
 # finite-difference check of every differentiable op
 # ---------------------------------------------------------------------------
@@ -274,6 +348,15 @@ def _op_cases(rng):
          lambda t: nm.linear(t["x"], t["w"], t["b"])),
         ("linear/rows", {"x": mat(n, d), "w": mat(m, d), "b": vec(m)},
          lambda t: nm.linear(t["x"], t["w"], t["b"])),
+        ("embed", {"w": mat(m, d)},
+         lambda t, ids=np.sort(rng.choice(d, 2, replace=False)),
+         vals=rng.normal(0.0, 1.0, 2): nm.embed(t["w"], ids, vals)),
+        # the dense adjoint of linear reaches w first, so backward copies
+        # it before adding embed's column block
+        ("embed/shared", {"x": vec(d), "w": mat(m, d)},
+         lambda t, ids=np.arange(0, d, 2),
+         vals=rng.normal(0.0, 1.0, (d + 1) // 2):
+         nm.add(nm.embed(t["w"], ids, vals), nm.linear(t["x"], t["w"]))),
         ("vecmat", {"w": vec(n), "m": mat(n, d)}, lambda t: nm.vecmat(t["w"], t["m"])),
         ("vecmat/lead", {"w": mat(n, m), "m": cube(n)},
          lambda t: nm.vecmat(t["w"], t["m"])),
