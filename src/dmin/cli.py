@@ -66,8 +66,6 @@ def _load_config(path) -> tuple[dict, TrainConfig]:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise DataError(f"cannot read config {path}: {err}") from err
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: config must be a JSON object")
     try:
         return raw, train_config_from_dict(raw)
     except ValueError as err:  # DataError included

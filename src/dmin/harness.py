@@ -23,16 +23,16 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import MISSING, asdict, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import numerics as nm
 from .classifier import few_scores, loss_episode, loss_supervised, base_scores
 from .encoder import EncoderConfig
-from .episodes import (_F64_MAX, DataError, Dataset, EpisodeConfig, Episode,
+from .episodes import (DataError, Dataset, EpisodeConfig, Episode,
                        sample_episode, split_base_novel)
-from .model import Adam, Model, ModelConfig, init_model
+from .model import Adam, Model, ModelConfig, config_from_dict, init_model
 from .routing import RoutingConfig, dmm_adapt, qim_induce
 from .silhouette import silhouette_score
 
@@ -100,15 +100,22 @@ class TrainConfig:
             raise ValueError(
                 f"meta_source must be 'base' or 'novel', got "
                 f"{self.meta_source!r}")
-        # zero steps/episodes mean "skip that stage"; the rest must be >= 1
+        # zero steps/episodes mean "skip that stage"; C >= 2, the rest >= 1
         for name, v, floor in (
                 ("stage1.steps", self.stage1.steps, 0),
                 ("stage2.episodes", self.stage2.episodes, 0),
+                ("stage2.C", self.stage2.C, 2),
                 ("stage1.batch_size", self.stage1.batch_size, 1),
+                ("stage2.K", self.stage2.K, 1),
+                ("stage2.L", self.stage2.L, 1),
                 ("eval.episodes", self.eval.episodes, 1),
-                ("eval.queries_per_class", self.eval.queries_per_class, 1)):
+                ("eval.queries_per_class", self.eval.queries_per_class, 1),
+                ("num_base", 1 if self.num_base is None else self.num_base,
+                 1)):
             if v < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {v}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for name, v in (("stage1.learning_rate", self.stage1.learning_rate),
                         ("stage2.learning_rate", self.stage2.learning_rate)):
             if not v > 0:
@@ -132,89 +139,9 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     return out
 
 
-def _check_keys(cls, key: str, val) -> dict:
-    """The fields of dataclass ``cls``, once ``val`` is known to be a JSON
-    object that names no unknown field and every field without a default."""
-    if not isinstance(val, dict):
-        raise DataError(f"config key {key!r} must be an object")
-    fields = cls.__dataclass_fields__
-    unknown = set(val) - set(fields)
-    if unknown:
-        raise DataError(
-            f"config key {key!r} has unknown fields {sorted(unknown)}")
-    for name, f in fields.items():
-        if f.default is MISSING and name not in val:
-            raise DataError(f"config key {key}.{name} is missing")
-    return fields
-
-
-def _build(cls, key: str, val):
-    """A config dataclass from a JSON object (None: all defaults); int
-    fields must hold JSON integers and float fields finite JSON numbers,
-    and booleans are neither."""
-    val = {} if val is None else val
-    fields = _check_keys(cls, key, val)
-    for name, v in val.items():
-        if fields[name].type in (int, "int"):
-            _require_int(f"{key}.{name}", v)
-        elif fields[name].type in (float, "float") \
-                and not (type(v) in (int, float) and abs(v) <= _F64_MAX):
-            # abs(v) <= max refuses NaN, infinities (JSON's Infinity, or
-            # 1e999) and integers that overflow float64
-            raise DataError(
-                f"config field {key}.{name} must be a finite number, "
-                f"got {v!r}")
-    return cls(**val)
-
-
-def _require_int(name: str, v) -> None:
-    if type(v) is not int:  # rejects bools and floats such as 2.0
-        raise DataError(f"config field {name} must be an integer, got {v!r}")
-
-
-def _require_bool(name: str, v) -> bool:
-    if type(v) is not bool:  # "false" or 0 would otherwise read as a flag
-        raise DataError(f"config field {name} must be true or false, "
-                        f"got {v!r}")
-    return v
-
-
 def train_config_from_dict(raw: dict) -> TrainConfig:
-    """Build a TrainConfig from a (possibly partial) plain dict."""
-    known_top = {"stage1", "stage2", "eval", "encoder", "routing", "seed",
-                 "ablation", "num_base", "meta_source", "freeze_tau"}
-    unknown = set(raw) - known_top
-    if unknown:
-        raise DataError(f"unknown config keys {sorted(unknown)}")
-    seed, num_base = raw.get("seed", 0), raw.get("num_base")
-    _require_int("seed", seed)
-    if num_base is not None:
-        _require_int("num_base", num_base)
-    try:
-        routing = r = raw.get("routing")
-        if r is not None:
-            _check_keys(RoutingPair, "routing", r)
-            routing = RoutingPair(
-                dmm=_build(RoutingConfig, "routing.dmm", r["dmm"]),
-                qim=_build(RoutingConfig, "routing.qim", r["qim"]),
-                share_params=_require_bool("routing.share_params",
-                                           r.get("share_params", False)),
-            )
-        return TrainConfig(
-            stage1=_build(Stage1Config, "stage1", raw.get("stage1")),
-            stage2=_build(Stage2Config, "stage2", raw.get("stage2")),
-            eval=_build(EvalSettings, "eval", raw.get("eval")),
-            encoder=_build(EncoderConfig, "encoder", raw.get("encoder")),
-            routing=routing,
-            seed=seed,
-            ablation=raw.get("ablation", "full"),
-            num_base=num_base,
-            meta_source=raw.get("meta_source", "novel"),
-            freeze_tau=_require_bool("freeze_tau",
-                                     raw.get("freeze_tau", False)),
-        )
-    except TypeError as err:
-        raise DataError(f"bad train config: {err}") from err
+    """Build a TrainConfig from a (possibly partial) JSON object."""
+    return config_from_dict(TrainConfig, raw)
 
 
 def config_hash_hex(obj) -> str:
@@ -517,7 +444,8 @@ def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineResult:
     by default the novel split, whose classes the evaluation episodes
     are then drawn from; the supervised stage only ever sees base.
     """
-    num_base = cfg.num_base or dataset.num_classes // 2
+    num_base = (dataset.num_classes // 2 if cfg.num_base is None
+                else cfg.num_base)
     base, novel = split_base_novel(dataset, num_base, seed=cfg.seed)
     pre = pretrain(base, cfg)
     meta_ds = base if cfg.meta_source == "base" else novel

@@ -1,4 +1,4 @@
-"""Model parameters, the Adam update rule, and checkpoint persistence.
+"""Model parameters, the Adam update rule, checkpoints, and config decoding.
 
 A model is a flat ``name -> float64 array`` dictionary plus a
 :class:`ModelConfig` describing shapes.  Parameter names are prefixed
@@ -19,13 +19,15 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import numerics as nm
 from .classifier import CosineClassifier, init_classifier_arrays
 from .encoder import EncoderConfig, FeatureHashEncoder, init_encoder_arrays
+from .episodes import _F64_MAX, DataError
 from .numerics import Tensor
 from .routing import (RoutingConfig, RoutingParams, init_routing_arrays,
                       params_from_tensors)
@@ -66,6 +68,51 @@ class ModelConfig:
         if self.share_routing and self.dmm != self.qim:
             raise ValueError(
                 "share_routing requires identical dmm and qim configs")
+
+
+# per scalar field type: the JSON values it takes, and their wording; a
+# bool is not an int, and abs(v) <= max refuses NaN, inf and huge ints
+_SCALARS = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "float": (lambda v: type(v) in (int, float) and abs(v) <= _F64_MAX,
+              "a finite number"),
+    "str": (lambda v: type(v) is str, "a string"),
+}
+
+
+def config_from_dict(cls, raw, key: str = ""):
+    """Config dataclass ``cls`` from the JSON object ``raw``, typed by
+    ``cls``'s annotations: nested config dataclasses recurse, only
+    ``T | None`` fields take null, and scalars take what :data:`_SCALARS`
+    allows.  Unknown, missing or mistyped fields raise :class:`DataError`
+    naming the dotted key below ``key``."""
+    what = f"config key {key!r}" if key else "config"
+    if type(raw) is not dict:
+        raise DataError(f"{what} must be an object")
+    declared = fields(cls)
+    unknown = set(raw).difference(f.name for f in declared)
+    if unknown:
+        raise DataError(f"{what} has unknown fields {sorted(unknown)}")
+    scope = vars(sys.modules[cls.__module__])  # where annotations resolve
+    values = {}
+    for f in declared:
+        name = f"{key}.{f.name}" if key else f.name
+        if f.name not in raw:
+            if f.default is MISSING:
+                raise DataError(f"config key {name} is missing")
+            continue
+        v = values[f.name] = raw[f.name]
+        # annotations are strings under postponed evaluation: "T | None"
+        type_name, _, optional = f.type.partition(" | ")
+        if v is None and optional:
+            continue
+        if type_name not in _SCALARS:
+            values[f.name] = config_from_dict(scope[type_name], v, name)
+        elif not _SCALARS[type_name][0](v):
+            raise DataError(f"config field {name} must be "
+                            f"{_SCALARS[type_name][1]}, got {v!r}")
+    return cls(**values)
 
 
 @dataclass
@@ -195,20 +242,6 @@ class Adam:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _config_from_dict(raw: dict) -> ModelConfig:
-    try:
-        return ModelConfig(
-            embed_dim=raw["embed_dim"],
-            num_base_classes=raw["num_base_classes"],
-            encoder=EncoderConfig(**raw["encoder"]),
-            dmm=RoutingConfig(**raw["dmm"]),
-            qim=RoutingConfig(**raw["qim"]),
-            share_routing=raw["share_routing"],
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise CheckpointError(f"bad config in checkpoint: {err}") from err
-
-
 def _manifest(model: Model) -> dict:
     arrays = {}
     for name in sorted(model.params):
@@ -261,11 +294,13 @@ def load_checkpoint(path) -> Model:
             f"{str(recorded)[:12]}.., computed {actual[:12]}..")
     raw_config, arrays, meta = (body.get("config"), body.get("params"),
                                 body.get("meta", {}))
-    for key, value in (("config", raw_config), ("params", arrays),
-                       ("meta", meta)):
+    for key, value in (("params", arrays), ("meta", meta)):
         if not isinstance(value, dict):
             raise CheckpointError(f"{path}: {key!r} must be a JSON object")
-    config = _config_from_dict(raw_config)
+    try:
+        config = config_from_dict(ModelConfig, raw_config)
+    except ValueError as err:  # DataError included
+        raise CheckpointError(f"{path}: {err}") from err
     params = {}
     for name, entry in arrays.items():
         try:

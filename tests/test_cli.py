@@ -371,6 +371,19 @@ def _ckpt_with_shape(shape):
     return make
 
 
+def _ckpt_config_with(dotted, value):
+    """The checkpoint with config field ``dotted`` set to ``value``."""
+    def make(body, lines):
+        config = json.loads(json.dumps(body["config"]))
+        *outer, last = dotted.split(".")
+        node = config
+        for part in outer:
+            node = node[part]
+        node[last] = value
+        return _resealed({**body, "config": config})
+    return make
+
+
 def _jsonl_with(literal):
     """The data file with one vector entry replaced by ``literal``."""
     def make(body, lines):
@@ -400,87 +413,129 @@ EVAL_CONFIG = ["eval", "--config", BAD, "--model", MODEL, "--data", DATA,
 PRETRAIN_CONFIG = ["pretrain", "--config", BAD, "--data", DATA, "--out", OUT]
 METATRAIN_CONFIG = ["metatrain", "--config", BAD, "--model", MODEL,
                     "--data", DATA, "--out", OUT]
+ABLATE_CONFIG = ["ablate", "--config", BAD, "--data", DATA, "--out", OUT]
 ROUTING_BOOL = {"input_dim": 8, "capsule_count": True, "capsule_dim": 8}
 ROUTING_OK = {"input_dim": 8, "capsule_count": 2, "capsule_dim": 4}
 ROUTING_WIDE = {"input_dim": 8, "capsule_count": 4, "capsule_dim": 2}
 ROUTING_NARROW = {"input_dim": 6, "capsule_count": 2, "capsule_dim": 3}
 ONE_EPISODE = {"episodes": 1, "C": 3, "K": 1, "L": 2}
+# small enough that the parent's reading of num_base 0 ran to exit 0
+TINY_ABLATION = {"stage1": {"steps": 1, "batch_size": 4},
+                 "stage2": ONE_EPISODE,
+                 "eval": {"episodes": 1, "queries_per_class": 1}}
 
-# (case, file suffix, file maker, argv)
+# (case, file suffix, file maker, argv, substrings stderr must hold besides
+# the file's name: the dotted key of a bad config or checkpoint field)
 MALFORMED = [
-    ("ckpt_no_config", ".ckpt", _ckpt_without("config"), EVAL),
-    ("ckpt_no_params", ".ckpt", _ckpt_without("params"), EVAL),
-    ("ckpt_params_not_object", ".ckpt", _ckpt_with("params", "x"), EVAL),
+    ("ckpt_no_config", ".ckpt", _ckpt_without("config"), EVAL, ["config"]),
+    ("ckpt_no_params", ".ckpt", _ckpt_without("params"), EVAL, ["'params'"]),
+    ("ckpt_params_not_object", ".ckpt", _ckpt_with("params", "x"), EVAL,
+     ["'params'"]),
     ("ckpt_meta_not_object", ".ckpt", _ckpt_with("meta", 3),
      ["separation", "--model", BAD, "--data", DATA, "--way", "2",
-      "--shot", "1", "--out-csv", OUT]),
-    ("ckpt_float_shape", ".ckpt", _ckpt_with_shape([1.0]), EVAL),
+      "--shot", "1", "--out-csv", OUT], ["'meta'"]),
+    ("ckpt_float_shape", ".ckpt", _ckpt_with_shape([1.0]), EVAL,
+     ["'clf.log_tau'"]),
+    ("ckpt_float_embed_dim", ".ckpt", _ckpt_config_with("embed_dim", 8.0),
+     EVAL, ["config field embed_dim must be an integer"]),
+    ("ckpt_float_num_base_classes", ".ckpt",
+     _ckpt_config_with("num_base_classes", 6.0), EVAL,
+     ["config field num_base_classes must be an integer"]),
+    ("ckpt_string_share_routing", ".ckpt",
+     _ckpt_config_with("share_routing", "no"), EVAL,
+     ["config field share_routing must be true or false"]),
+    ("ckpt_unknown_config_field", ".ckpt", _ckpt_config_with("dmm.bogus", 1),
+     EVAL, ["config key 'dmm'", "'bogus'"]),
     ("config_float_int", ".json", _config({"stage1": {"steps": 2.5}}),
-     PRETRAIN_CONFIG),
+     PRETRAIN_CONFIG, ["stage1.steps"]),
     ("config_bool_int", ".json", _config({"eval": {"episodes": True}}),
-     EVAL_CONFIG),
+     EVAL_CONFIG, ["eval.episodes"]),
     ("config_float_shot", ".json",
-     _config({"stage2": {"episodes": 1, "K": 1.0}}), METATRAIN_CONFIG),
+     _config({"stage2": {"episodes": 1, "K": 1.0}}), METATRAIN_CONFIG,
+     ["stage2.K"]),
     ("config_bool_float", ".json",
      _config({"stage2": {**ONE_EPISODE, "learning_rate": True}}),
-     METATRAIN_CONFIG),
+     METATRAIN_CONFIG, ["stage2.learning_rate"]),
     ("config_string_freeze_tau", ".json",
      _config({"freeze_tau": "false", "stage2": ONE_EPISODE}),
-     METATRAIN_CONFIG),
+     METATRAIN_CONFIG, ["config field freeze_tau"]),
     ("config_string_share_params", ".json",
      _config({"routing": {"dmm": ROUTING_OK, "qim": ROUTING_OK,
                           "share_params": "no"}}),
-     PRETRAIN_CONFIG),
+     PRETRAIN_CONFIG, ["routing.share_params"]),
     ("config_unequal_shared_routing", ".json",
      _config({"routing": {"dmm": ROUTING_OK, "qim": ROUTING_WIDE,
                           "share_params": True}}),
-     PRETRAIN_CONFIG),
+     PRETRAIN_CONFIG, ["routing.share_params"]),
     ("config_routing_dim_for_vectors", ".json",
      _config({"routing": {"dmm": ROUTING_NARROW, "qim": ROUTING_NARROW}}),
-     PRETRAIN_CONFIG),
+     PRETRAIN_CONFIG, ["dmm.input_dim"]),
     ("config_routing_qim_missing", ".json",
-     _config({"routing": {"dmm": ROUTING_OK}}), PRETRAIN_CONFIG),
+     _config({"routing": {"dmm": ROUTING_OK}}), PRETRAIN_CONFIG,
+     ["routing.qim"]),
     ("config_routing_not_object", ".json", _config({"routing": [1]}),
-     PRETRAIN_CONFIG),
+     PRETRAIN_CONFIG, ["'routing'"]),
+    ("config_null_stage", ".json", _config({"stage1": None}),
+     PRETRAIN_CONFIG, ["'stage1'"]),
     ("config_encoder_dim_for_vectors", ".json",
      _config({"encoder": {"kind": "precomputed", "embed_dim": 5}}),
-     PRETRAIN_CONFIG),
+     PRETRAIN_CONFIG, ["encoder", "embed_dim=5"]),
     ("config_vector_encoder_for_text", ".json",
      _config({"encoder": {"kind": "precomputed", "embed_dim": 8}}),
-     ["pretrain", "--config", BAD, "--data", TEXT, "--out", OUT]),
-    ("config_string_seed", ".json", _config({"seed": "3"}), EVAL_CONFIG),
+     ["pretrain", "--config", BAD, "--data", TEXT, "--out", OUT],
+     ["encoder.kind"]),
+    ("config_string_seed", ".json", _config({"seed": "3"}), EVAL_CONFIG,
+     ["config field seed"]),
     ("config_overflowing_stage1_lr", ".json",
-     _text('{"stage1": {"learning_rate": 1e999}}'), PRETRAIN_CONFIG),
+     _text('{"stage1": {"learning_rate": 1e999}}'), PRETRAIN_CONFIG,
+     ["stage1.learning_rate"]),
     ("config_overflowing_stage2_lr", ".json",
      _text('{"stage2": {"episodes": 1, "C": 3, "K": 1, "L": 2, '
-           '"learning_rate": 1e999}}'), METATRAIN_CONFIG),
+           '"learning_rate": 1e999}}'), METATRAIN_CONFIG,
+     ["stage2.learning_rate"]),
     ("config_infinity_lr", ".json",
-     _config({"stage1": {"learning_rate": float("inf")}}), PRETRAIN_CONFIG),
+     _config({"stage1": {"learning_rate": float("inf")}}), PRETRAIN_CONFIG,
+     ["stage1.learning_rate"]),
     ("config_bool_routing", ".json",
      _config({"routing": {"dmm": ROUTING_BOOL, "qim": ROUTING_BOOL}}),
-     PRETRAIN_CONFIG),
+     PRETRAIN_CONFIG, ["routing.dmm.capsule_count"]),
+    ("config_one_way", ".json", _config({"stage2": {**ONE_EPISODE, "C": 1}}),
+     METATRAIN_CONFIG, ["stage2.C must be >= 2"]),
+    ("config_zero_shot", ".json",
+     _config({"stage2": {**ONE_EPISODE, "K": 0}}), METATRAIN_CONFIG,
+     ["stage2.K must be >= 1"]),
+    ("config_zero_queries", ".json",
+     _config({"stage2": {**ONE_EPISODE, "L": 0}}), METATRAIN_CONFIG,
+     ["stage2.L must be >= 1"]),
+    ("config_negative_seed", ".json",
+     _config({"seed": -1, "stage2": ONE_EPISODE}), METATRAIN_CONFIG,
+     ["seed must be in [0, 2**64)"]),
+    ("config_zero_num_base", ".json",
+     _config({**TINY_ABLATION, "num_base": 0}), ABLATE_CONFIG,
+     ["num_base must be >= 1"]),
     ("jsonl_nan", ".jsonl", _jsonl_with("NaN"),
-     ["pretrain", "--data", BAD, "--out", OUT]),
+     ["pretrain", "--data", BAD, "--out", OUT], []),
     ("jsonl_infinity", ".jsonl", _jsonl_with("-Infinity"),
      ["eval", "--model", MODEL, "--data", BAD, "--episodes", "1",
-      "--out", OUT]),
+      "--out", OUT], []),
     ("jsonl_huge_int", ".jsonl", _jsonl_with("1" + "0" * 400),
-     ["pretrain", "--data", BAD, "--out", OUT]),
+     ["pretrain", "--data", BAD, "--out", OUT], []),
     ("jsonl_invalid_utf8", ".jsonl",
      _text(b'{"label": "a\xff", "vector": [1.0, 2.0]}\n'),
-     ["pretrain", "--data", BAD, "--out", OUT]),
+     ["pretrain", "--data", BAD, "--out", OUT], []),
     ("tsv_no_tab", ".tsv", _text("red\tcrimson scarlet\nblue navy azure\n"),
-     ["pretrain", "--data", BAD, "--out", OUT]),
+     ["pretrain", "--data", BAD, "--out", OUT], []),
     ("tsv_invalid_utf8", ".tsv", _text(b"red\tcrimson\nblue\tn\xffvy\n"),
-     ["pretrain", "--data", BAD, "--out", OUT]),
+     ["pretrain", "--data", BAD, "--out", OUT], []),
 ]
 
 
-@pytest.mark.parametrize("case,suffix,make,argv", MALFORMED,
+@pytest.mark.parametrize("case,suffix,make,argv,named", MALFORMED,
                          ids=[row[0] for row in MALFORMED])
 def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
                                                data_path, text_path, capsys,
-                                               case, suffix, make, argv):
+                                               case, suffix, make, argv,
+                                               named):
     body = json.loads(trained_path.read_text(encoding="utf-8"))
     lines = data_path.read_text(encoding="utf-8").splitlines()
     bad = tmp_path / f"{case}{suffix}"
@@ -495,8 +550,8 @@ def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
     assert err.startswith("dmin: data error:"), err
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert "Traceback" not in err
-    if suffix != ".ckpt":  # a bad data or config file is named
-        assert bad.name in err, err
+    for part in [bad.name, *named]:
+        assert part in err, err
 
 
 def _run_cli(argv, env_extra=None):

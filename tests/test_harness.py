@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import logging
 import math
+import typing
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -22,9 +25,14 @@ from dmin.harness import (ABLATIONS, EvalSettings, MetaTrainResult,
                           pretrain, run_ablation_suite, run_pipeline,
                           separation_report, train_config_from_dict,
                           train_config_to_dict)
-from dmin.model import Adam, init_model
+from dmin.model import (Adam, ModelConfig, config_from_dict, init_model,
+                        load_checkpoint)
 from dmin.routing import RoutingConfig
 from oracles import prototype_predict
+from test_acceptance import C4_CONFIG
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / \
+    "c4_model.ckpt"
 
 
 def small_cfg(dim=8, **kwargs):
@@ -66,7 +74,8 @@ class TestTrainConfig:
         assert cfg.eval.episodes == 100
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError,
+                           match=r"config has unknown fields \['stage3'\]"):
             train_config_from_dict({"stage3": {}})
         with pytest.raises(DataError):
             train_config_from_dict({"stage1": {"nope": 1}})
@@ -117,6 +126,15 @@ class TestTrainConfig:
             small_cfg(eval=EvalSettings(episodes=0))
         with pytest.raises(ValueError):
             small_cfg(meta_source="sideways")
+        for key, over in (("stage2.C", {"stage2": Stage2Config(C=1)}),
+                          ("stage2.K", {"stage2": Stage2Config(K=0)}),
+                          ("stage2.L", {"stage2": Stage2Config(L=0)}),
+                          ("seed", {"seed": -1}),
+                          ("seed", {"seed": 2 ** 64}),
+                          ("num_base", {"num_base": 0})):
+            with pytest.raises(ValueError, match=key):
+                small_cfg(**over)
+        assert small_cfg(seed=2 ** 64 - 1, num_base=1).num_base == 1
 
     def test_config_hash_stable(self):
         cfg = small_cfg()
@@ -125,6 +143,110 @@ class TestTrainConfig:
             train_config_to_dict(small_cfg()))
         assert config_hash_hex(d) != config_hash_hex(
             train_config_to_dict(small_cfg(seed=99)))
+
+
+# wrong JSON values for each scalar field type; a bool is not an int
+WRONG_VALUES = {int: [True, 2.0], bool: ["false"], float: [1e999, True],
+                str: [3]}
+# (config class, its decoder, a valid JSON object for it)
+CONFIG_ROOTS = [
+    (TrainConfig, train_config_from_dict,
+     train_config_to_dict(TrainConfig())),
+    (ModelConfig, lambda raw: config_from_dict(ModelConfig, raw),
+     asdict(model_config_from(TrainConfig(), 4))),
+]
+
+
+def _config_fields(cls, prefix=""):
+    """(dotted key, type, takes null) for each field of config dataclass
+    ``cls`` and, recursively, of the config dataclasses it holds."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp, key = hints[f.name], prefix + f.name
+        args = typing.get_args(tp)
+        nullable = type(None) in args
+        if nullable:
+            (tp,) = [a for a in args if a is not type(None)]
+        yield key, tp, nullable
+        if dataclasses.is_dataclass(tp):
+            yield from _config_fields(tp, key + ".")
+
+
+def _with_value(raw, key, value):
+    """A deep copy of the JSON object ``raw`` with ``key`` (dotted) set."""
+    raw = json.loads(json.dumps(raw))
+    *outer, last = key.split(".")
+    node = raw
+    for part in outer:
+        node = node[part]
+    node[last] = value
+    return raw
+
+
+class TestConfigDecoder:
+    """The one decoder of train configs and checkpoint configs, checked
+    against a type table read from the dataclasses, so that a field added
+    later is covered without editing this test."""
+
+    @pytest.mark.parametrize("cls,decode,base", CONFIG_ROOTS,
+                             ids=[root[0].__name__ for root in CONFIG_ROOTS])
+    def test_every_field_rejects_wrong_types_and_null(self, cls, decode,
+                                                      base):
+        assert isinstance(decode(base), cls)
+        seen, failures = set(), []
+        for key, tp, nullable in _config_fields(cls):
+            assert tp in WRONG_VALUES or dataclasses.is_dataclass(tp), key
+            seen.add(tp)
+            cases = [] if nullable else [None]
+            cases += WRONG_VALUES.get(tp, [])
+            for value in cases:
+                try:
+                    decode(_with_value(base, key, value))
+                    failures.append(f"{key} = {value!r} accepted")
+                except DataError as err:
+                    if key not in str(err):
+                        failures.append(f"{key} = {value!r}: {err}")
+            if nullable:
+                assert decode(_with_value(base, key, None)) is not None
+        assert seen >= {int, bool, str}, seen
+        assert failures == []
+
+    def test_only_num_base_and_routing_take_null(self):
+        nullable = {key for key, _, takes_null
+                    in _config_fields(TrainConfig) if takes_null}
+        assert nullable == {"num_base", "routing"}
+        assert not any(takes_null for *_, takes_null
+                       in _config_fields(ModelConfig))
+        cfg = train_config_from_dict({"num_base": None, "routing": None})
+        assert cfg == TrainConfig()
+        with pytest.raises(DataError, match="'stage1' must be an object"):
+            train_config_from_dict({"stage1": None})
+
+    @pytest.mark.parametrize("cfg", [TrainConfig(), C4_CONFIG],
+                             ids=["default", "criterion_4"])
+    def test_train_config_round_trip(self, cfg):
+        assert train_config_from_dict(json.loads(json.dumps(asdict(cfg)))) \
+            == cfg
+
+    def test_fixture_checkpoint_config(self):
+        rc = RoutingConfig(32, capsule_count=2, capsule_dim=16, iterations=2)
+        expected = ModelConfig(
+            embed_dim=32, num_base_classes=20,
+            encoder=EncoderConfig(kind="precomputed", embed_dim=32),
+            dmm=rc, qim=rc, share_routing=False)
+        raw = json.loads(FIXTURE.read_text(encoding="utf-8"))["config"]
+        assert config_from_dict(ModelConfig, raw) == expected
+        assert load_checkpoint(FIXTURE).config == expected
+
+    def test_checkpoint_config_fields_name_the_key(self):
+        raw = _with_value(CONFIG_ROOTS[1][2], "dmm.bogus", 1)
+        with pytest.raises(DataError,
+                           match=r"config key 'dmm' has unknown fields "
+                                 r"\['bogus'\]"):
+            config_from_dict(ModelConfig, raw)
+        del raw["dmm"]
+        with pytest.raises(DataError, match="config key dmm is missing"):
+            config_from_dict(ModelConfig, raw)
 
 
 class TestPretrain:
