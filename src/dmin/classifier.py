@@ -6,7 +6,9 @@ vectors during episodic training.  Scores are ``tau * cos(e, w)``; the
 temperature is stored as ``log tau`` so it stays positive no matter
 what the optimizer does.  A classifier is built once per forward pass
 and computes ``tau = exp(log tau)`` then, so one pass records one ``exp``
-however many scores it takes.
+however many scores it takes.  :func:`base_scores` scores a whole (B, d)
+stack of inputs as one broadcast cosine node, so a pretraining batch or
+a full accuracy pass records one scoring node, not one per item.
 
 Both losses are one :func:`dmin.numerics.cross_entropy` node over the
 stacked score rows; they differ only in the constant row weights.
@@ -52,17 +54,25 @@ class CosineClassifier:
 
 
 def _check_nonzero(vec: Tensor, what: str) -> None:
-    if float(np.linalg.norm(vec.array)) <= EPS:
+    # the smallest row norm, so one (near) zero row of a stack is caught
+    if float(np.linalg.norm(vec.array, axis=-1).min()) <= EPS:
         raise ValueError(f"{what} has zero norm; cosine scores are undefined")
 
 
 def base_scores(clf: CosineClassifier, e: Tensor) -> Tensor:
-    """Scaled cosine of ``e`` against every base-class weight row."""
-    _check_nonzero(e, "input vector")
-    if e.array.shape != (clf.embed_dim,):
+    """Scaled cosine of ``e`` against every base-class weight row.
+
+    ``e`` is one (d,) vector, scored to (num_base,), or a (B, d) stack,
+    scored as one (B, num_base) cosine node.
+    """
+    d = clf.embed_dim
+    if e.ndim not in (1, 2) or e.shape[-1] != d:
         raise ValueError(
-            f"input has shape {e.array.shape}, classifier expects "
-            f"({clf.embed_dim},)")
+            f"input has shape {e.shape}, classifier expects ({d},) or "
+            f"(B, {d})")
+    _check_nonzero(e, "input vector")
+    if e.ndim == 2:  # (B, 1, d) broadcasts against the (num_base, d) rows
+        e = nm.reshape(e, (e.shape[0], 1, d))
     return nm.mul(clf.tau, nm.cosine(clf.w_base, e))
 
 

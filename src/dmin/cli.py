@@ -102,8 +102,22 @@ def _config_for(path, dataset: Dataset) -> TrainConfig:
     try:
         model_config_from(cfg, dataset.num_classes)
     except ValueError as err:
-        raise DataError(f"{path}: {err}" if path else str(err)) from err
+        # ModelConfig calls the routing configs dmm and qim; a config
+        # file nests them under routing
+        key = "" if cfg.routing is None else "routing."
+        raise DataError(f"{path}: {key}{err}" if path else str(err)) from err
     return cfg
+
+
+def _check_way(path, dataset: Dataset, way: int, need: int) -> None:
+    """Refuse a ``stage2.C`` that the dataset cannot fill with classes of
+    ``need`` items, naming the config file before any episode runs."""
+    have = len(dataset.eligible_classes(need))
+    if have < way:
+        raise DataError(
+            f"{path or 'default config'}: stage2.C = {way} needs {way} "
+            f"classes with at least {need} items (shots plus queries), "
+            f"dataset has {have}")
 
 
 def _check_data_matches(model: Model, dataset: Dataset) -> None:
@@ -139,6 +153,9 @@ def _cmd_metatrain(args) -> int:
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)
     cfg = _load_config(args.config)[1]
+    if cfg.stage2.episodes:
+        _check_way(args.config, dataset, cfg.stage2.C,
+                   cfg.stage2.K + cfg.stage2.L)
     result = meta_train(model, dataset, cfg)
     save_checkpoint(model, args.out)
     tail = (f"; final loss {result.losses[-1]:.4f}" if result.losses else "")
@@ -153,6 +170,11 @@ def _cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)
     cfg = _load_config(args.config)[1]
+    if args.way is None:
+        _check_way(args.config, dataset, cfg.stage2.C,
+                   (cfg.stage2.K if args.shot is None else args.shot)
+                   + (cfg.eval.queries_per_class if args.queries is None
+                      else args.queries))
     report = evaluate(model, dataset, cfg, episodes=args.episodes,
                       way=args.way, shot=args.shot, queries=args.queries,
                       seed=args.seed, ablation=args.ablation)
@@ -179,6 +201,10 @@ def _cmd_synth(args) -> int:
 def _cmd_ablate(args) -> int:
     dataset = load_dataset(args.data)
     cfg = _config_for(args.config, dataset)
+    if cfg.num_base is not None and cfg.num_base >= dataset.num_classes:
+        raise DataError(
+            f"{args.config}: num_base must be below the dataset's "
+            f"{dataset.num_classes} classes, got {cfg.num_base}")
     rows = run_ablation_suite(dataset, cfg, csv_path=args.out)
     for row in rows:
         print(f"{row['model']:<8s} r={row['iterations']}  "

@@ -14,11 +14,13 @@ externally computed vectors, which :meth:`dmin.model.Model.encode` passes
 through unchanged, so that kind has no encoder object and no parameters.
 
 Hashing is plain arithmetic on documented constants, so bucket
-assignment is identical across runs and platforms.
+assignment is identical across runs and platforms.  A bounded memo of
+each token's bucket keeps repeated tokens from being hashed again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,9 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+# FNV-1a runs byte by byte in Python, so each (token, buckets) pair is
+# hashed once; the bound caps the memo at a few MB on a large vocabulary
+@functools.lru_cache(maxsize=1 << 14)
 def token_bucket(token: str, buckets: int) -> int:
     return fnv1a64(token.encode("utf-8")) % buckets
 

@@ -262,10 +262,9 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
         tape = nm.Tape()
         tensors = model.tensors(tape)
         clf = model.classifier(tensors)
-        scores = nm.stack_rows([
-            base_scores(clf, model.encode(tensors,
-                                          base_dataset.payloads[int(i)]))
-            for i in batch])
+        scores = base_scores(clf, nm.stack_rows([
+            model.encode(tensors, base_dataset.payloads[int(i)])
+            for i in batch]))
         loss = loss_supervised(scores,
                                [base_dataset.labels[int(i)] for i in batch])
         grads = nm.backward(tape, loss)
@@ -280,11 +279,9 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
 
 def _train_accuracy(model: Model, dataset: Dataset) -> float:
     tensors = model.tensors()
-    clf = model.classifier(tensors)
-    hits = 0
-    for payload, label in zip(dataset.payloads, dataset.labels):
-        s = base_scores(clf, model.encode(tensors, payload))
-        hits += int(np.argmax(s.array)) == label
+    scores = base_scores(model.classifier(tensors), nm.stack_rows(
+        [model.encode(tensors, payload) for payload in dataset.payloads]))
+    hits = np.count_nonzero(scores.array.argmax(axis=1) == dataset.labels)
     return hits / dataset.num_items
 
 

@@ -185,6 +185,11 @@ def init_model(config: ModelConfig, seed: int = 0) -> Model:
 # optimizer
 # ---------------------------------------------------------------------------
 
+# entries per block of a large parameter's Adam update: six float64 blocks
+# (parameter, gradient, two moments, two scratch rows) take 1.5 MB
+_CHUNK = 1 << 15
+
+
 @dataclass
 class Adam:
     """Adam update rule; state is kept per parameter name."""
@@ -210,32 +215,50 @@ class Adam:
                 raise nm.NumericError(
                     f"non-finite gradient for {name} at step {self.t + 1}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        scratch = None
         for name, g in grads.items():
-            m = self.m.get(name)
+            p, m = params[name], self.m.get(name)
             if m is None:
-                m = self.m[name] = np.zeros_like(params[name])
-                self.v[name] = np.zeros_like(params[name])
+                m = self.m[name] = np.zeros(p.shape)  # C-contiguous
+                self.v[name] = np.zeros(p.shape)
             v = self.v[name]
-            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-            # p -= lr*(m/c1) / (sqrt(v/c2) + eps), in that operation order,
-            # through two scratch arrays; out= keeps a rank-0 result an
-            # array, where the plain ufunc would return a scalar
-            s, u = np.empty_like(m), np.empty_like(m)
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=s)
-            v *= b2
-            np.multiply(1.0 - b2, g, out=s)
-            s *= g
-            v += s
-            np.divide(m, c1, out=s)
-            np.divide(v, c2, out=u)
-            np.sqrt(u, out=u)
-            u += self.eps
-            s *= self.lr
-            s /= u
-            params[name] -= s
+            if m.size <= _CHUNK or not p.flags.c_contiguous:
+                self._update(p, m, v, g, np.empty_like(m), np.empty_like(m),
+                             c1, c2)
+                continue
+            # a large parameter goes through in blocks that stay in cache
+            # for all of their operations, sharing one pair of scratch rows
+            if scratch is None:
+                scratch = np.empty((2, _CHUNK))
+            p, m, v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
+            g = g.reshape(-1)
+            for lo in range(0, p.size, _CHUNK):
+                hi = min(lo + _CHUNK, p.size)
+                self._update(p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi],
+                             scratch[0, :hi - lo], scratch[1, :hi - lo],
+                             c1, c2)
+
+    def _update(self, p, m, v, g, s, u, c1, c2) -> None:
+        """m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        p -= lr*(m/c1) / (sqrt(v/c2) + eps), in place and in that
+        operation order, through the scratch arrays ``s`` and ``u``;
+        out= keeps a rank-0 result an array, where the plain ufunc would
+        return a scalar."""
+        b1, b2 = self.beta1, self.beta2
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=s)
+        v *= b2
+        np.multiply(1.0 - b2, g, out=s)
+        s *= g
+        v += s
+        np.divide(m, c1, out=s)
+        np.divide(v, c2, out=u)
+        np.sqrt(u, out=u)
+        u += self.eps
+        s *= self.lr
+        s /= u
+        p -= s
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,17 @@ Conventions:
   the last axis and treat any leading axes as independent rows, so a
   rank-1 input is simply a single row.  :func:`embed` is :func:`linear`
   of one sparse constant row, given as the strictly increasing indices of
-  its nonzero columns and their values.  The second operand of :func:`dot`,
-  :func:`cosine` and :func:`pccs` has the shape of the first's trailing
-  axes and is broadcast over its leading ones; :func:`vecmat` weights and
-  sums the leading axis of its second operand.  :func:`cross_entropy`
-  takes one label and one weight per row and sums the rows to a scalar;
-  its labels and weights are plain constants, never recorded.  There is
-  no other broadcasting except scalar-times-tensor in :func:`mul`,
+  its nonzero columns and their values.  The second operand of :func:`dot`
+  and :func:`pccs` has the shape of the first's trailing axes and is
+  broadcast over its leading ones.  The leading axes of :func:`cosine`'s
+  two operands broadcast by numpy's rules, so a (n, d) ``m`` against a
+  (B, 1, d) ``q`` scores B rows against n in one node; its VJP sums each
+  operand's gradient over the axes that operand was broadcast along.
+  :func:`vecmat` weights and sums the leading axis of its second operand.
+  :func:`cross_entropy` takes one label and one weight per row and sums
+  the rows to a scalar; its labels and weights are plain constants, never
+  recorded.  There is no other broadcasting except scalar-times-tensor in
+  :func:`mul`,
 - :func:`vecmat`'s sum over rows (and so :func:`route`'s capsule mix) is
   order-fixed: each column's products are sorted before they are added,
   so the result does not depend on the order of the rows,
@@ -489,9 +493,25 @@ def _centre(a):
     return a - _add(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
+def _sum_to(g, shape):
+    """Sum ``g`` over the axes along which an operand of ``shape`` was
+    broadcast to ``g.shape``: its missing leading axes and its length-1
+    axes."""
+    if g.shape == shape:
+        return g
+    if g.shape[1:] == shape:  # one added leading axis (routing): no tuple work
+        return _add(g, axis=0)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, k in enumerate(shape) if k == 1 < g.shape[lead + i])
+    return _add(g, axis=axes, keepdims=True).reshape(shape)
+
+
 def _cosines(mv, qv, nrows=None, centred=False):
-    """Cosine of each row of ``mv`` with the matching row of ``qv`` (the
-    shape of ``mv``'s trailing axes) and its VJP to (row, query) gradients.
+    """Cosine of each row of ``mv`` with the matching row of ``qv`` and its
+    VJP to (row, query) gradients.  The leading axes of ``mv`` and ``qv``
+    broadcast by numpy's rules; each gradient is summed over the axes its
+    operand was broadcast along.
 
     ``nrows`` may pass in the row norms of ``mv``.  ``centred`` inputs are
     mean-centred (Pearson): centring is a symmetric projection, so the VJP
@@ -515,15 +535,15 @@ def _cosines(mv, qv, nrows=None, centred=False):
         gl = np.where(live, g, 0.0)
         a = gl / norms
         glc = gl * c
-        gm = a[..., None] * qv \
-            - (glc / (safe_rows * safe_rows))[..., None] * mv
+        gm = _sum_to(a[..., None] * qv
+                     - (glc / (safe_rows * safe_rows))[..., None] * mv,
+                     mv.shape)
         if rank1:
             gq = mv.reshape(-1, qv.shape[0]).T @ a.reshape(-1) \
                 - qv * float(glc.sum()) / (safe_q * safe_q)
         else:
-            lead = tuple(range(mv.ndim - qv.ndim))
-            gq = (a[..., None] * mv).sum(axis=lead) - qv * (
-                glc.sum(axis=lead) / (safe_q * safe_q))[..., None]
+            gq = _sum_to(a[..., None] * mv, qv.shape) - qv * (
+                _sum_to(glc, nq.shape) / (safe_q * safe_q))[..., None]
         return (_centre(gm), _centre(gq)) if centred else (gm, gq)
 
     return _clip(c, -1.0, 1.0), vjp
@@ -532,10 +552,15 @@ def _cosines(mv, qv, nrows=None, centred=False):
 def cosine(m: Tensor, q: Tensor) -> Tensor:
     """Cosine similarity of each row of ``m`` with the matching row of ``q``.
 
-    ``q`` has the shape of ``m``'s trailing axes.  0 where either norm is
-    below EPS.  A rank-1 ``m`` gives a scalar.
+    The rows have one length; the leading axes of ``m`` and ``q``
+    broadcast by numpy's rules and give the shape of the result, so a
+    (n, d) ``m`` against a (B, 1, d) ``q`` gives (B, n) scores.  0 where
+    either norm is below EPS.  Two rank-1 operands give a scalar.
     """
-    _check_trailing("cosine", m, q)
+    if m.ndim < 1 or q.ndim < 1 or m.shape[-1] != q.shape[-1] or not all(
+            a == b or 1 in (a, b) for a, b in zip(m.shape[-2::-1],
+                                                  q.shape[-2::-1])):
+        raise ValueError(f"cosine: shape mismatch {m.shape} vs {q.shape}")
     c, vjp = _cosines(m.array, q.array)
     return _result("cosine", c, (m, q), vjp)
 

@@ -68,6 +68,30 @@ class TestBaseScores:
         with pytest.raises(ValueError):
             base_scores(clf, nm.constant(np.zeros(3)))
 
+    def test_stack_is_scored_row_by_row(self):
+        rng = np.random.default_rng(10)
+        w = rng.normal(size=(5, 8))
+        e = rng.normal(size=(4, 8))
+        got = base_scores(make_clf(w), nm.constant(e)).array
+        assert got.shape == (4, 5)
+        for row, want in zip(got, e):
+            npt.assert_allclose(row, base_scores(make_clf(w),
+                                                 nm.constant(want)).array,
+                                rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("rows", [
+        [1e-13, 0.0, -1e-13],
+        [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]],
+        [[1.0, 2.0, 3.0], [1e-13, 0.0, 0.0], [3.0, 2.0, 1.0]]])
+    def test_near_zero_row_rejected(self, rows):
+        with pytest.raises(ValueError, match="zero norm"):
+            base_scores(make_clf(np.eye(3)), nm.constant(rows))
+
+    def test_wrong_input_shape_rejected(self):
+        for shape in ((4,), (2, 4), (2, 1, 3), ()):
+            with pytest.raises(ValueError, match="classifier expects"):
+                base_scores(make_clf(np.eye(3)), nm.constant(np.ones(shape)))
+
     def test_tau_positive_for_any_log_tau(self):
         for log_tau in (-40.0, -1.0, 0.0, 3.0):
             clf = CosineClassifier(nm.constant(np.eye(2)),

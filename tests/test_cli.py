@@ -469,7 +469,7 @@ MALFORMED = [
      PRETRAIN_CONFIG, ["routing.share_params"]),
     ("config_routing_dim_for_vectors", ".json",
      _config({"routing": {"dmm": ROUTING_NARROW, "qim": ROUTING_NARROW}}),
-     PRETRAIN_CONFIG, ["dmm.input_dim"]),
+     PRETRAIN_CONFIG, ["routing.dmm.input_dim"]),
     ("config_routing_qim_missing", ".json",
      _config({"routing": {"dmm": ROUTING_OK}}), PRETRAIN_CONFIG,
      ["routing.qim"]),
@@ -513,6 +513,18 @@ MALFORMED = [
     ("config_zero_num_base", ".json",
      _config({**TINY_ABLATION, "num_base": 0}), ABLATE_CONFIG,
      ["num_base must be >= 1"]),
+    # values that only the dataset (6 classes of 12 items) refutes
+    ("config_way_beyond_data", ".json",
+     _config({"stage2": {**ONE_EPISODE, "C": 7}}), METATRAIN_CONFIG,
+     ["stage2.C = 7"]),
+    ("config_items_beyond_data", ".json",
+     _config({"stage2": {**ONE_EPISODE, "L": 12}}), METATRAIN_CONFIG,
+     ["stage2.C = 3", "at least 13 items"]),
+    ("config_way_beyond_data_eval", ".json", _config({"stage2": {"C": 7}}),
+     EVAL_CONFIG, ["stage2.C = 7"]),
+    ("config_num_base_beyond_data", ".json",
+     _config({**TINY_ABLATION, "num_base": 6}), ABLATE_CONFIG,
+     ["num_base", "6 classes"]),
     ("jsonl_nan", ".jsonl", _jsonl_with("NaN"),
      ["pretrain", "--data", BAD, "--out", OUT], []),
     ("jsonl_infinity", ".jsonl", _jsonl_with("-Infinity"),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
-from dmin.classifier import loss_episode
+from dmin.classifier import base_scores, loss_episode
 from dmin.encoder import EncoderConfig
 from dmin.episodes import (DataError, Dataset, EpisodeConfig,
                            gen_synthetic, sample_episode, split_base_novel)
@@ -249,6 +249,16 @@ class TestConfigDecoder:
             config_from_dict(ModelConfig, raw)
 
 
+def _text_dataset(rng, items):
+    """Lines of 2-7 words over three overlapping 14-word vocabularies."""
+    words = [f"w{i}" for i in range(40)]
+    payloads = [" ".join(rng.choice(words[10 * (k % 3):10 * (k % 3) + 14],
+                                    size=rng.integers(2, 8)))
+                for k in range(items)]
+    return Dataset(payloads=payloads, labels=[k % 3 for k in range(items)],
+                   class_names=["a", "b", "c"])
+
+
 class TestPretrain:
     def test_three_separated_classes_reach_095(self):
         ds = blob_dataset(num_classes=3, per_class=30, dim=16,
@@ -280,7 +290,7 @@ class TestPretrain:
         model.params["clf.w_base"][:] = np.ones((5, 8))
         tensors = model.tensors()
         clf = model.classifier(tensors)
-        from dmin.classifier import base_scores, loss_supervised
+        from dmin.classifier import loss_supervised
         losses = [loss_supervised(
             base_scores(clf, model.encode(tensors, p)), lab).item()
             for p, lab in zip(ds.payloads[:20], ds.labels[:20])]
@@ -312,14 +322,35 @@ class TestPretrain:
         with pytest.raises(DataError):
             pretrain(ds, cfg, model=model)
 
+    def test_train_accuracy_counts_what_the_per_item_loop_counts(self):
+        ds = _text_dataset(np.random.default_rng(7), 60)
+        cfg = small_cfg(encoder=EncoderConfig(embed_dim=8, vocab_buckets=64),
+                        stage1=Stage1Config(steps=4, batch_size=8,
+                                            learning_rate=1e-2))
+        result = pretrain(ds, cfg)
+        model = result.model
+        tensors = model.tensors()
+        clf = model.classifier(tensors)
+        hits = sum(int(np.argmax(base_scores(
+            clf, model.encode(tensors, payload)).array)) == label
+            for payload, label in zip(ds.payloads, ds.labels))
+        assert 0 < hits < ds.num_items  # neither count is trivial
+        assert result.train_accuracy == hits / ds.num_items
+
+    def test_a_text_batch_records_at_most_90_tape_nodes(self, monkeypatch):
+        # 32 items of 2 nodes each (embed, tanh), 19 parameter leaves and
+        # one node each for tau, stacking, reshaping, cosine, tau * cosine
+        # and the loss: 89, where per-item scoring recorded 150
+        sizes, real = [], nm.backward
+        monkeypatch.setattr(nm, "backward", lambda tape, root: (
+            sizes.append(len(tape)), real(tape, root))[1])
+        cfg = TrainConfig(stage1=Stage1Config(steps=2, batch_size=32),
+                          encoder=EncoderConfig())
+        pretrain(_text_dataset(np.random.default_rng(8), 40), cfg)
+        assert len(sizes) == 2 and max(sizes) <= 90, sizes
+
     def test_text_pretraining_is_deterministic(self):
-        rng = np.random.default_rng(6)
-        words = [f"w{i}" for i in range(40)]
-        payloads = [" ".join(rng.choice(words[10 * (k % 3):10 * (k % 3) + 14],
-                                        size=rng.integers(2, 8)))
-                    for k in range(30)]
-        ds = Dataset(payloads=payloads, labels=[k % 3 for k in range(30)],
-                     class_names=["a", "b", "c"])
+        ds = _text_dataset(np.random.default_rng(6), 30)
         cfg = small_cfg(encoder=EncoderConfig(embed_dim=8, vocab_buckets=64),
                         stage1=Stage1Config(steps=15, batch_size=8,
                                             learning_rate=1e-2))

@@ -121,14 +121,20 @@ class TestAdam:
 
     def test_in_place_step_is_bit_identical_to_the_textbook_formula(self):
         rng = np.random.default_rng(31)
-        shapes = {"w": (3, 4), "tau": (), "late": (5,)}
+        # "big" is updated in 32K-entry blocks with a short last block;
+        # "big_t" is as large but not C-contiguous, so it is updated whole
+        shapes = {"w": (3, 4), "tau": (), "late": (5,),
+                  "big": (3 * 2**15 + 7,), "big_t": (64, 1030)}
         start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-        got, want = {k: v.copy() for k, v in start.items()}, \
-            {k: v.copy() for k, v in start.items()}
+        start["big_t"] = start["big_t"].T
+        got, want = {k: v.copy("K") for k, v in start.items()}, \
+            {k: v.copy("K") for k, v in start.items()}
+        assert not got["big_t"].flags.c_contiguous
         opt, ref = Adam(lr=0.01), Adam(lr=0.01)
         for step in range(25):
-            grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 3), shape)
-                     for k, shape in shapes.items()
+            grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 3),
+                                   start[k].shape)
+                     for k in shapes
                      if k != "late" or step >= 7}  # first seen at step 8
             opt.step(got, grads)
             _textbook_adam_step(ref, want, grads)

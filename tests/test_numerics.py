@@ -382,6 +382,13 @@ def _op_cases(rng):
         ("cosine", {"a": vec(d), "b": vec(d)}, lambda t: nm.cosine(t["a"], t["b"])),
         ("cosine/rows", {"m": mat(n, d), "q": vec(d)},
          lambda t: nm.cosine(t["m"], t["q"])),
+        # leading axes broadcast: every query row against every m row, and
+        # query row i against the rows of m[i]
+        ("cosine/broadcast", {"m": mat(n, d), "q": rng.normal(0.0, 2.0, (m, 1, d))},
+         lambda t: nm.cosine(t["m"], t["q"])),
+        ("cosine/batched", {"m": rng.normal(0.0, 2.0, (m, n, d)),
+                            "q": rng.normal(0.0, 2.0, (m, 1, d))},
+         lambda t: nm.cosine(t["m"], t["q"])),
         ("pccs", {"a": vec(d), "b": vec(d)}, lambda t: nm.pccs(t["a"], t["b"])),
         ("pccs/rows", {"m": mat(n, d), "q": vec(d)},
          lambda t: nm.pccs(t["m"], t["q"])),
@@ -499,6 +506,39 @@ def test_row_ops_match_single_row_calls():
             for j in range(l):
                 npt.assert_allclose(whole[:, j], op(c(m3[:, j]), c(q2[j])).array,
                                     rtol=0, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.integers(1, 5), n=st.integers(1, 6), d=st.integers(1, 40),
+       batched=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_broadcast_cosine_rows_match_rows_computed_alone(b, n, d, batched,
+                                                         seed):
+    """Entry (i, j) of a (n, d) or (b, n, d) ``m`` against a (b, 1, d)
+    ``q`` is the cosine of that row of ``m`` with ``q[i, 0]`` computed as
+    two vectors, within ``4 * d * 2**-53 * sum|m * q| / (|m| |q|)``: both
+    sides round a d-term dot and two d-term norms, in their own order."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(b, n, d) if batched else (n, d))
+    m *= 10.0 ** rng.integers(-5, 6, size=m.shape[:-1] + (1,))
+    m[rng.random(m.shape[:-1]) < 0.1] = 0.0  # guarded rows
+    q = rng.normal(size=(b, 1, d)) * 10.0 ** rng.integers(-5, 6, (b, 1, 1))
+    got = nm.cosine(c(m), c(q)).array
+    assert got.shape == (b, n)
+    for i in range(b):
+        for j in range(n):
+            row, query = (m[i, j] if batched else m[j]), q[i, 0]
+            alone = nm.cosine(c(row), c(query)).item()
+            norms = np.linalg.norm(row) * np.linalg.norm(query)
+            bound = 0.0 if norms == 0.0 else \
+                4 * d * 2.0**-53 * np.abs(row * query).sum() / norms
+            assert abs(got[i, j] - alone) <= bound, (i, j)
+
+
+def test_cosine_refuses_shapes_that_do_not_broadcast():
+    for ms, qs in (((5, 4), (3, 2, 4)), ((5, 4), (5, 3)), ((2, 5, 4), (3, 1, 4)),
+                   ((4,), ())):
+        with pytest.raises(ValueError, match="cosine: shape mismatch"):
+            nm.cosine(c(np.ones(ms)), c(np.ones(qs)))
 
 
 NOT_OPS = {"EPS", "NumericError", "Tensor", "Tape", "constant", "backward"}
