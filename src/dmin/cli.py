@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -24,8 +26,9 @@ from . import numerics as nm
 from .encoder import EncoderConfig
 from .episodes import (DataError, Dataset, gen_synthetic,
                        load_jsonl_vectors, load_tsv, save_jsonl_vectors)
-from .harness import (TrainConfig, evaluate, meta_train, model_config_from,
-                      pretrain, run_ablation_suite, separation_report,
+from .harness import (ABLATION_SHOTS, TrainConfig, evaluate, meta_train,
+                      model_config_from, pipeline_split, pretrain,
+                      run_ablation_suite, separation_report,
                       train_config_from_dict)
 from .model import CheckpointError, Model, load_checkpoint, save_checkpoint
 
@@ -109,15 +112,51 @@ def _config_for(path, dataset: Dataset) -> TrainConfig:
     return cfg
 
 
-def _check_way(path, dataset: Dataset, way: int, need: int) -> None:
-    """Refuse a ``stage2.C`` that the dataset cannot fill with classes of
-    ``need`` items, naming the config file before any episode runs."""
-    have = len(dataset.eligible_classes(need))
-    if have < way:
+def _check_way(source, dataset: Dataset, way, shot, queries,
+               pool: str = "dataset") -> None:
+    """Refuse an episode shape that ``dataset`` cannot fill, before any
+    episode runs.  ``way``, ``shot`` and ``queries`` are (value, name)
+    pairs, named by the flag (``--shot``) or the config key (``stage2.K``)
+    that set the value, or by ``""`` for a value the command fixes; the
+    line starts with ``source``, the config file or ``default config``,
+    when a config key set any of them."""
+    (c, c_name), (k, k_name), (q, q_name) = way, shot, queries
+    have = len(dataset.eligible_classes(k + q))
+    if have < c:
+        def said(name, v, noun=""):
+            return (f"{name} {v}" if name.startswith("-")
+                    else f"{name} = {v}" if name else f"{v} {noun}")
+        keys = any("." in name for name in (c_name, k_name, q_name))
         raise DataError(
-            f"{path or 'default config'}: stage2.C = {way} needs {way} "
-            f"classes with at least {need} items (shots plus queries), "
-            f"dataset has {have}")
+            f"{source or 'default config'}: " * keys
+            + f"{said(c_name, c)} needs {c} classes with at least {k + q} "
+            f"items ({said(k_name, k, 'shots')} plus "
+            f"{said(q_name, q, 'queries')}), {pool} has {have}")
+
+
+def _flag(args, flag: str):
+    """The parsed value of ``flag``, such as ``--per-class``."""
+    return getattr(args, flag.lstrip("-").replace("-", "_"))
+
+
+def _check_out(args, *inputs: str) -> None:
+    """Refuse an ``--out`` that is the same file as one of the named input
+    flags, such as ``--data``: writing it would destroy that input."""
+    for flag in inputs:
+        path = _flag(args, flag)
+        if os.path.exists(args.out) and os.path.exists(path) \
+                and os.path.samefile(args.out, path):
+            raise DataError(f"--out {args.out} is the {flag} file; "
+                            f"refusing to overwrite it")
+
+
+def _check_flags(args, *rules) -> None:
+    """Refuse a numeric flag below its floor, naming the flag; ``rules``
+    are (flag, floor) pairs, and an unset flag passes."""
+    for flag, floor in rules:
+        v = _flag(args, flag)
+        if v is not None and not v >= floor:
+            raise DataError(f"{flag} must be >= {floor}, got {v}")
 
 
 def _check_data_matches(model: Model, dataset: Dataset) -> None:
@@ -137,6 +176,7 @@ def _check_data_matches(model: Model, dataset: Dataset) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_pretrain(args) -> int:
+    _check_out(args, "--data")
     dataset = load_dataset(args.data)
     cfg = _config_for(args.config, dataset)
     result = pretrain(dataset, cfg)
@@ -149,13 +189,15 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_metatrain(args) -> int:
+    _check_out(args, "--data")  # rewriting --model in place is fine
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)
     cfg = _load_config(args.config)[1]
-    if cfg.stage2.episodes:
-        _check_way(args.config, dataset, cfg.stage2.C,
-                   cfg.stage2.K + cfg.stage2.L)
+    s2 = cfg.stage2
+    if s2.episodes:
+        _check_way(args.config, dataset, (s2.C, "stage2.C"),
+                   (s2.K, "stage2.K"), (s2.L, "stage2.L"))
     result = meta_train(model, dataset, cfg)
     save_checkpoint(model, args.out)
     tail = (f"; final loss {result.losses[-1]:.4f}" if result.losses else "")
@@ -166,15 +208,22 @@ def _cmd_metatrain(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_flags(args, ("--episodes", 1), ("--way", 2), ("--shot", 1),
+                 ("--queries", 1), ("--seed", 0))
+    _check_out(args, "--data", "--model")
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)
     cfg = _load_config(args.config)[1]
-    if args.way is None:
-        _check_way(args.config, dataset, cfg.stage2.C,
-                   (cfg.stage2.K if args.shot is None else args.shot)
-                   + (cfg.eval.queries_per_class if args.queries is None
-                      else args.queries))
+
+    def pick(flag, value, key, default):
+        return (default, key) if value is None else (value, flag)
+
+    _check_way(args.config, dataset,
+               pick("--way", args.way, "stage2.C", cfg.stage2.C),
+               pick("--shot", args.shot, "stage2.K", cfg.stage2.K),
+               pick("--queries", args.queries, "eval.queries_per_class",
+                    cfg.eval.queries_per_class))
     report = evaluate(model, dataset, cfg, episodes=args.episodes,
                       way=args.way, shot=args.shot, queries=args.queries,
                       seed=args.seed, ablation=args.ablation)
@@ -190,8 +239,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    dataset = gen_synthetic(args.classes, args.per_class, args.dim,
-                            args.separation, args.sigma, args.seed)
+    _check_flags(args, ("--classes", 1), ("--per-class", 1), ("--dim", 1),
+                 ("--seed", 0))
+    for flag, v in (("--separation", args.separation),
+                    ("--sigma", args.sigma)):
+        if not (math.isfinite(v) and v > 0):
+            raise DataError(f"{flag} must be a finite number > 0, got {v}")
+    try:
+        dataset = gen_synthetic(args.classes, args.per_class, args.dim,
+                                args.separation, args.sigma, args.seed)
+    except ValueError as err:  # vectors beyond the float range
+        raise DataError(f"--separation {args.separation} with --sigma "
+                        f"{args.sigma}: {err}") from err
     save_jsonl_vectors(dataset, args.out)
     print(f"wrote {dataset.num_items} vectors ({dataset.num_classes} "
           f"classes, dim {args.dim}) to {args.out}")
@@ -199,12 +258,24 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _check_out(args, "--data")
     dataset = load_dataset(args.data)
     cfg = _config_for(args.config, dataset)
     if cfg.num_base is not None and cfg.num_base >= dataset.num_classes:
         raise DataError(
             f"{args.config}: num_base must be below the dataset's "
             f"{dataset.num_classes} classes, got {cfg.num_base}")
+    # the split is seeded, so the suite's episodes can be checked against
+    # it before any training, at the suite's largest shot count
+    base, novel = pipeline_split(dataset, cfg)
+    way, shot = (cfg.stage2.C, "stage2.C"), (max(ABLATION_SHOTS), "")
+    if cfg.stage2.episodes:
+        _check_way(args.config, novel if cfg.meta_source == "novel" else base,
+                   way, shot, (cfg.stage2.L, "stage2.L"),
+                   f"the {cfg.meta_source} split")
+    _check_way(args.config, novel, way, shot,
+               (cfg.eval.queries_per_class, "eval.queries_per_class"),
+               "the novel split")
     rows = run_ablation_suite(dataset, cfg, csv_path=args.out)
     for row in rows:
         print(f"{row['model']:<8s} r={row['iterations']}  "
@@ -214,6 +285,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_separation(args) -> int:
+    _check_flags(args, ("--way", 2), ("--shot", 1), ("--seed", 0))
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -268,20 +269,25 @@ def gen_synthetic(num_classes: int, per_class: int, dim: int,
     """Gaussian blobs around centers on a sphere of radius sep * sigma."""
     if num_classes < 1 or per_class < 1 or dim < 1:
         raise ValueError("num_classes, per_class and dim must be positive")
-    if not separation > 0:
-        raise ValueError(f"separation must be > 0, got {separation}")
-    if not noise_sigma > 0:
-        raise ValueError(f"noise_sigma must be > 0, got {noise_sigma}")
+    for name, v in (("separation", separation), ("noise_sigma", noise_sigma)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {v}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     centers = rng.normal(size=(num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     centers *= separation * noise_sigma
     payloads, labels = [], []
-    for c in range(num_classes):
-        noise = rng.normal(0.0, noise_sigma, size=(per_class, dim))
-        for row in centers[c] + noise:
-            payloads.append(row)
-            labels.append(c)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for c in range(num_classes):
+            noise = rng.normal(0.0, noise_sigma, size=(per_class, dim))
+            rows = centers[c] + noise
+            if not np.isfinite(rows).all():
+                raise ValueError(
+                    f"separation {separation} and noise_sigma {noise_sigma} "
+                    f"give vectors beyond the float range")
+            for row in rows:
+                payloads.append(row)
+                labels.append(c)
     names = [f"class_{c:02d}" for c in range(num_classes)]
     return Dataset(payloads=payloads, labels=labels, class_names=names)
 

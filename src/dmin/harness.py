@@ -13,7 +13,12 @@ combined they reduce to a prototypical mean-of-supports baseline.
 Evaluation is forward-only and runs its episodes one after another in
 the caller's thread, under the caller's numpy error state.  Every episode
 is regenerated from ``(seed, episode_index)``, so an episode's accuracy
-does not depend on how many episodes run or in what order.
+does not depend on how many episodes run or in what order.  An
+evaluation episode makes 2 routing calls (:func:`episode_scores`): one
+adapts every support, and one induces every (query, class) vector.
+Training stays per pair (:func:`episode_forward`, one routing call per
+support and per (query, class) pair) until the benchmark counts routed
+pairs instead of calls (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -171,7 +176,13 @@ def _mean_tensor(row):
 
 def episode_forward(model: Model, tensors: dict, episode: Episode,
                     flags: frozenset):
-    """Scores for every query in an episode; returns (score Tensors, labels)."""
+    """Scores for every query in an episode; returns (score Tensors, labels).
+
+    Routes one (support, base memory) pair and one (query, class) pair per
+    call.  Training still runs through here, because the benchmark pins
+    these per-pair calls; :func:`episode_scores` is the batched form, and
+    ROADMAP items 1-2 delete this one.
+    """
     way = len(episode.class_ids)
     sup_by_class = [[] for _ in range(way)]
     for lab, payload in episode.support:
@@ -205,9 +216,59 @@ def episode_forward(model: Model, tensors: dict, episode: Episode,
     return scores, labels
 
 
-def episode_accuracy(scores, labels) -> float:
-    hits = sum(int(np.argmax(s.array)) == lab
-               for s, lab in zip(scores, labels))
+def episode_scores(model: Model, tensors: dict, episode: Episode,
+                   flags: frozenset):
+    """Scores of every query in an episode as one (Q, C) Tensor, and the
+    query labels: :func:`episode_forward` with two routing calls in all.
+
+    The supports are stacked by class, which needs the same number of
+    shots in every class (``sample_episode`` always draws that).  One
+    :func:`dmm_adapt` call adapts all C * K supports against the shared
+    base rows, one :func:`qim_induce` call routes the (Q, 1) query axis
+    against the (C,) class axis of the (C, K) adapted stacks, and one
+    :func:`few_scores` call scores the (Q, C) class vectors.  ``no_dmm``
+    skips adaptation; ``no_qim`` takes each class's mean of adapted
+    supports, which every query shares.  Routing gives each pair the
+    bits it gets when routed alone, but the transforms and the scores are
+    matrix products over the stacks, so scores agree with
+    :func:`episode_forward` to about 1e-13, not bit for bit.
+    """
+    way, shots = len(episode.class_ids), len(episode.support)
+    counts = np.bincount([lab for lab, _ in episode.support],
+                         minlength=way)
+    if counts.min() != counts.max():
+        raise ValueError(f"episode_scores needs the same number of shots "
+                         f"in every class, got {counts.tolist()}")
+    shot = shots // way
+    # class-major (C, K) for induction; shot-major (K, C) for the mean,
+    # whose vecmat sums the leading axis
+    by_class = sorted(range(shots), key=lambda i: episode.support[i][0])
+    order = (np.reshape(by_class, (way, shot)).T.reshape(-1)
+             if "no_qim" in flags else by_class)
+    supports = nm.stack_rows([model.encode(tensors, episode.support[i][1])
+                              for i in order])
+    if "no_dmm" not in flags:
+        supports = dmm_adapt(model.dmm_params(tensors), model.config.dmm,
+                             tensors["clf.w_base"], supports)
+    queries = nm.stack_rows([model.encode(tensors, payload)
+                             for _, payload in episode.queries])
+    dim = queries.shape[1]
+    if "no_qim" in flags:
+        class_vectors = nm.vecmat(
+            nm.constant(np.full((shot, way), 1.0 / shot)),
+            nm.reshape(supports, (shot, way, dim)))
+    else:
+        class_vectors = qim_induce(
+            model.qim_params(tensors), model.config.qim,
+            nm.reshape(supports, (way, shot, dim)),
+            nm.reshape(queries, (len(episode.queries), 1, dim)))
+    scores = few_scores(model.classifier(tensors), queries, class_vectors)
+    return scores, [lab for lab, _ in episode.queries]
+
+
+def episode_accuracy(scores: nm.Tensor, labels) -> float:
+    """Share of the rows of (Q, C) ``scores`` whose top class is the label."""
+    hits = np.count_nonzero(scores.array.argmax(axis=1) == labels)
     return hits / len(labels)
 
 
@@ -348,7 +409,7 @@ def evaluate(model: Model, dataset: Dataset, cfg: TrainConfig, *,
     for index in range(episodes):
         episode = sample_episode(dataset, ep_cfg, index)
         accs.append(episode_accuracy(
-            *episode_forward(model, tensors, episode, flags)))
+            *episode_scores(model, tensors, episode, flags)))
     wall_ms = int((time.monotonic() - start) * 1000.0)
     mean = float(np.mean(accs))
     undefined = episodes < 2
@@ -392,16 +453,12 @@ def separation_report(model: Model, dataset: Dataset, *, way: int = 10,
     ep_cfg = EpisodeConfig(way=way, shot=shot, queries=1, seed=seed)
     episode = sample_episode(dataset, ep_cfg, 0)
     tensors = model.tensors()
-    dparams = model.dmm_params(tensors)
-    w_base = tensors["clf.w_base"]
-    labels, before, after = [], [], []
-    for lab, payload in episode.support:
-        e = model.encode(tensors, payload)
-        labels.append(lab)
-        before.append(e.array)
-        after.append(dmm_adapt(dparams, model.config.dmm, w_base, e).array)
-    before = np.stack(before)
-    after = np.stack(after)
+    labels = [lab for lab, _ in episode.support]
+    before = nm.stack_rows([model.encode(tensors, payload)
+                            for _, payload in episode.support])
+    after = dmm_adapt(model.dmm_params(tensors), model.config.dmm,
+                      tensors["clf.w_base"], before).array
+    before = before.array
     rep = SeparationReport(
         silhouette_before=silhouette_score(before, labels),
         silhouette_after=silhouette_score(after, labels),
@@ -434,6 +491,14 @@ class PipelineResult:
     stage2_losses: list
 
 
+def pipeline_split(dataset: Dataset, cfg: TrainConfig) -> tuple:
+    """The seeded (base, novel) class split that :func:`run_pipeline`
+    trains and evaluates on: ``cfg.num_base`` base classes, or half."""
+    num_base = (dataset.num_classes // 2 if cfg.num_base is None
+                else cfg.num_base)
+    return split_base_novel(dataset, num_base, seed=cfg.seed)
+
+
 def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineResult:
     """Split, pretrain on the base classes, meta-train, and evaluate.
 
@@ -441,9 +506,7 @@ def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineResult:
     by default the novel split, whose classes the evaluation episodes
     are then drawn from; the supervised stage only ever sees base.
     """
-    num_base = (dataset.num_classes // 2 if cfg.num_base is None
-                else cfg.num_base)
-    base, novel = split_base_novel(dataset, num_base, seed=cfg.seed)
+    base, novel = pipeline_split(dataset, cfg)
     pre = pretrain(base, cfg)
     meta_ds = base if cfg.meta_source == "base" else novel
     meta = meta_train(pre.model, meta_ds, cfg)
@@ -457,6 +520,7 @@ ABLATION_ROWS = (("w/o DMM", "no_dmm", None),
                  ("DMIN", "full", 1),
                  ("DMIN", "full", 2),
                  ("DMIN", "full", 3))
+ABLATION_SHOTS = (1, 5)
 
 
 def run_ablation_suite(dataset: Dataset, cfg: TrainConfig,
@@ -470,7 +534,7 @@ def run_ablation_suite(dataset: Dataset, cfg: TrainConfig,
                                qim=replace(pair.qim, iterations=iters),
                                share_params=pair.share_params)
         accs = {}
-        for shot in (1, 5):
+        for shot in ABLATION_SHOTS:
             variant = replace(cfg, ablation=ablation, routing=pair,
                               stage2=replace(cfg.stage2, K=shot))
             accs[shot] = run_pipeline(dataset, variant).report.mean_accuracy

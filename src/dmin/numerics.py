@@ -18,6 +18,10 @@ Conventions:
   two operands broadcast by numpy's rules, so a (n, d) ``m`` against a
   (B, 1, d) ``q`` scores B rows against n in one node; its VJP sums each
   operand's gradient over the axes that operand was broadcast along.
+  :func:`route`'s (..., n, l, d_v) memory and (..., l, d_v) query
+  broadcast their leading axes the same way: each entry of the batch is
+  one (memory, query) pair, routed with the bits it has when routed
+  alone, and the VJP sums over broadcast axes as :func:`cosine`'s does.
   :func:`vecmat` weights and sums the leading axis of its second operand.
   :func:`cross_entropy` takes one label and one weight per row and sums
   the rows to a scalar; its labels and weights are plain constants, never
@@ -311,13 +315,13 @@ def embed(w: Tensor, ids, vals) -> Tensor:
                    lambda g: ((ids, g[:, None] * vals),))
 
 
-def _mix(wv, mv):
-    """``vecmat``'s order-fixed row mixture and its VJP."""
-    prods = (wv[..., None] * mv).reshape(mv.shape[0], -1)
-    if len(prods) > 2:  # one add of two rows needs no fixed order
-        prods.sort(axis=0)
-    out = _add(prods, axis=0) + 0.0
-    return (out.reshape(mv.shape[1:]),
+def _mix(wv, mv, axis):
+    """``vecmat``'s order-fixed row mixture along ``axis`` of ``mv``, kept
+    as a length-1 axis, and its VJP."""
+    prods = wv[..., None] * mv
+    if prods.shape[axis] > 2:  # one add of two rows needs no fixed order
+        prods.sort(axis=axis)
+    return (_add(prods, axis=axis, keepdims=True) + 0.0,
             lambda g: (_rowdot(mv, g), wv[..., None] * g))
 
 
@@ -340,8 +344,8 @@ def vecmat(w: Tensor, m: Tensor) -> Tensor:
     """
     if m.ndim < 2 or w.shape != m.shape[:-1]:
         raise ValueError(f"vecmat: shape mismatch {w.shape} @ {m.shape}")
-    out, vjp = _mix(w.array, m.array)
-    return _result("vecmat", out, (w, m), vjp)
+    out, vjp = _mix(w.array, m.array, 0)
+    return _result("vecmat", out[0], (w, m), vjp)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -507,7 +511,7 @@ def _sum_to(g, shape):
     return _add(g, axis=axes, keepdims=True).reshape(shape)
 
 
-def _cosines(mv, qv, nrows=None, centred=False):
+def _cosines(mv, qv, nrows=None, centred=False, row_axis=False):
     """Cosine of each row of ``mv`` with the matching row of ``qv`` and its
     VJP to (row, query) gradients.  The leading axes of ``mv`` and ``qv``
     broadcast by numpy's rules; each gradient is summed over the axes its
@@ -515,7 +519,11 @@ def _cosines(mv, qv, nrows=None, centred=False):
 
     ``nrows`` may pass in the row norms of ``mv``.  ``centred`` inputs are
     mean-centred (Pearson): centring is a symmetric projection, so the VJP
-    applies it unchanged to both gradients.
+    applies it unchanged to both gradients.  ``row_axis`` says that ``qv``
+    is (..., 1, l, d) against a (..., n, l, d) ``mv`` of the same leading
+    axes, as in :func:`route`: the query's gradient is then summed over
+    that axis even when n is 1, which turns a -0.0 into +0.0 exactly as
+    the sum over n rows of a (l, d) query does.
     """
     # a rank-1 query keeps the arithmetic the classifier's scores are
     # pinned to: one matrix-vector product for the row dots and for the
@@ -541,6 +549,10 @@ def _cosines(mv, qv, nrows=None, centred=False):
         if rank1:
             gq = mv.reshape(-1, qv.shape[0]).T @ a.reshape(-1) \
                 - qv * float(glc.sum()) / (safe_q * safe_q)
+        elif row_axis:
+            gq = _add(a[..., None] * mv, axis=-3, keepdims=True) - qv * (
+                _add(glc, axis=-2, keepdims=True)
+                / (safe_q * safe_q))[..., None]
         else:
             gq = _sum_to(a[..., None] * mv, qv.shape) - qv * (
                 _sum_to(glc, nq.shape) / (safe_q * safe_q))[..., None]
@@ -584,23 +596,50 @@ def pccs(m: Tensor, q: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
-    """Dynamic routing of memory capsules ``m`` (n, l, d_v) toward query
-    capsules ``q`` (l, d_v) as one node: the loop ``routing.dmr`` documents.
+    """Dynamic routing of memory capsules ``m`` (..., n, l, d_v) toward query
+    capsules ``q`` (..., l, d_v) as one node: the loop ``routing.dmr``
+    documents.
 
-    Output and gradients equal, bit for bit, those of the same loop built
-    from the public ops; the VJP replays the rounds in reverse and sums
-    each adjoint in that chain's order.  Without a recorded input no
-    per-round state is kept.  Returns the (l * d_v,) capsules and numpy
-    snapshots: per-round lists ``coupling`` and ``gates``, and ``logits``.
+    The leading axes of ``m`` and ``q`` broadcast by numpy's rules, and
+    each entry of the broadcast batch is one (memory, query) pair, routed
+    on its own: its output has the same bits as when it is routed alone.
+    A memory shared by many queries, or a query by many memories, is
+    never copied.  Output and gradients equal, bit for bit, those of the
+    same loop built from the public ops; the VJP replays the rounds in
+    reverse, sums each adjoint in that chain's order, and then sums each
+    operand's gradient over the axes it was broadcast along.  Without a
+    recorded input no per-round state is kept.  Returns the
+    (..., l * d_v) capsules and numpy snapshots: per-round lists
+    ``coupling`` and ``gates``, and ``logits``, each (..., n, l).
     """
-    if m.ndim != 3 or q.shape != m.shape[1:] or q.shape[-1] < 2 \
-            or not m.shape[0] or iterations < 1:
-        raise ValueError(f"route: need n >= 1, d_v >= 2 and iterations >= 1, "
-                         f"got {m.shape}, {q.shape}, {iterations!r}")
     mv, qv = m.array, q.array
+    mshape, qshape = mv.shape, qv.shape
+    lead = None
+    if len(mshape) >= 3 and len(qshape) >= 2 and iterations >= 1 \
+            and qshape[-2:] == mshape[-2:] and qshape[-1] >= 2 \
+            and mshape[-3]:
+        try:
+            lead = () if len(mshape) + len(qshape) == 5 else \
+                np.broadcast_shapes(mshape[:-3], qshape[:-2])
+        except ValueError:
+            pass
+    if lead is None:
+        raise ValueError(f"route: need n >= 1, d_v >= 2, leading axes that "
+                         f"broadcast and iterations >= 1, got {mshape}, "
+                         f"{qshape}, {iterations!r}")
     mc = _centre(mv)
     nrows = np.sqrt(_rowdot(mc, mc))
-    logits = np.zeros(mv.shape[:2])
+    # every array is kept at the batch shape, with a length-1 row axis on
+    # the query and the capsules; broadcast operands are views
+    qv = qv[..., None, :, :]
+    if lead:
+        full = lead + mshape[-3:]
+        if mshape != full:
+            mv, mc = np.broadcast_to(mv, full), np.broadcast_to(mc, full)
+            nrows = np.broadcast_to(nrows, full[:-1])
+        if qshape[:-2] != lead:
+            qv = np.broadcast_to(qv, lead + qv.shape[-3:])
+    logits = np.zeros(mv.shape[:-1])
     seen = {"coupling": [], "gates": []}
     steps = []
     gates = caps = agree = None
@@ -610,10 +649,11 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
             agree = _rowdot(mv, caps)
             logits = logits + gates * agree
             qv = (qv + caps) * 0.5
-        corr, corr_vjp = _cosines(mc, _centre(qv), nrows, centred=True)
+        corr, corr_vjp = _cosines(mc, _centre(qv), nrows, centred=True,
+                                  row_axis=True)
         gates = np.tanh(corr)
         coupling, soft_vjp, _ = _softmax(logits)
-        mixed, mix_vjp = _mix(coupling + gates, mv)
+        mixed, mix_vjp = _mix(coupling + gates, mv, -3)
         caps, squash_vjp = _squash(mixed)
         seen["coupling"].append(coupling)
         seen["gates"].append(gates)
@@ -643,10 +683,12 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
             g_gates = g_logits * agree
             g_agree = g_logits * last_gates
             g_m = g_m + g_agree[..., None] * last_caps
-            g_caps = g_caps + (g_agree[..., None] * mv).sum(axis=(0,))
-        return g_m, g_q
+            g_caps = g_caps + _add(g_agree[..., None] * mv, axis=-3,
+                                   keepdims=True)
+        return (_sum_to(g_m, mshape),
+                _sum_to(g_q.reshape(lead + qshape[-2:]), qshape))
 
-    return _result("route", caps.reshape(-1), (m, q), vjp), seen
+    return _result("route", caps.reshape(lead + (-1,)), (m, q), vjp), seen
 
 
 # ---------------------------------------------------------------------------

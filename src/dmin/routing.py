@@ -12,6 +12,14 @@ their own routing weight.  Two wrappers specialize the operator:
 * :func:`qim_induce` routes a query vector against the adapted support
   vectors of one class, producing a query-conditioned class vector.
 
+Both wrappers take stacks as well as single vectors: memories and queries
+have leading batch axes that broadcast against each other, so one call
+adapts every support of an episode against the shared base rows, and one
+call induces a class vector for every (query, class) pair of an episode.
+The routing op gives each pair in a batch the bits it gets alone; the
+capsule transforms of a stack are one matrix product, whose last bits
+can differ from those of one product per vector.
+
 All arithmetic goes through :mod:`dmin.numerics`, so outputs are
 differentiable whenever the inputs carry a tape.  One routing call
 records one tape node, :func:`dmin.numerics.route`, after the transforms.
@@ -120,6 +128,7 @@ class RoutingTrace:
     and gates that iteration ``i`` mixes the memory rows with, so
     ``gates[0]`` holds the initial gates.  ``capsule_outputs`` are the
     final capsules and ``logits`` the logits behind the last coupling.
+    A batched call puts its batch axes in front of each of these.
     """
 
     coupling: list = field(default_factory=list)
@@ -132,12 +141,19 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
         query: Tensor, trace: RoutingTrace | None = None) -> Tensor:
     """Route ``memory`` rows toward ``query``; returns the concatenated capsules.
 
-    ``memory`` is a rank-2 Tensor (n, input_dim) with n >= 1.  All capsules
-    are routed together: transformed rows are (n, l, d_v), the query and
-    the output capsules (l, d_v), and gates, logits and coupling (n, l).
-    The result has dimension ``cfg.output_dim`` and is exactly invariant
-    under permutations of the memory rows: the one cross-row reduction,
-    the capsule mix, sorts each column's products before it sums them.
+    ``memory`` is a (..., n, input_dim) Tensor with n >= 1 and ``query`` a
+    (..., input_dim) Tensor.  Their leading axes broadcast by numpy's
+    rules, and each entry of the broadcast batch is one memory routed
+    toward one query: a (n, d) memory against a (B, d) query stack routes
+    B queries against one shared memory, and a (C, n, d) stack against a
+    (Q, 1, d) stack routes every query against every memory, to
+    (Q, C, output_dim).  All capsules are routed together: transformed
+    rows are (..., n, l, d_v), the query and the output capsules
+    (..., l, d_v), and gates, logits and coupling (..., n, l).  The
+    result has dimension ``cfg.output_dim`` on its last axis and is
+    exactly invariant under permutations of the memory rows: the one
+    cross-row reduction, the capsule mix, sorts each column's products
+    before it sums them.
 
     Memory and query go through ``params.transform``, so a call reuses
     the transforms of any earlier call with the same params and the same
@@ -146,13 +162,13 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
     2..r: after the last iteration nothing reads them.
     """
     params.check(cfg)
-    if not isinstance(memory, Tensor) or memory.ndim != 2 \
-            or memory.shape[0] < 1 or memory.shape[1] != cfg.input_dim:
-        raise ValueError(f"memory must be a non-empty (n, {cfg.input_dim}) "
-                         f"Tensor, got {memory!r}")
-    if query.array.shape != (cfg.input_dim,):
-        raise ValueError(f"query has shape {query.array.shape}, config "
-                         f"expects ({cfg.input_dim},)")
+    if not isinstance(memory, Tensor) or memory.ndim < 2 \
+            or memory.shape[-2] < 1 or memory.shape[-1] != cfg.input_dim:
+        raise ValueError(f"memory must be a non-empty (..., n, "
+                         f"{cfg.input_dim}) Tensor, got {memory!r}")
+    if query.ndim < 1 or query.shape[-1] != cfg.input_dim:
+        raise ValueError(f"query has shape {query.shape}, config expects "
+                         f"(..., {cfg.input_dim})")
 
     out, seen = nm.route(params.transform(cfg, memory),
                          params.transform(cfg, query), cfg.iterations)
@@ -160,20 +176,27 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
         trace.coupling.extend(seen["coupling"])
         trace.gates.extend(seen["gates"])
         trace.capsule_outputs = out.array.reshape(
-            cfg.capsule_count, cfg.capsule_dim)
+            out.shape[:-1] + (cfg.capsule_count, cfg.capsule_dim))
         trace.logits = seen["logits"]
     return out
 
 
 def dmm_adapt(params: RoutingParams, cfg: RoutingConfig, w_base,
               support: Tensor) -> Tensor:
-    """Adapt one support vector against the rows of the base weight matrix."""
+    """Adapt one (d,) support vector, or every row of a (..., d) stack,
+    against the rows of the base weight matrix, which all share."""
     return dmr(params, cfg, w_base, support)
 
 
 def qim_induce(params: RoutingParams, cfg: RoutingConfig, adapted_supports,
                query: Tensor) -> Tensor:
-    """Induce a class vector from adapted supports, conditioned on a query."""
+    """Induce class vectors from adapted supports, conditioned on queries.
+
+    ``adapted_supports`` is one class's (K, d) stack or a (C, K, d) stack
+    of every class's; ``query`` is one (d,) query or a stack whose
+    leading axes broadcast against the class axes, such as (Q, 1, d) for
+    every query against every class: (Q, C, d) class vectors.
+    """
     return dmr(params, cfg, adapted_supports, query)
 
 

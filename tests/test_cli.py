@@ -525,6 +525,10 @@ MALFORMED = [
     ("config_num_base_beyond_data", ".json",
      _config({**TINY_ABLATION, "num_base": 6}), ABLATE_CONFIG,
      ["num_base", "6 classes"]),
+    # 3 of the 6 classes are novel; refused before stage 1 runs
+    ("config_way_beyond_novel_split", ".json",
+     _config({**TINY_ABLATION, "stage2": {**ONE_EPISODE, "C": 4}}),
+     ABLATE_CONFIG, ["stage2.C = 4", "novel split has 3"]),
     ("jsonl_nan", ".jsonl", _jsonl_with("NaN"),
      ["pretrain", "--data", BAD, "--out", OUT], []),
     ("jsonl_infinity", ".jsonl", _jsonl_with("-Infinity"),
@@ -564,6 +568,79 @@ def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
     assert "Traceback" not in err
     for part in [bad.name, *named]:
         assert part in err, err
+
+
+SYNTH = ["synth", "--classes", "3", "--per-class", "4", "--dim", "5",
+         "--out", OUT]
+# (case, argv, substrings stderr must hold); DATA is a copy of the data
+# file here, so a refusal that fails cannot clobber the shared one
+BAD_FLAGS = [
+    ("synth_infinite_separation", SYNTH + ["--separation", "inf"],
+     ["--separation", "inf"]),
+    ("synth_infinite_sigma", SYNTH + ["--separation", "6", "--sigma", "inf"],
+     ["--sigma", "inf"]),
+    ("synth_nan_sigma", SYNTH + ["--separation", "6", "--sigma", "nan"],
+     ["--sigma", "nan"]),
+    ("synth_overflowing_vectors",
+     SYNTH + ["--separation", "1e200", "--sigma", "1e200"],
+     ["--separation", "--sigma", "float range"]),
+    ("eval_shot_beyond_data",
+     ["eval", "--model", MODEL, "--data", DATA, "--shot", "40",
+      "--out", OUT], ["--shot 40", "at least 50 items"]),
+    ("eval_queries_beyond_data",
+     ["eval", "--model", MODEL, "--data", DATA, "--shot", "1",
+      "--queries", "12", "--way", "3", "--out", OUT],
+     ["--queries 12", "at least 13 items"]),
+    ("eval_way_beyond_data",
+     ["eval", "--model", MODEL, "--data", DATA, "--way", "50",
+      "--episodes", "1", "--out", OUT], ["--way 50", "dataset has 6"]),
+    ("eval_one_way",
+     ["eval", "--model", MODEL, "--data", DATA, "--way", "1",
+      "--out", OUT], ["--way must be >= 2"]),
+    ("separation_zero_shot",
+     ["separation", "--model", MODEL, "--data", DATA, "--shot", "0",
+      "--out-csv", OUT], ["--shot must be >= 1"]),
+    ("pretrain_out_is_data",
+     ["pretrain", "--data", DATA, "--out", DATA], ["--out", "--data"]),
+    ("metatrain_out_is_data",
+     ["metatrain", "--model", MODEL, "--data", DATA, "--out", DATA],
+     ["--out", "--data"]),
+    ("eval_out_is_model",
+     ["eval", "--model", MODEL, "--data", DATA, "--out", MODEL],
+     ["--out", "--model"]),
+]
+
+
+@pytest.mark.parametrize("case,argv,named", BAD_FLAGS,
+                         ids=[row[0] for row in BAD_FLAGS])
+def test_bad_flag_is_one_line_data_error_naming_it(tmp_path, trained_path,
+                                                   data_path, capsys, case,
+                                                   argv, named):
+    names = {"model": tmp_path / "model.ckpt", "data": tmp_path / "d.jsonl",
+             "out": tmp_path / "out"}
+    names["model"].write_bytes(trained_path.read_bytes())
+    names["data"].write_bytes(data_path.read_bytes())
+    capsys.readouterr()
+    assert cli.main([arg.format(**names) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dmin: data error:"), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    for part in named:
+        assert part in err, err
+    assert names["data"].read_bytes() == data_path.read_bytes()
+    assert names["model"].read_bytes() == trained_path.read_bytes()
+    assert not names["out"].exists()
+
+
+def test_metatrain_may_rewrite_its_model_in_place(tmp_path, trained_path,
+                                                  data_path, config_path):
+    model = tmp_path / "model.ckpt"
+    model.write_bytes(trained_path.read_bytes())
+    assert cli.main(["metatrain", "--config", str(config_path),
+                     "--model", str(model), "--data", str(data_path),
+                     "--out", str(model)]) == 0
+    assert model.read_bytes() != trained_path.read_bytes()
+    load_checkpoint(model)
 
 
 def _run_cli(argv, env_extra=None):

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -247,6 +248,14 @@ class TestSynthetic:
             gen_synthetic(3, 5, 4, separation=1.0, noise_sigma=0.0, seed=0)
         with pytest.raises(ValueError):
             gen_synthetic(0, 5, 4, separation=1.0, noise_sigma=1.0, seed=0)
+
+    @pytest.mark.parametrize("sep,sigma", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+        (1e200, 1e200), (1.0, 1e308)])
+    def test_refuses_what_gives_non_finite_vectors(self, sep, sigma):
+        with pytest.raises(ValueError, match="finite|float range"):
+            gen_synthetic(3, 5, 4, separation=sep, noise_sigma=sigma,
+                          seed=0)
 
 
 class TestSplit:

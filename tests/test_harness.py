@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 from dmin import numerics as nm
 from dmin.classifier import base_scores, loss_episode
 from dmin.encoder import EncoderConfig
-from dmin.episodes import (DataError, Dataset, EpisodeConfig,
+from dmin.episodes import (DataError, Dataset, Episode, EpisodeConfig,
                            gen_synthetic, sample_episode, split_base_novel)
 from dmin.harness import (ABLATIONS, EvalSettings, MetaTrainResult,
                           PipelineResult, RoutingPair, Stage1Config,
                           Stage2Config, TrainConfig, config_hash_hex,
-                          episode_accuracy,
-                          episode_forward, episode_step, evaluate,
+                          episode_accuracy, episode_forward,
+                          episode_scores, episode_step, evaluate,
                           meta_train, model_config_from,
                           pretrain, run_ablation_suite, run_pipeline,
                           separation_report, train_config_from_dict,
@@ -505,6 +505,136 @@ class TestAblations:
         b, lb = episode_forward(model, tensors, ep, frozenset())
         assert la == lb
         assert not all(np.allclose(x.array, y.array) for x, y in zip(a, b))
+
+
+class TestEpisodeScores:
+    """The batched episode forward against the per-pair one."""
+
+    @staticmethod
+    def stacked(model, tensors, episode, flags):
+        scores, labels = episode_forward(model, tensors, episode, flags)
+        return np.stack([s.array for s in scores]), labels
+
+    @settings(max_examples=40, deadline=None)
+    @given(C=st.integers(2, 5), K=st.integers(1, 3), L=st.integers(1, 3),
+           dmm_caps=st.sampled_from([1, 2, 4]),
+           qim_caps=st.sampled_from([1, 2, 4]),
+           dmm_iters=st.integers(1, 3), qim_iters=st.integers(1, 3),
+           share=st.booleans(), ablation=st.sampled_from(ABLATIONS),
+           text=st.booleans(), uneven=st.booleans(),
+           seed=st.integers(0, 2**31 - 1))
+    def test_scores_match_the_per_pair_forward(
+            self, C, K, L, dmm_caps, qim_caps, dmm_iters, qim_iters, share,
+            ablation, text, uneven, seed):
+        """Within 1e-12 of the largest score: the transforms and the
+        scores are matrix products over the stacks, not per vector."""
+        dim = 8
+
+        def routing(caps, iters):
+            return RoutingConfig(dim, capsule_count=caps,
+                                 capsule_dim=dim // caps, iterations=iters)
+
+        dmm = routing(dmm_caps, dmm_iters)
+        cfg = small_cfg(
+            encoder=EncoderConfig(kind="feature_hash" if text
+                                  else "precomputed", embed_dim=dim,
+                                  vocab_buckets=32),
+            routing=RoutingPair(dmm=dmm, share_params=share,
+                                qim=dmm if share
+                                else routing(qim_caps, qim_iters)),
+            ablation=ablation, seed=seed)
+        model = init_model(model_config_from(cfg, 4), seed=seed)
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(20)]
+
+        def item(c):
+            if text:
+                return " ".join(rng.choice(words[4 * c:4 * c + 6], size=3))
+            return rng.normal(size=dim) + 3.0 * np.eye(dim)[c]
+
+        # uneven: 0 to L queries per class, at least one in all
+        counts = (rng.integers(0, L + 1, C) if uneven
+                  else np.full(C, L))
+        counts[0] = max(counts[0], 1)
+        episode = Episode(
+            class_ids=tuple(range(C)),
+            support=[(c, item(c)) for c in range(C) for _ in range(K)],
+            queries=[(c, item(c)) for c in range(C)
+                     for _ in range(counts[c])],
+            support_indices=[], query_indices=[])
+        tensors = model.tensors()
+        flags = cfg.ablation_flags
+        got, labels = episode_scores(model, tensors, episode, flags)
+        want, want_labels = self.stacked(model, tensors, episode, flags)
+        assert labels == want_labels
+        assert got.shape == want.shape == (counts.sum(), C)
+        assert np.abs(got.array - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_gradients_match_the_per_pair_forward(self):
+        ds = blob_dataset()
+        cfg = small_cfg()
+        model = init_model(model_config_from(cfg, ds.num_classes), seed=3)
+        episode = sample_episode(ds, EpisodeConfig(way=3, shot=2, queries=3,
+                                                   seed=1), 0)
+        for flags in map(frozenset, ([], ["no_dmm"], ["no_qim"],
+                                     ["no_dmm", "no_qim"])):
+            grads = []
+            for forward in (episode_scores, episode_forward):
+                tape = nm.Tape()
+                tensors = model.tensors(tape)
+                loss = loss_episode(*forward(model, tensors, episode, flags))
+                g = nm.backward(tape, loss)
+                grads.append({k: g[t.node_id] for k, t in tensors.items()})
+            for name, want in grads[1].items():
+                npt.assert_allclose(grads[0][name], want, rtol=0,
+                                    atol=1e-12 * max(np.abs(want).max(), 1),
+                                    err_msg=f"{sorted(flags)} {name}")
+
+    def test_an_episode_makes_at_most_two_routing_calls(self):
+        ds = blob_dataset()
+        cfg = small_cfg()
+        model = init_model(model_config_from(cfg, ds.num_classes), seed=3)
+        episode = sample_episode(ds, EpisodeConfig(way=3, shot=2, queries=3,
+                                                   seed=1), 0)
+        for flags, calls in (([], 2), (["no_dmm"], 1), (["no_qim"], 1),
+                             (["no_dmm", "no_qim"], 0)):
+            tape = nm.Tape()
+            episode_scores(model, model.tensors(tape), episode,
+                           frozenset(flags))
+            ops = [node.op for node in tape.nodes]
+            assert ops.count("route") == calls, flags
+            # vector payloads and no routing leave nothing to record
+            assert ops.count("cosine") == min(calls, 1), flags
+
+    def test_unequal_shots_are_refused(self):
+        ds = blob_dataset()
+        model = init_model(model_config_from(small_cfg(), ds.num_classes),
+                           seed=3)
+        episode = sample_episode(ds, EpisodeConfig(way=3, shot=2, queries=1,
+                                                   seed=1), 0)
+        episode.support.pop()
+        with pytest.raises(ValueError, match="same number of shots"):
+            episode_scores(model, model.tensors(), episode, frozenset())
+
+    def test_evaluate_matches_the_per_pair_path_on_fixture_episodes(self):
+        model = load_checkpoint(FIXTURE)
+        _, novel = split_base_novel(gen_synthetic(30, 50, 32, 6.0, 1.0,
+                                                  seed=1), 20, seed=1)
+        ep_cfg = EpisodeConfig(way=5, shot=5, queries=10, seed=3)
+        report = evaluate(model, novel, C4_CONFIG, episodes=20, way=5,
+                          shot=5, queries=10, seed=3)
+        tensors = model.tensors()
+        per_pair = []
+        for index in range(20):
+            episode = sample_episode(novel, ep_cfg, index)
+            want, labels = self.stacked(model, tensors, episode,
+                                        frozenset())
+            got = episode_scores(model, tensors, episode, frozenset())[0]
+            npt.assert_array_equal(got.array.argmax(axis=1),
+                                   want.argmax(axis=1))
+            per_pair.append(np.count_nonzero(want.argmax(axis=1) == labels)
+                            / len(labels))
+        assert report.per_episode == per_pair
 
 
 class TestEvaluate:

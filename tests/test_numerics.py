@@ -396,6 +396,13 @@ def _op_cases(rng):
          lambda t: nm.pccs(t["m"], t["q"])),
         ("route", {"m": 0.3 * cube(n), "q": 0.3 * mat(m, d)},
          lambda t: nm.route(t["m"], t["q"], 3)[0]),
+        # a batch of 2 pairs, and 3 queries against each of 2 memories
+        ("route/batched", {"m": 0.3 * rng.normal(0.0, 2.0, (2, n, m, d)),
+                           "q": 0.3 * rng.normal(0.0, 2.0, (2, m, d))},
+         lambda t: nm.route(t["m"], t["q"], 3)[0]),
+        ("route/broadcast", {"m": 0.3 * rng.normal(0.0, 2.0, (2, n, m, d)),
+                             "q": 0.3 * rng.normal(0.0, 2.0, (3, 1, m, d))},
+         lambda t: nm.route(t["m"], t["q"], 2)[0]),
     ]
 
 
@@ -610,6 +617,87 @@ def test_route_equals_the_composed_loop_bit_for_bit(n, l, d_v, r, inputs,
     fused = run(lambda mt, qt: nm.route(mt, qt, r)[0])
     for got, want in zip(fused, run(lambda mt, qt: _composed_route(mt, qt, r))):
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _sum_in_order(g, shape):
+    """``g`` summed over the axes along which an operand of ``shape`` was
+    broadcast: ``0 + g[0] + g[1] + ...`` in index order, so a sum of one
+    -0.0 is +0.0."""
+    while g.ndim > len(shape):
+        g = sum(g)
+    for axis, size in enumerate(shape):
+        if size == 1 < g.shape[axis]:
+            g = np.expand_dims(sum(np.moveaxis(g, axis, 0)), axis)
+    return g
+
+
+# (memory, query) leading axes: one pair per entry, a memory shared by
+# every query, a query shared by every memory, and every query against
+# every memory
+ROUTE_LAYOUTS = {"batched": (("b",), ("b",)), "shared_memory": ((), ("b",)),
+                 "shared_query": (("b",), ()),
+                 "outer": (("k",), ("b", 1))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 20), l=st.integers(1, 4), d_v=st.integers(2, 6),
+       r=st.integers(1, 4), b=st.integers(1, 4), k=st.integers(1, 4),
+       layout=st.sampled_from(sorted(ROUTE_LAYOUTS)),
+       inputs=st.sampled_from(["random", "zero", "constant_rows",
+                               "zero_row"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_each_pair_of_a_routed_batch_has_the_bits_it_has_alone(
+        n, l, d_v, r, b, k, layout, inputs, seed):
+    """Output and gradients of every pair of a batch against the pair
+    routed alone, on squashed capsules; the degenerate inputs of the
+    composed-loop test go into the first pair.  An operand shared along
+    a batch axis gets the pairs' gradients summed along it in index
+    order."""
+    rng = np.random.default_rng(seed)
+    sizes = {"b": b, "k": k, 1: 1}
+    mlead, qlead = (tuple(sizes[a] for a in axes)
+                    for axes in ROUTE_LAYOUTS[layout])
+    m = rng.normal(size=mlead + (n, l, d_v))
+    q = rng.normal(size=qlead + (l, d_v))
+    first = (0,) * len(mlead)
+    if inputs == "zero":  # zero transforms
+        m[first], q[(0,) * len(qlead)] = 0.0, 0.0
+    elif inputs == "constant_rows":
+        m[first] = rng.normal(size=(n, l, 1))
+    elif inputs == "zero_row":
+        m[first + (int(rng.integers(n)),)] = 0.0
+    m, q = nm.squash(c(m)).array, nm.squash(c(q)).array
+    lead = np.broadcast_shapes(mlead, qlead)
+    probe = rng.normal(size=lead + (l * d_v,))
+
+    def run(mv, qv, pv):
+        tape = nm.Tape()
+        mt, qt = tape.leaf(mv), tape.leaf(qv)
+        out = nm.route(mt, qt, r)[0]
+        assert out.shape == pv.shape
+        grads = nm.backward(tape, nm.dot(nm.reshape(out, (pv.size,)),
+                                         c(pv.reshape(-1))))
+        return out.array, grads[mt.node_id], grads[qt.node_id]
+
+    def same_bits(got, want):
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    out, g_m, g_q = run(m, q, probe)
+    ms = np.broadcast_to(m, lead + m.shape[-3:])
+    qs = np.broadcast_to(q, lead + q.shape[-2:])
+    g_ms, g_qs = np.empty(ms.shape), np.empty(qs.shape)
+    for idx in np.ndindex(*lead):
+        alone, g_ms[idx], g_qs[idx] = run(ms[idx], qs[idx], probe[idx])
+        same_bits(out[idx], alone)
+    same_bits(g_m, _sum_in_order(g_ms, m.shape))
+    same_bits(g_q, _sum_in_order(g_qs, q.shape))
+
+
+def test_route_refuses_leading_axes_that_do_not_broadcast():
+    m, q = c(np.full((3, 4, 2, 3), 0.1)), c(np.full((2, 2, 3), 0.1))
+    with pytest.raises(ValueError, match="leading axes that broadcast"):
+        nm.route(m, q, 2)
+    assert nm.route(m, c(np.full((2, 1, 2, 3), 0.1)), 2)[0].shape == (2, 3, 6)
 
 
 def test_route_returns_its_rounds_and_checks_its_arguments():
