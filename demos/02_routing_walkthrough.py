@@ -9,15 +9,15 @@ can watch them drift.
 import numpy as np
 
 from dmin import numerics as nm
-from dmin.routing import (RoutingConfig, RoutingTrace, dmr,
-                          init_routing_arrays, params_from_tensors)
+from dmin.routing import (RoutingConfig, RoutingParams, RoutingTrace, dmr,
+                          init_routing_arrays)
 
 rng = np.random.default_rng(3)
 cfg = RoutingConfig(input_dim=8, capsule_count=2, capsule_dim=4, iterations=3)
 
+# one stacked weight and bias hold the transforms of both capsules
 arrays = init_routing_arrays(cfg, rng)
-tensors = {name: nm.constant(a) for name, a in arrays.items()}
-params = params_from_tensors(tensors, "", cfg)
+params = RoutingParams(w=nm.constant(arrays["w"]), b=nm.constant(arrays["b"]))
 
 memory = nm.constant(rng.normal(size=(5, 8)))
 query = nm.constant(rng.normal(size=8))

@@ -139,24 +139,27 @@ def _flag(args, flag: str):
     return getattr(args, flag.lstrip("-").replace("-", "_"))
 
 
-def _check_out(args, *inputs: str) -> None:
-    """Refuse an ``--out`` that is the same file as one of the named input
-    flags, such as ``--data``: writing it would destroy that input."""
+def _check_out(args, out: str, *inputs: str) -> None:
+    """Refuse an output flag ``out`` that names the same file as one of the
+    input flags, such as ``--data``: writing it would destroy that input."""
+    target = _flag(args, out)
     for flag in inputs:
         path = _flag(args, flag)
-        if os.path.exists(args.out) and os.path.exists(path) \
-                and os.path.samefile(args.out, path):
-            raise DataError(f"--out {args.out} is the {flag} file; "
+        if os.path.exists(target) and os.path.exists(path) \
+                and os.path.samefile(target, path):
+            raise DataError(f"{out} {target} is the {flag} file; "
                             f"refusing to overwrite it")
 
 
 def _check_flags(args, *rules) -> None:
-    """Refuse a numeric flag below its floor, naming the flag; ``rules``
-    are (flag, floor) pairs, and an unset flag passes."""
-    for flag, floor in rules:
+    """Refuse a numeric flag outside its range, naming the flag; ``rules``
+    are (flag, floor[, ceiling]) tuples, and an unset flag passes."""
+    for flag, floor, *ceiling in rules:
         v = _flag(args, flag)
         if v is not None and not v >= floor:
             raise DataError(f"{flag} must be >= {floor}, got {v}")
+        if v is not None and ceiling and v > ceiling[0]:
+            raise DataError(f"{flag} must be <= {ceiling[0]}, got {v}")
 
 
 def _check_data_matches(model: Model, dataset: Dataset) -> None:
@@ -176,7 +179,7 @@ def _check_data_matches(model: Model, dataset: Dataset) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_pretrain(args) -> int:
-    _check_out(args, "--data")
+    _check_out(args, "--out", "--data")
     dataset = load_dataset(args.data)
     cfg = _config_for(args.config, dataset)
     result = pretrain(dataset, cfg)
@@ -189,7 +192,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_metatrain(args) -> int:
-    _check_out(args, "--data")  # rewriting --model in place is fine
+    _check_out(args, "--out", "--data")  # rewriting --model is fine
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)
@@ -209,8 +212,8 @@ def _cmd_metatrain(args) -> int:
 
 def _cmd_eval(args) -> int:
     _check_flags(args, ("--episodes", 1), ("--way", 2), ("--shot", 1),
-                 ("--queries", 1), ("--seed", 0))
-    _check_out(args, "--data", "--model")
+                 ("--queries", 1), ("--seed", 0, 2**64 - 1))
+    _check_out(args, "--out", "--data", "--model")
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)
@@ -258,7 +261,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _check_out(args, "--data")
+    _check_out(args, "--out", "--data")
     dataset = load_dataset(args.data)
     cfg = _config_for(args.config, dataset)
     if cfg.num_base is not None and cfg.num_base >= dataset.num_classes:
@@ -285,7 +288,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_separation(args) -> int:
-    _check_flags(args, ("--way", 2), ("--shot", 1), ("--seed", 0))
+    _check_flags(args, ("--way", 2), ("--shot", 1), ("--seed", 0, 2**64 - 1))
+    _check_out(args, "--out-csv", "--data", "--model")
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)

@@ -3,14 +3,19 @@
 A model is a flat ``name -> float64 array`` dictionary plus a
 :class:`ModelConfig` describing shapes.  Parameter names are prefixed
 by component: ``enc.`` (encoder projection), ``clf.`` (base weight
-rows and log-temperature), ``dmm.`` / ``qim.`` (routing transforms).
-With ``share_routing`` both routing operators read the ``dmm.`` set
-and no ``qim.`` parameters exist.
+rows and log-temperature), ``dmm.`` / ``qim.`` (routing transforms:
+one ``w`` and one ``b`` per operator, every capsule's rows stacked as
+:class:`RoutingParams` reads them).  With ``share_routing`` both
+routing operators read the ``dmm.`` set and no ``qim.`` parameters
+exist.
 
 Checkpoints are single JSON files: a manifest with config, format
 version and a sha256 checksum, and each array embedded as base64 of
 its little-endian float64 bytes.  Serialization is canonical (sorted
 keys, fixed separators), so save -> load -> save is byte-identical.
+Format version 1 stores each routing ``w`` / ``b`` as one ``w_j`` /
+``b_j`` per capsule; load stacks them again, and
+:meth:`Model.param_digest` hashes this on-disk layout.
 """
 
 from __future__ import annotations
@@ -29,8 +34,7 @@ from .classifier import CosineClassifier, init_classifier_arrays
 from .encoder import EncoderConfig, FeatureHashEncoder, init_encoder_arrays
 from .episodes import _F64_MAX, DataError
 from .numerics import Tensor
-from .routing import (RoutingConfig, RoutingParams, init_routing_arrays,
-                      params_from_tensors)
+from .routing import RoutingConfig, RoutingParams, init_routing_arrays
 
 CHECKPOINT_VERSION = 1
 
@@ -68,6 +72,13 @@ class ModelConfig:
         if self.share_routing and self.dmm != self.qim:
             raise ValueError(
                 "share_routing requires identical dmm and qim configs")
+
+    @property
+    def routing_owners(self) -> dict:
+        """Prefix -> config of each routing operator that owns parameters:
+        ``dmm.``, and ``qim.`` unless qim reads dmm's (``share_routing``)."""
+        return ({"dmm.": self.dmm} if self.share_routing
+                else {"dmm.": self.dmm, "qim.": self.qim})
 
 
 # per scalar field type: the JSON values it takes, and their wording; a
@@ -132,11 +143,11 @@ class Model:
                                 log_tau=tensors["clf.log_tau"])
 
     def dmm_params(self, tensors: dict) -> RoutingParams:
-        return params_from_tensors(tensors, "dmm.", self.config.dmm)
+        return RoutingParams(w=tensors["dmm.w"], b=tensors["dmm.b"])
 
     def qim_params(self, tensors: dict) -> RoutingParams:
-        prefix = "dmm." if self.config.share_routing else "qim."
-        return params_from_tensors(tensors, prefix, self.config.qim)
+        p = "qim." if "qim." in self.config.routing_owners else "dmm."
+        return RoutingParams(w=tensors[p + "w"], b=tensors[p + "b"])
 
     def encode(self, tensors: dict, payload) -> Tensor:
         """Sample vector for one payload: text through the hash encoder,
@@ -156,29 +167,23 @@ class Model:
         return enc.encode(payload)
 
     def param_digest(self) -> str:
+        """sha256 of the parameters in the checkpoint layout."""
         h = hashlib.sha256()
-        for name in sorted(self.params):
+        for name, arr in _disk_arrays(self).items():
             h.update(name.encode())
-            h.update(np.asarray(self.params[name], dtype="<f8").tobytes())
+            h.update(arr.tobytes())
         return h.hexdigest()
 
 
 def init_model(config: ModelConfig, seed: int = 0) -> Model:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    params: dict = {}
-    for k, v in init_encoder_arrays(config.encoder, rng).items():
-        params[f"enc.{k}"] = v
-    for k, v in init_classifier_arrays(config.num_base_classes,
-                                       config.embed_dim, rng).items():
-        params[f"clf.{k}"] = v
-    for k, v in init_routing_arrays(config.dmm, rng,
-                                    identity_blocks=True).items():
-        params[f"dmm.{k}"] = v
-    if not config.share_routing:
-        for k, v in init_routing_arrays(config.qim, rng,
-                                        identity_blocks=True).items():
-            params[f"qim.{k}"] = v
-    return Model(config=config, params=params)
+    parts = [("enc.", init_encoder_arrays(config.encoder, rng)),
+             ("clf.", init_classifier_arrays(config.num_base_classes,
+                                             config.embed_dim, rng))]
+    parts += [(prefix, init_routing_arrays(rc, rng, identity_blocks=True))
+              for prefix, rc in config.routing_owners.items()]
+    return Model(config=config, params={
+        prefix + k: v for prefix, arrays in parts for k, v in arrays.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +270,29 @@ class Adam:
 # persistence
 # ---------------------------------------------------------------------------
 
+def _capsule_split(config: ModelConfig):
+    """Each stacked routing parameter, its v1 checkpoint keys and their
+    shape: ``dmm.w_j`` holds capsule j's block of rows of ``dmm.w``."""
+    for prefix, rc in config.routing_owners.items():
+        for name, shape in (("w", (rc.capsule_dim, rc.input_dim)),
+                            ("b", (rc.capsule_dim,))):
+            yield (prefix + name, [f"{prefix}{name}_{j}" for j in
+                                   range(rc.capsule_count)], shape)
+
+
+def _disk_arrays(model: Model) -> dict:
+    """``model.params`` in the v1 checkpoint layout, sorted by name, as
+    little-endian float64: routing parameters as per-capsule row slices."""
+    arrays = dict(model.params)
+    for name, keys, _ in _capsule_split(model.config):
+        arrays.update(zip(keys, np.split(arrays.pop(name), len(keys))))
+    return {k: np.asarray(arrays[k], dtype="<f8") for k in sorted(arrays)}
+
+
 def _manifest(model: Model) -> dict:
-    arrays = {}
-    for name in sorted(model.params):
-        arr = np.asarray(model.params[name], dtype="<f8")
-        arrays[name] = {
-            "shape": list(arr.shape),
-            "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-        }
+    arrays = {name: {"shape": list(arr.shape),
+                     "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+              for name, arr in _disk_arrays(model).items()}
     return {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
@@ -341,34 +361,28 @@ def load_checkpoint(path) -> Model:
                 f"{path}: array {name!r} has {arr.size} values, shape "
                 f"{shape} needs {int(np.prod(shape, dtype=np.int64))}")
         params[name] = arr.reshape(shape).astype(np.float64)
-    model = Model(config=config, params=params, meta=dict(meta))
-    _check_shapes(model, path)
-    return model
+    _check_shapes(config, params, path)
+    for name, keys, _ in _capsule_split(config):
+        params[name] = np.concatenate([params.pop(k) for k in keys])
+    return Model(config=config, params=params, meta=dict(meta))
 
 
-def _check_shapes(model: Model, path) -> None:
-    cfg = model.config
+def _check_shapes(cfg: ModelConfig, params: dict, path) -> None:
     expected = {"clf.w_base": (cfg.num_base_classes, cfg.embed_dim),
                 "clf.log_tau": ()}
     if cfg.encoder.kind == "feature_hash":
         expected["enc.projection"] = (cfg.embed_dim,
                                       cfg.encoder.vocab_buckets)
-    prefixes = [("dmm.", cfg.dmm)]
-    if not cfg.share_routing:
-        prefixes.append(("qim.", cfg.qim))
-    for prefix, rc in prefixes:
-        for j in range(rc.capsule_count):
-            expected[f"{prefix}w_{j}"] = (rc.capsule_dim, rc.input_dim)
-            expected[f"{prefix}b_{j}"] = (rc.capsule_dim,)
+    for _, keys, shape in _capsule_split(cfg):
+        expected.update(dict.fromkeys(keys, shape))
     for name, shape in expected.items():
-        if name not in model.params:
+        if name not in params:
             raise CheckpointError(f"{path}: missing parameter {name!r}")
-        got = model.params[name].shape
-        if got != shape:
+        if params[name].shape != shape:
             raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {got}, config "
-                f"requires {shape}")
-    extras = set(model.params) - set(expected)
+                f"{path}: parameter {name!r} has shape {params[name].shape}"
+                f", config requires {shape}")
+    extras = set(params) - set(expected)
     if extras:
         raise CheckpointError(
             f"{path}: unexpected parameters {sorted(extras)}")

@@ -27,8 +27,8 @@ records one tape node, :func:`dmin.numerics.route`, after the transforms.
 Within one forward pass the same memory (``W_base``, a class's support
 stack) and the same query meet the same transforms in many calls.
 :meth:`RoutingParams.transform` maps each input into capsule space once
-and hands the result to every later call: ``params_from_tensors`` builds
-fresh params for each forward pass, so that memo lives exactly one pass.
+and hands the result to every later call.  The model builds fresh
+params on each forward pass, so that memo lives exactly one pass.
 """
 
 from __future__ import annotations
@@ -203,49 +203,28 @@ def qim_induce(params: RoutingParams, cfg: RoutingConfig, adapted_supports,
 def init_routing_arrays(cfg: RoutingConfig, rng: np.random.Generator,
                         std: float = 0.1, bias_std: float = 0.1,
                         identity_blocks: bool = False) -> dict:
-    """Fresh parameter arrays for one routing operator, keyed w_0..b_{l-1}.
+    """Fresh parameter arrays ``{"w", "b"}`` for one routing operator.
 
-    With ``identity_blocks`` (requires output_dim == input_dim) each W_j
-    starts as the j-th block-row of the identity plus noise, so the
-    concatenated capsules initially preserve the input's direction
-    blockwise instead of scrambling it.  Biases start at small nonzero
-    values: squash sends a vector of norm n to norm n^2 for small n, so
-    with zero biases two chained routing operators can crush tiny memory
-    rows (e.g. freshly initialized classifier weights) below the
-    zero-vector guard, which silently kills every gradient.
+    Capsule j's (W_j, b_j) is drawn in turn, j = 0..l-1, into its rows
+    of ``w`` and ``b``, the layout :class:`RoutingParams` reads.  With
+    ``identity_blocks`` (requires output_dim == input_dim) ``w`` starts
+    as the identity plus noise, so the concatenated capsules initially
+    preserve the input's direction blockwise instead of scrambling it.
+    Biases start at small nonzero values: squash sends a vector of norm
+    n to norm n^2 for small n, so with zero biases two chained routing
+    operators can crush tiny memory rows (e.g. freshly initialized
+    classifier weights) below the zero-vector guard, which silently
+    kills every gradient.
     """
     if identity_blocks and cfg.output_dim != cfg.input_dim:
         raise ValueError(
             f"identity_blocks needs output_dim == input_dim, got "
             f"{cfg.output_dim} != {cfg.input_dim}")
-    out = {}
-    for j in range(cfg.capsule_count):
-        w = rng.normal(0.0, std, (cfg.capsule_dim, cfg.input_dim))
-        if identity_blocks:
-            w += np.eye(cfg.input_dim)[j * cfg.capsule_dim:
-                                       (j + 1) * cfg.capsule_dim]
-        out[f"w_{j}"] = w
-        out[f"b_{j}"] = rng.normal(0.0, bias_std, cfg.capsule_dim)
-    return out
-
-
-def params_from_tensors(tensors: dict, prefix: str,
-                        cfg: RoutingConfig) -> RoutingParams:
-    """Stack ``{prefix}w_j`` / ``{prefix}b_j`` tensors into RoutingParams.
-
-    The params are fresh, with an empty transform memo; the pipeline
-    calls this once per forward pass.
-    """
-    try:
-        ws = [tensors[f"{prefix}w_{j}"] for j in range(cfg.capsule_count)]
-        bs = [tensors[f"{prefix}b_{j}"] for j in range(cfg.capsule_count)]
-    except KeyError as missing:
-        raise ValueError(f"missing routing parameter {missing}") from None
-    w, b = nm.stack_rows(ws), nm.stack_rows(bs)
-    caps = (cfg.capsule_count, cfg.capsule_dim)
-    if w.shape != caps + (cfg.input_dim,) or b.shape != caps:
-        raise ValueError(
-            f"{prefix}w_j / {prefix}b_j stack to shapes {w.shape} / "
-            f"{b.shape}, expected {caps + (cfg.input_dim,)} / {caps}")
-    return RoutingParams(w=nm.reshape(w, (cfg.output_dim, cfg.input_dim)),
-                         b=nm.reshape(b, (cfg.output_dim,)))
+    ws, bs = [], []
+    for _ in range(cfg.capsule_count):
+        ws.append(rng.normal(0.0, std, (cfg.capsule_dim, cfg.input_dim)))
+        bs.append(rng.normal(0.0, bias_std, cfg.capsule_dim))
+    w = np.concatenate(ws)
+    if identity_blocks:
+        w += np.eye(cfg.input_dim)
+    return {"w": w, "b": np.concatenate(bs)}

@@ -81,6 +81,71 @@ def dmr_reference(ws, bs, memory, query, iterations):
 
 
 # ---------------------------------------------------------------------------
+# one episode of the pipeline, end to end
+# ---------------------------------------------------------------------------
+
+def episode_reference(arrays, model_config, episode, flags):
+    """Scores and loss of one episode, transcribed pair by pair.
+
+    ``arrays`` maps parameter names to arrays; each routing operator's
+    ``w`` / ``b`` stack its capsule transforms row-wise.  Only the capsule
+    counts, iterations, ``share_routing`` and the encoder's bucket count
+    are read from ``model_config``.  ``episode`` has ``class_ids`` and
+    ``support`` / ``queries`` lists of (label, payload); a text payload is
+    encoded with :func:`hash_encode_reference`, a vector passes as is.
+
+    Each support is routed against the ``w_base`` rows (skipped under
+    ``no_dmm``); each (query, class) vector routes that class's supports
+    toward the query (under ``no_qim``, the supports' mean).  Returns the
+    (Q, C) scores tau * cos and the loss: each query's cross-entropy,
+    weighted by 1 / (classes with queries * queries of its class).
+    """
+    def capsules(prefix, rc):
+        split = [np.split(np.asarray(arrays[prefix + k], dtype=float),
+                          rc.capsule_count) for k in ("w", "b")]
+        return split[0], split[1], rc.iterations
+
+    def encode(payload):
+        if isinstance(payload, str):
+            return hash_encode_reference(
+                payload, model_config.encoder.vocab_buckets,
+                arrays["enc.projection"])
+        return np.asarray(payload, dtype=float)
+
+    dmm = capsules("dmm.", model_config.dmm)
+    qim = capsules("dmm." if model_config.share_routing else "qim.",
+                   model_config.qim)
+    w_base = np.asarray(arrays["clf.w_base"], dtype=float)
+    supports = [[] for _ in episode.class_ids]
+    for label, payload in episode.support:
+        e = encode(payload)
+        if "no_dmm" not in flags:
+            e = dmr_reference(dmm[0], dmm[1], w_base, e, dmm[2])
+        supports[label].append(e)
+    tau = math.exp(float(arrays["clf.log_tau"]))
+    scores = []
+    for _, payload in episode.queries:
+        q = encode(payload)
+        row = []
+        for stack in supports:
+            if "no_qim" in flags:
+                v = sum(stack) / len(stack)
+            else:
+                v = dmr_reference(qim[0], qim[1], np.array(stack), q, qim[2])
+            cos = float(q @ v) / (math.sqrt(float(q @ q))
+                                  * math.sqrt(float(v @ v)))
+            row.append(tau * cos)
+        scores.append(row)
+    labels = [label for label, _ in episode.queries]
+    loss = 0.0
+    for row, label in zip(scores, labels):
+        top = max(row)
+        ce = top + math.log(sum(math.exp(s - top) for s in row)) - row[label]
+        loss += ce / (len(set(labels)) * labels.count(label))
+    return np.array(scores), loss
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 

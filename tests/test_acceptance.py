@@ -23,7 +23,7 @@ from dmin.harness import (EvalSettings, RoutingPair, Stage1Config,
                           evaluate, meta_train, model_config_from, pretrain,
                           run_ablation_suite, separation_report)
 from dmin.model import init_model, load_checkpoint, save_checkpoint
-from dmin.routing import RoutingConfig, RoutingTrace, dmr, params_from_tensors
+from dmin.routing import RoutingConfig, RoutingParams, RoutingTrace, dmr
 from dmin.silhouette import silhouette_score
 
 
@@ -44,11 +44,8 @@ def _random_routing(rng, n_max=8, d_in_max=16, l_max=4, r_max=3):
                         iterations=r)
     ws = [rng.normal(0, 0.6, (d_v, d_in)) for _ in range(l)]
     bs = [rng.normal(0, 0.3, d_v) for _ in range(l)]
-    tensors = {}
-    for j in range(l):
-        tensors[f"w_{j}"] = nm.constant(ws[j])
-        tensors[f"b_{j}"] = nm.constant(bs[j])
-    params = params_from_tensors(tensors, "", cfg)
+    params = RoutingParams(w=nm.constant(np.concatenate(ws)),
+                           b=nm.constant(np.concatenate(bs)))
     memory = rng.normal(0, 1.0, (n, d_in))
     query = rng.normal(0, 1.0, d_in)
     return cfg, params, ws, bs, memory, query

@@ -608,6 +608,18 @@ BAD_FLAGS = [
     ("eval_out_is_model",
      ["eval", "--model", MODEL, "--data", DATA, "--out", MODEL],
      ["--out", "--model"]),
+    ("separation_out_csv_is_data",
+     ["separation", "--model", MODEL, "--data", DATA, "--out-csv", DATA],
+     ["--out-csv", "is the --data file"]),
+    ("separation_out_csv_is_model",
+     ["separation", "--model", MODEL, "--data", DATA, "--out-csv", MODEL],
+     ["--out-csv", "is the --model file"]),
+    ("eval_seed_beyond_64_bits",
+     ["eval", "--model", MODEL, "--data", DATA, "--seed", str(2**64),
+      "--out", OUT], ["--seed must be <= 18446744073709551615"]),
+    ("separation_seed_beyond_64_bits",
+     ["separation", "--model", MODEL, "--data", DATA, "--seed", str(2**64),
+      "--out-csv", OUT], ["--seed must be <= 18446744073709551615"]),
 ]
 
 
@@ -674,7 +686,9 @@ def test_overflowing_training_is_one_line(tmp_path, pretrained_path,
 def test_overflowing_pooled_eval_is_one_line(tmp_path, pretrained_path,
                                              data_path):
     model = load_checkpoint(pretrained_path)
-    model.params["dmm.w_0"] = model.params["dmm.w_0"] * 1e300
+    w = model.params["dmm.w"].copy()
+    w[:model.config.dmm.capsule_dim] *= 1e300  # capsule 0's rows
+    model.params["dmm.w"] = w
     ckpt = tmp_path / "huge.ckpt"
     save_checkpoint(model, ckpt)
     _assert_one_line_numeric_failure(_run_cli(

@@ -28,7 +28,8 @@ from dmin.harness import (ABLATIONS, EvalSettings, MetaTrainResult,
 from dmin.model import (Adam, ModelConfig, config_from_dict, init_model,
                         load_checkpoint)
 from dmin.routing import RoutingConfig
-from oracles import prototype_predict
+from oracles import (assert_gradients_close, episode_reference,
+                     finite_difference_gradients, prototype_predict)
 from test_acceptance import C4_CONFIG
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / \
@@ -338,9 +339,9 @@ class TestPretrain:
         assert result.train_accuracy == hits / ds.num_items
 
     def test_a_text_batch_records_at_most_90_tape_nodes(self, monkeypatch):
-        # 32 items of 2 nodes each (embed, tanh), 19 parameter leaves and
+        # 32 items of 2 nodes each (embed, tanh), 7 parameter leaves and
         # one node each for tau, stacking, reshaping, cosine, tau * cosine
-        # and the loss: 89, where per-item scoring recorded 150
+        # and the loss: 77, where per-item scoring recorded 150
         sizes, real = [], nm.backward
         monkeypatch.setattr(nm, "backward", lambda tape, root: (
             sizes.append(len(tape)), real(tape, root))[1])
@@ -348,6 +349,24 @@ class TestPretrain:
                           encoder=EncoderConfig())
         pretrain(_text_dataset(np.random.default_rng(8), 40), cfg)
         assert len(sizes) == 2 and max(sizes) <= 90, sizes
+
+    def test_a_c4_training_episode_records_at_most_327_tape_nodes(
+            self, monkeypatch):
+        # 5-way 1-shot, 5 queries per class, at the criterion-4 shapes:
+        # 6 parameter leaves (one w and one b per routing operator), and
+        # no node that rebuilds a stacked transform from capsule pieces
+        tapes, real = [], nm.backward
+        monkeypatch.setattr(nm, "backward", lambda tape, root: (
+            tapes.append([node.op for node in tape.nodes]),
+            real(tape, root))[1])
+        cfg = dataclasses.replace(C4_CONFIG, stage2=dataclasses.replace(
+            C4_CONFIG.stage2, episodes=1))
+        model = init_model(model_config_from(cfg, 20), seed=1)
+        meta_train(model, blob_dataset(num_classes=6, per_class=6, dim=32),
+                   cfg)
+        assert len(tapes) == 1
+        assert len(tapes[0]) <= 327 and tapes[0].count("leaf") <= 6, (
+            len(tapes[0]), tapes[0].count("leaf"))
 
     def test_text_pretraining_is_deterministic(self):
         ds = _text_dataset(np.random.default_rng(6), 30)
@@ -372,11 +391,13 @@ class TestMetaTrain:
         cfg = small_cfg(stage2=Stage2Config(episodes=1, learning_rate=1e-3,
                                             C=3, K=2, L=3))
         model = init_model(model_config_from(cfg, ds.num_classes), seed=3)
-        before_dmm = model.params["dmm.w_0"].copy()
-        before_qim = model.params["qim.w_0"].copy()
+        # capsule 0's rows of each operator's stacked weight
+        rows = slice(model.config.dmm.capsule_dim)
+        before_dmm = model.params["dmm.w"][rows].copy()
+        before_qim = model.params["qim.w"][rows].copy()
         meta_train(model, ds, cfg)
-        assert not np.array_equal(model.params["dmm.w_0"], before_dmm)
-        assert not np.array_equal(model.params["qim.w_0"], before_qim)
+        assert not np.array_equal(model.params["dmm.w"][rows], before_dmm)
+        assert not np.array_equal(model.params["qim.w"][rows], before_qim)
         assert model.meta["meta_trained"] is True
 
     def test_an_episode_records_one_exp_and_one_cross_entropy(self):
@@ -507,6 +528,57 @@ class TestAblations:
         assert not all(np.allclose(x.array, y.array) for x, y in zip(a, b))
 
 
+# the config space of the episode tests: C, K, L, routing shapes, shared
+# params, all four ablations, text or vector payloads, uneven queries
+_EPISODE_CASES = st.fixed_dictionaries(dict(
+    C=st.integers(2, 5), K=st.integers(1, 3), L=st.integers(1, 3),
+    dmm_caps=st.sampled_from([1, 2, 4]), qim_caps=st.sampled_from([1, 2, 4]),
+    dmm_iters=st.integers(1, 3), qim_iters=st.integers(1, 3),
+    share=st.booleans(), ablation=st.sampled_from(ABLATIONS),
+    text=st.booleans(), uneven=st.booleans(),
+    seed=st.integers(0, 2**31 - 1)))
+
+
+def _drawn_case(C, K, L, dmm_caps, qim_caps, dmm_iters, qim_iters, share,
+                ablation, text, uneven, seed):
+    """(model, episode, ablation flags) of one drawn episode case."""
+    dim = 8
+
+    def routing(caps, iters):
+        return RoutingConfig(dim, capsule_count=caps,
+                             capsule_dim=dim // caps, iterations=iters)
+
+    dmm = routing(dmm_caps, dmm_iters)
+    cfg = small_cfg(
+        encoder=EncoderConfig(kind="feature_hash" if text
+                              else "precomputed", embed_dim=dim,
+                              vocab_buckets=32),
+        routing=RoutingPair(dmm=dmm, share_params=share,
+                            qim=dmm if share
+                            else routing(qim_caps, qim_iters)),
+        ablation=ablation, seed=seed)
+    model = init_model(model_config_from(cfg, 4), seed=seed)
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(20)]
+
+    def item(c):
+        if text:
+            return " ".join(rng.choice(words[4 * c:4 * c + 6], size=3))
+        return rng.normal(size=dim) + 3.0 * np.eye(dim)[c]
+
+    # uneven: 0 to L queries per class, at least one in all
+    counts = (rng.integers(0, L + 1, C) if uneven
+              else np.full(C, L))
+    counts[0] = max(counts[0], 1)
+    episode = Episode(
+        class_ids=tuple(range(C)),
+        support=[(c, item(c)) for c in range(C) for _ in range(K)],
+        queries=[(c, item(c)) for c in range(C)
+                 for _ in range(counts[c])],
+        support_indices=[], query_indices=[])
+    return model, episode, cfg.ablation_flags
+
+
 class TestEpisodeScores:
     """The batched episode forward against the per-pair one."""
 
@@ -516,58 +588,17 @@ class TestEpisodeScores:
         return np.stack([s.array for s in scores]), labels
 
     @settings(max_examples=40, deadline=None)
-    @given(C=st.integers(2, 5), K=st.integers(1, 3), L=st.integers(1, 3),
-           dmm_caps=st.sampled_from([1, 2, 4]),
-           qim_caps=st.sampled_from([1, 2, 4]),
-           dmm_iters=st.integers(1, 3), qim_iters=st.integers(1, 3),
-           share=st.booleans(), ablation=st.sampled_from(ABLATIONS),
-           text=st.booleans(), uneven=st.booleans(),
-           seed=st.integers(0, 2**31 - 1))
-    def test_scores_match_the_per_pair_forward(
-            self, C, K, L, dmm_caps, qim_caps, dmm_iters, qim_iters, share,
-            ablation, text, uneven, seed):
+    @given(case=_EPISODE_CASES)
+    def test_scores_match_the_per_pair_forward(self, case):
         """Within 1e-12 of the largest score: the transforms and the
         scores are matrix products over the stacks, not per vector."""
-        dim = 8
-
-        def routing(caps, iters):
-            return RoutingConfig(dim, capsule_count=caps,
-                                 capsule_dim=dim // caps, iterations=iters)
-
-        dmm = routing(dmm_caps, dmm_iters)
-        cfg = small_cfg(
-            encoder=EncoderConfig(kind="feature_hash" if text
-                                  else "precomputed", embed_dim=dim,
-                                  vocab_buckets=32),
-            routing=RoutingPair(dmm=dmm, share_params=share,
-                                qim=dmm if share
-                                else routing(qim_caps, qim_iters)),
-            ablation=ablation, seed=seed)
-        model = init_model(model_config_from(cfg, 4), seed=seed)
-        rng = np.random.default_rng(seed)
-        words = [f"w{i}" for i in range(20)]
-
-        def item(c):
-            if text:
-                return " ".join(rng.choice(words[4 * c:4 * c + 6], size=3))
-            return rng.normal(size=dim) + 3.0 * np.eye(dim)[c]
-
-        # uneven: 0 to L queries per class, at least one in all
-        counts = (rng.integers(0, L + 1, C) if uneven
-                  else np.full(C, L))
-        counts[0] = max(counts[0], 1)
-        episode = Episode(
-            class_ids=tuple(range(C)),
-            support=[(c, item(c)) for c in range(C) for _ in range(K)],
-            queries=[(c, item(c)) for c in range(C)
-                     for _ in range(counts[c])],
-            support_indices=[], query_indices=[])
+        model, episode, flags = _drawn_case(**case)
         tensors = model.tensors()
-        flags = cfg.ablation_flags
         got, labels = episode_scores(model, tensors, episode, flags)
         want, want_labels = self.stacked(model, tensors, episode, flags)
         assert labels == want_labels
-        assert got.shape == want.shape == (counts.sum(), C)
+        assert got.shape == want.shape == (len(episode.queries),
+                                           len(episode.class_ids))
         assert np.abs(got.array - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_gradients_match_the_per_pair_forward(self):
@@ -635,6 +666,73 @@ class TestEpisodeScores:
             per_pair.append(np.count_nonzero(want.argmax(axis=1) == labels)
                             / len(labels))
         assert report.per_episode == per_pair
+
+
+def _assert_matches_oracle(model, episode, flags) -> None:
+    """Both episode forwards and the episode loss against the plain numpy
+    transcription, within 1e-12 of the largest score and of the loss."""
+    want, want_loss = episode_reference(model.params, model.config, episode,
+                                        flags)
+    tensors = model.tensors()
+    per_pair, labels = episode_forward(model, tensors, episode, flags)
+    batched, batched_labels = episode_scores(model, tensors, episode, flags)
+    assert labels == batched_labels == [lab for lab, _ in episode.queries]
+    scale = np.abs(want).max()
+    for got in (np.stack([s.array for s in per_pair]), batched.array):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * scale
+    for scores in (per_pair, batched):
+        loss = loss_episode(scores, labels).item()
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+
+
+class TestEpisodeOracle:
+    """The pipeline's episode scores and loss against
+    :func:`oracles.episode_reference`, which shares no code with it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_EPISODE_CASES)
+    def test_drawn_episodes_match_the_oracle(self, case):
+        _assert_matches_oracle(*_drawn_case(**case))
+
+    def test_fixture_5_way_5_shot_episodes_match_the_oracle(self):
+        model = load_checkpoint(FIXTURE)
+        _, novel = split_base_novel(gen_synthetic(30, 50, 32, 6.0, 1.0,
+                                                  seed=1), 20, seed=1)
+        ep_cfg = EpisodeConfig(way=5, shot=5, queries=4, seed=5)
+        for index, ablation in enumerate(ABLATIONS):
+            flags = frozenset(ablation.split("+")) - {"full"}
+            _assert_matches_oracle(model, sample_episode(novel, ep_cfg,
+                                                         index), flags)
+
+    @pytest.mark.parametrize("ablation,share", [
+        ("full", False), ("full", True), ("no_dmm", True),
+        ("no_qim", False)])
+    def test_episode_loss_gradients_match_finite_differences(
+            self, ablation, share):
+        """Every parameter's gradient of the episode loss, at criterion
+        2's tolerances (criterion 2 covers text payloads)."""
+        model, episode, flags = _drawn_case(
+            C=3, K=2, L=2, dmm_caps=2, qim_caps=4, dmm_iters=2, qim_iters=3,
+            share=share, ablation=ablation, text=False, uneven=True, seed=17)
+
+        def loss(tensors):
+            return loss_episode(*episode_forward(model, tensors, episode,
+                                                 flags))
+
+        tape = nm.Tape()
+        tensors = model.tensors(tape)
+        grads = nm.backward(tape, loss(tensors))
+
+        def value(params):
+            model.params.update(params)
+            return loss(model.tensors()).item()
+
+        numeric = finite_difference_gradients(
+            value, {k: v.copy() for k, v in model.params.items()}, h=1e-5)
+        assert_gradients_close({k: grads[t.node_id]
+                                for k, t in tensors.items()}, numeric,
+                               rel=1e-4, near_zero=1e-7)
 
 
 class TestEvaluate:

@@ -1,4 +1,8 @@
+import base64
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +15,8 @@ from dmin.model import (Adam, CheckpointError, Model, ModelConfig,
                         init_model, load_checkpoint, save_checkpoint)
 from dmin.routing import RoutingConfig
 from oracles import adam_reference
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
 
 def small_config(kind="precomputed", share=False):
@@ -26,8 +32,8 @@ class TestModelInit:
         m = init_model(small_config(), seed=0)
         assert m.params["clf.w_base"].shape == (4, 8)
         assert m.params["clf.log_tau"].shape == ()
-        assert m.params["dmm.w_0"].shape == (4, 8)
-        assert m.params["qim.b_1"].shape == (4,)
+        assert m.params["dmm.w"].shape == (8, 8)
+        assert m.params["qim.b"].shape == (8,)
         assert "enc.projection" not in m.params
 
     def test_param_shapes_feature_hash(self):
@@ -40,7 +46,7 @@ class TestModelInit:
         tensors = m.tensors()
         qp = m.qim_params(tensors)
         dp = m.dmm_params(tensors)
-        dmm_w = np.concatenate([m.params["dmm.w_0"], m.params["dmm.w_1"]])
+        dmm_w = m.params["dmm.w"]
         npt.assert_array_equal(qp.w.array, dmm_w)
         npt.assert_array_equal(dp.w.array, dmm_w)
         npt.assert_array_equal(qp.b.array, dp.b.array)
@@ -255,13 +261,65 @@ class TestCheckpoint:
                            match=r"\(3, 5\).*\(4, 8\)"):
             load_checkpoint(p)
 
+    @staticmethod
+    def _resave(path, edit) -> None:
+        """Apply ``edit`` to the checkpoint body at ``path`` and seal it
+        again with a valid checksum."""
+        body = json.loads(path.read_text())
+        del body["checksum"]
+        edit(body)
+        body["checksum"] = hashlib.sha256(json.dumps(
+            body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        path.write_text(json.dumps(body))
+
     def test_missing_parameter_rejected(self, tmp_path):
         m = init_model(small_config(), seed=9)
-        del m.params["dmm.b_0"]
         p = tmp_path / "model.ckpt"
         save_checkpoint(m, p)
+        self._resave(p, lambda body: body["params"].pop("dmm.b_0"))
         with pytest.raises(CheckpointError, match="dmm.b_0"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("key,shape", [
+        ("dmm.w_1", (4, 7)), ("qim.w_0", (8, 4)), ("qim.b_1", (5,)),
+        ("dmm.b_0", (4, 1))])
+    def test_capsule_key_of_the_wrong_shape_is_named(self, tmp_path, key,
+                                                     shape):
+        m = init_model(small_config(), seed=9)
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(m, p)
+
+        def reshape(body):
+            data = base64.b64encode(np.ones(shape).tobytes()).decode()
+            body["params"][key] = {"shape": list(shape), "data": data}
+
+        self._resave(p, reshape)
+        with pytest.raises(CheckpointError,
+                           match=rf"parameter '{key}' has shape"):
+            load_checkpoint(p)
+
+    def test_disk_layout_is_one_key_per_capsule(self, tmp_path):
+        m = init_model(small_config(), seed=11)
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(m, p)
+        arrays = json.loads(p.read_text())["params"]
+        assert {k for k in arrays if k[:4] in ("dmm.", "qim.")} == {
+            f"{op}.{c}_{j}" for op in ("dmm", "qim") for c in "wb"
+            for j in range(2)}
+        w_1 = np.frombuffer(base64.b64decode(arrays["qim.w_1"]["data"]))
+        npt.assert_array_equal(w_1.reshape(4, 8), m.params["qim.w"][4:])
+        loaded = load_checkpoint(p)
+        assert loaded.params.keys() == m.params.keys()
+        assert loaded.param_digest() == m.param_digest()
+
+    def test_fixture_load_save_reproduces_its_recorded_sha256(self,
+                                                               tmp_path):
+        record = json.loads((FIXTURE / "c4_model.json").read_text())
+        model = load_checkpoint(FIXTURE / record["file"])
+        assert model.params["dmm.w"].shape == (32, 32)
+        p = tmp_path / "again.ckpt"
+        save_checkpoint(model, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == record["sha256"]
 
     def test_param_digest_tracks_changes(self):
         m = init_model(small_config(), seed=10)

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
 from dmin.routing import (RoutingConfig, RoutingParams, RoutingTrace, dmr,
-                          dmm_adapt, init_routing_arrays, params_from_tensors,
-                          qim_induce)
+                          dmm_adapt, init_routing_arrays, qim_induce)
 from oracles import assert_gradients_close, dmr_reference, finite_difference_gradients
 
 
@@ -123,28 +122,24 @@ class TestDmrBasics:
             tape = nm.Tape()
             leaves = {k: tape.leaf(v) for k, v in
                       init_routing_arrays(cfg, rng).items()}
-            params = params_from_tensors(leaves, "", cfg)
+            params = RoutingParams(**leaves)
             before = len(tape)
             dmr(params, cfg, nm.constant(rng.normal(size=(5, 8))),
                 nm.constant(rng.normal(size=8)))
             counts.add(len(tape) - before)
         assert len(counts) == 1, counts
 
-    def test_params_from_tensors_rejects_bad_shapes(self):
-        cfg = RoutingConfig(input_dim=4, capsule_count=2, capsule_dim=2)
-        good = {f"w_{j}": nm.constant(np.ones((2, 4))) for j in range(2)}
-        good.update({f"b_{j}": nm.constant(np.ones(2)) for j in range(2)})
-        params = params_from_tensors(good, "", cfg)
-        assert params.w.shape == (4, 4) and params.b.shape == (4,)
-        for bad in ({"w_1": nm.constant(np.ones((4, 2)))},
-                    {"w_0": nm.constant(np.ones((4, 2))),
-                     "w_1": nm.constant(np.ones((4, 2)))},
-                    {"b_0": nm.constant(np.ones(3))}):
-            with pytest.raises(ValueError):
-                params_from_tensors({**good, **bad}, "", cfg)
-        with pytest.raises(ValueError):
-            params_from_tensors({k: v for k, v in good.items()
-                                 if k != "b_1"}, "", cfg)
+    def test_check_rejects_each_bad_shape(self):
+        cfg = RoutingConfig(input_dim=4, capsule_count=2, capsule_dim=3)
+        w, b = np.ones((6, 4)), np.ones(6)
+        RoutingParams(w=nm.constant(w), b=nm.constant(b)).check(cfg)
+        # a transposed map, unstacked capsule blocks, a short stack of
+        # rows, and a bias of the wrong length or rank
+        for bad_w, bad_b in ((w.T, b), (w.reshape(2, 3, 4), b),
+                             (w[:3], b), (w, b[:3]), (w, b.reshape(2, 3))):
+            with pytest.raises(ValueError, match=r"\(6, 4\) / \(6,\)"):
+                RoutingParams(w=nm.constant(bad_w),
+                              b=nm.constant(bad_b)).check(cfg)
 
 
 def _new_nodes_unreached(tape, start, out):
@@ -196,7 +191,7 @@ class TestSharedTransforms:
             tape = nm.Tape()
             leaves = {k: tape.leaf(v) for k, v in
                       init_routing_arrays(cfg, rng).items()}
-            params = params_from_tensors(leaves, "", cfg)
+            params = RoutingParams(**leaves)
             memory = tape.leaf(rng.normal(size=(3, 8)))
             query = tape.leaf(rng.normal(size=8))
             start = len(tape)
@@ -210,7 +205,7 @@ class TestSharedTransforms:
         tape = nm.Tape()
         leaves = {k: tape.leaf(v) for k, v in
                   init_routing_arrays(cfg, rng).items()}
-        params = params_from_tensors(leaves, "", cfg)
+        params = RoutingParams(**leaves)
         memory = nm.constant(rng.normal(size=(5, 8)))
         counts = []
         for _ in range(3):
@@ -228,7 +223,7 @@ class TestSharedTransforms:
             tape = nm.Tape()
             leaves = {k: tape.leaf(v) for k, v in
                       init_routing_arrays(cfg, rng).items()}
-            params = params_from_tensors(leaves, "", cfg)
+            params = RoutingParams(**leaves)
             memory = tape.leaf(rng.normal(size=(5, 8)))
             query = tape.leaf(rng.normal(size=8))
             params.transform(cfg, memory)
@@ -479,13 +474,15 @@ class TestGradients:
             "memory": rng.normal(size=(3, 8)),
             "query": rng.normal(size=8),
         }
+        ws, bs = [], []
         for j in range(cfg.capsule_count):
-            arrays[f"w_{j}"] = rng.normal(0.0, 0.5, (4, 8))
-            arrays[f"b_{j}"] = rng.normal(0.0, 0.5, 4)
+            ws.append(rng.normal(0.0, 0.5, (4, 8)))
+            bs.append(rng.normal(0.0, 0.5, 4))
+        arrays.update(w=np.concatenate(ws), b=np.concatenate(bs))
         probe = rng.normal(size=cfg.output_dim)
 
         def forward(tensors):
-            params = params_from_tensors(tensors, "", cfg)
+            params = RoutingParams(w=tensors["w"], b=tensors["b"])
             out = dmr(params, cfg, tensors["memory"], tensors["query"])
             return nm.dot(out, nm.constant(probe))
 
@@ -501,6 +498,13 @@ class TestGradients:
     def test_init_helper_shapes(self):
         cfg = RoutingConfig.for_pipeline(16, capsule_count=4)
         arrays = init_routing_arrays(cfg, np.random.default_rng(0))
-        assert set(arrays) == {f"{c}_{j}" for c in "wb" for j in range(4)}
-        assert arrays["w_0"].shape == (4, 16)
-        assert arrays["b_3"].shape == (4,)
+        assert set(arrays) == {"w", "b"}
+        assert arrays["w"].shape == (16, 16)
+        assert arrays["b"].shape == (16,)
+        # capsule by capsule: W_j's draw, then b_j's, into rows 4j..4j+3
+        rng = np.random.default_rng(0)
+        for j in range(4):
+            rows = slice(4 * j, 4 * j + 4)
+            npt.assert_array_equal(arrays["w"][rows],
+                                   rng.normal(0.0, 0.1, (4, 16)))
+            npt.assert_array_equal(arrays["b"][rows], rng.normal(0.0, 0.1, 4))
