@@ -243,7 +243,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_synth(args) -> int:
     _check_flags(args, ("--classes", 1), ("--per-class", 1), ("--dim", 1),
-                 ("--seed", 0))
+                 ("--seed", 0, 2**64 - 1))
     for flag, v in (("--separation", args.separation),
                     ("--sigma", args.sigma)):
         if not (math.isfinite(v) and v > 0):
@@ -251,9 +251,12 @@ def _cmd_synth(args) -> int:
     try:
         dataset = gen_synthetic(args.classes, args.per_class, args.dim,
                                 args.separation, args.sigma, args.seed)
-    except ValueError as err:  # vectors beyond the float range
+    except DataError as err:  # vectors beyond the float range
         raise DataError(f"--separation {args.separation} with --sigma "
                         f"{args.sigma}: {err}") from err
+    except ValueError as err:  # arrays too large for numpy to make
+        raise DataError(f"--classes {args.classes}, --per-class "
+                        f"{args.per_class}, --dim {args.dim}: {err}") from err
     save_jsonl_vectors(dataset, args.out)
     print(f"wrote {dataset.num_items} vectors ({dataset.num_classes} "
           f"classes, dim {args.dim}) to {args.out}")
@@ -293,6 +296,8 @@ def _cmd_separation(args) -> int:
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     _check_data_matches(model, dataset)
+    _check_way(None, dataset, (min(args.way, dataset.num_classes), "--way"),
+               (args.shot, "--shot"), (1, ""))  # the report draws 1 query
     rep = separation_report(model, dataset, way=args.way, shot=args.shot,
                             seed=args.seed, csv_path=args.out_csv)
     print(f"silhouette before {rep.silhouette_before:.4f}, "

@@ -282,7 +282,7 @@ def gen_synthetic(num_classes: int, per_class: int, dim: int,
             noise = rng.normal(0.0, noise_sigma, size=(per_class, dim))
             rows = centers[c] + noise
             if not np.isfinite(rows).all():
-                raise ValueError(
+                raise DataError(
                     f"separation {separation} and noise_sigma {noise_sigma} "
                     f"give vectors beyond the float range")
             for row in rows:

@@ -28,8 +28,8 @@ Conventions:
   recorded.  There is no other broadcasting except scalar-times-tensor in
   :func:`mul`,
 - :func:`vecmat`'s sum over rows (and so :func:`route`'s capsule mix) is
-  order-fixed: each column's products are sorted before they are added,
-  so the result does not depend on the order of the rows,
+  order-fixed: the rows are added in the order of their bytes, so the
+  result does not depend on the order they come in,
 - every public operation validates that its result is finite and raises
   :class:`NumericError` otherwise (silent NaN/Inf propagation is a bug).
   :func:`route` checks its output only: its intermediates are bounded
@@ -315,13 +315,22 @@ def embed(w: Tensor, ids, vals) -> Tensor:
                    lambda g: ((ids, g[:, None] * vals),))
 
 
-def _mix(wv, mv, axis):
-    """``vecmat``'s order-fixed row mixture along ``axis`` of ``mv``, kept
-    as a length-1 axis, and its VJP."""
-    prods = wv[..., None] * mv
-    if prods.shape[axis] > 2:  # one add of two rows needs no fixed order
-        prods.sort(axis=axis)
-    return (_add(prods, axis=axis, keepdims=True) + 0.0,
+def _row_order(rows, *leads):
+    """Flat indices that put each (n, k) set of C-contiguous (..., n, k)
+    ``rows`` in the stable order of their bytes, one per shape in ``leads``."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))
+    order, n = np.argsort(keys[..., 0], kind="stable"), rows.shape[-2]
+    return [(order + n * np.arange(math.prod(s)).reshape(s + (1,))).reshape(-1)
+            for s in leads]
+
+
+def _mix(wv, mv, axis, ms, take):
+    """Row mixture ``sum_i wv[i] * mv[i]`` along ``axis`` of ``mv``, kept as
+    a length-1 axis, and its VJP; ``ms`` holds ``mv``'s rows in the order
+    that the flat index ``take`` (None: as given) puts ``wv``'s rows in."""
+    ws = wv if take is None else \
+        wv.reshape(len(take), -1)[take].reshape(wv.shape)
+    return (_add(ws[..., None] * ms, axis=axis, keepdims=True) + 0.0,
             lambda g: (_rowdot(mv, g), wv[..., None] * g))
 
 
@@ -330,21 +339,22 @@ def vecmat(w: Tensor, m: Tensor) -> Tensor:
 
     ``w`` has the shape of ``m`` without its last axis, so each weight
     scales one row of length ``m.shape[-1]``; the result has shape
-    ``m.shape[1:]``.  The reduction over ``i`` is order-fixed: the
-    products of each column are sorted by value and then summed in that
-    order, so the result is bit-identical under any permutation of ``i``
-    applied to ``w`` and ``m`` together (equal values have equal bits,
-    except for signed zeros, which cannot change a sum's value).  This is
-    the only place a memory-indexed sum occurs in dynamic routing, which
-    makes routing output exactly permutation invariant.  With one or two
-    rows the sort is skipped: one IEEE add is exactly rounded, so the
-    result equals ``math.fsum``.  The error of a longer sum is at most
+    ``m.shape[1:]``.  The reduction over ``i`` is order-fixed: the rows
+    are added in the order of the bytes of each (``m`` row, ``w`` row)
+    pair, so the result is bit-identical under any permutation of ``i``
+    applied to ``w`` and ``m`` together; :func:`route`'s capsule mix adds
+    its rows the same way.  One or two rows are added as given: one IEEE
+    add is exactly rounded and commutative, so the result equals
+    ``math.fsum``.  The error of a longer sum is at most
     ``n * 2**-53 * sum(|products|)``.  ``+ 0.0`` turns a sum of negative
     zeros into ``+0.0``.
     """
     if m.ndim < 2 or w.shape != m.shape[:-1]:
         raise ValueError(f"vecmat: shape mismatch {w.shape} @ {m.shape}")
-    out, vjp = _mix(w.array, m.array, 0)
+    wv, mv = w.array, m.array
+    take = None if len(mv) < 3 or not mv.size else _row_order(np.concatenate(
+        (mv.reshape(len(mv), -1), wv.reshape(len(mv), -1)), 1), ())[0]
+    out, vjp = _mix(wv, mv, 0, mv if take is None else mv[take], take)
     return _result("vecmat", out[0], (w, m), vjp)
 
 
@@ -604,11 +614,11 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
     each entry of the broadcast batch is one (memory, query) pair, routed
     on its own: its output has the same bits as when it is routed alone.
     A memory shared by many queries, or a query by many memories, is
-    never copied.  Output and gradients equal, bit for bit, those of the
-    same loop built from the public ops; the VJP replays the rounds in
-    reverse, sums each adjoint in that chain's order, and then sums each
-    operand's gradient over the axes it was broadcast along.  Without a
-    recorded input no per-round state is kept.  Returns the
+    never copied per pair.  Output and gradients equal, bit for bit, those
+    of the same loop built from the public ops; the VJP replays the rounds
+    in reverse, sums each adjoint in that chain's order, and then sums
+    each operand's gradient over the axes it was broadcast along.  Without
+    a recorded input no per-round state is kept.  Returns the
     (..., l * d_v) capsules and numpy snapshots: per-round lists
     ``coupling`` and ``gates``, and ``logits``, each (..., n, l).
     """
@@ -629,6 +639,11 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
                          f"{qshape}, {iterations!r}")
     mc = _centre(mv)
     nrows = np.sqrt(_rowdot(mc, mc))
+    # the mix's byte order of rows; vecmat's agrees: equal rows, equal weights
+    n, ms, take = mshape[-3], mv, None
+    if n > 2:
+        own, take = _row_order(mv.reshape(*mshape[:-2], -1), mshape[:-3], lead)
+        ms = mv.reshape(len(own), -1)[own].reshape(mshape)
     # every array is kept at the batch shape, with a length-1 row axis on
     # the query and the capsules; broadcast operands are views
     qv = qv[..., None, :, :]
@@ -653,7 +668,7 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
                                   row_axis=True)
         gates = np.tanh(corr)
         coupling, soft_vjp, _ = _softmax(logits)
-        mixed, mix_vjp = _mix(coupling + gates, mv, -3)
+        mixed, mix_vjp = _mix(coupling + gates, mv, -3, ms, take)
         caps, squash_vjp = _squash(mixed)
         seen["coupling"].append(coupling)
         seen["gates"].append(gates)

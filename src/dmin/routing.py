@@ -152,8 +152,8 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
     (..., l, d_v), and gates, logits and coupling (..., n, l).  The
     result has dimension ``cfg.output_dim`` on its last axis and is
     exactly invariant under permutations of the memory rows: the one
-    cross-row reduction, the capsule mix, sorts each column's products
-    before it sums them.
+    cross-row reduction, the capsule mix, adds each memory's rows in the
+    order of their bytes.
 
     Memory and query go through ``params.transform``, so a call reuses
     the transforms of any earlier call with the same params and the same

@@ -620,6 +620,23 @@ BAD_FLAGS = [
     ("separation_seed_beyond_64_bits",
      ["separation", "--model", MODEL, "--data", DATA, "--seed", str(2**64),
       "--out-csv", OUT], ["--seed must be <= 18446744073709551615"]),
+    ("separation_shot_beyond_data",
+     ["separation", "--model", MODEL, "--data", DATA, "--shot", str(2**64),
+      "--out-csv", OUT], [f"--way 6 needs 6 classes with at least "
+                          f"{2**64 + 1} items (--shot {2**64} plus",
+                          "dataset has 0"]),
+    ("synth_classes_beyond_64_bits",
+     SYNTH + ["--separation", "6", "--classes", str(2**64)],
+     [f"--classes {2**64}, --per-class 4, --dim 5: "]),
+    ("synth_per_class_beyond_64_bits",
+     SYNTH + ["--separation", "6", "--per-class", str(2**64)],
+     [f"--classes 3, --per-class {2**64}, --dim 5: "]),
+    ("synth_dim_beyond_64_bits",
+     SYNTH + ["--separation", "6", "--dim", str(2**64)],
+     [f"--classes 3, --per-class 4, --dim {2**64}: "]),
+    ("synth_seed_beyond_64_bits",
+     SYNTH + ["--separation", "6", "--seed", str(2**64)],
+     ["--seed must be <= 18446744073709551615"]),
 ]
 
 

@@ -619,6 +619,32 @@ def test_route_equals_the_composed_loop_bit_for_bit(n, l, d_v, r, inputs,
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@settings(max_examples=150, deadline=None)
+@given(stacks=st.integers(1, 4), n=st.integers(3, 20),
+       queries=st.integers(1, 3), l=st.integers(1, 4), d_v=st.integers(2, 6),
+       r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_permuting_each_memory_of_a_stack_changes_no_bit(
+        stacks, n, queries, l, d_v, r, seed):
+    """A (C, n, l, d_v) stack of memories routed against (Q, 1, l, d_v)
+    queries, as induction routes a class's supports, gives the same bits
+    when each memory's rows are permuted on their own; every memory holds
+    a duplicated row, a zero row and signed zeros."""
+    rng = np.random.default_rng(seed)
+    m = nm.squash(c(rng.normal(size=(stacks, n, l, d_v)))).array.copy()
+    signed = rng.random(m.shape) < 0.1
+    m[signed] = rng.choice([0.0, -0.0], size=int(signed.sum()))
+    for memory in m:
+        src, dst, zero = rng.choice(n, 3, replace=False)
+        memory[dst] = memory[src]
+        memory[zero] = rng.choice([0.0, -0.0], size=(l, d_v))
+    q = nm.squash(c(rng.normal(size=(queries, 1, l, d_v)))).array
+    perm = np.array([rng.permutation(n) for _ in range(stacks)])
+    permuted = np.take_along_axis(m, perm[:, :, None, None], axis=1)
+    got = nm.route(c(m), c(q), r)[0].array
+    want = nm.route(c(permuted), c(q), r)[0].array
+    npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _sum_in_order(g, shape):
     """``g`` summed over the axes along which an operand of ``shape`` was
     broadcast: ``0 + g[0] + g[1] + ...`` in index order, so a sum of one
