@@ -9,11 +9,13 @@ and computes ``tau = exp(log tau)`` then, so one pass records one ``exp``
 however many scores it takes.  :func:`base_scores` scores a whole (B, d)
 stack of inputs as one broadcast cosine node, so a pretraining batch or
 a full accuracy pass records one scoring node, not one per item;
-:func:`few_scores` likewise scores a (Q, d) stack of an episode's
-queries against their class vectors as one node.
+:func:`few_scores` likewise scores the (Q, d) stack of an episode's
+queries against their (Q, C, d) class vectors as one node, in training
+and in evaluation alike.
 
-Both losses are one :func:`dmin.numerics.cross_entropy` node over the
-stacked score rows; they differ only in the constant row weights.
+Both losses are one :func:`dmin.numerics.cross_entropy` node over a
+score Tensor with one row per item or query; they differ only in the
+constant row weights.
 """
 
 from __future__ import annotations
@@ -78,35 +80,29 @@ def base_scores(clf: CosineClassifier, e: Tensor) -> Tensor:
     return nm.mul(clf.tau, nm.cosine(clf.w_base, e))
 
 
-def few_scores(clf: CosineClassifier, e_q: Tensor, class_vectors) -> Tensor:
+def few_scores(clf: CosineClassifier, e_q: Tensor,
+               class_vectors: Tensor) -> Tensor:
     """Scaled cosine of queries against per-episode class vectors.
 
     ``e_q`` is one (d,) query, scored to (C,), or a (Q, d) stack, scored
-    to (Q, C) as one broadcast cosine node.  ``class_vectors`` is a list
-    of C (d,) vectors or a (C, d) matrix, which every query shares, or,
-    for a stack, a (Q, C, d) stack holding each query's own matrix.
+    to (Q, C) as one broadcast cosine node.  ``class_vectors`` is a (C, d)
+    matrix, which every query shares, or, for a stack, a (Q, C, d) stack
+    holding each query's own matrix.
     """
-    if isinstance(class_vectors, Tensor):
-        mat = class_vectors
-    else:
-        if len(class_vectors) < 2:
-            raise ValueError(
-                f"need at least 2 class vectors, got {len(class_vectors)}")
-        mat = nm.stack_rows(class_vectors)
-    if e_q.ndim not in (1, 2) or mat.ndim not in (2, e_q.ndim + 1) \
-            or mat.shape[-1] != e_q.shape[-1] \
-            or mat.shape[:-2] not in ((), e_q.shape[:-1]):
+    shape = class_vectors.shape
+    if e_q.ndim not in (1, 2) or len(shape) not in (2, e_q.ndim + 1) \
+            or shape[-1] != e_q.shape[-1] \
+            or shape[:-2] not in ((), e_q.shape[:-1]):
         raise ValueError(
-            f"class vectors have shape {mat.shape}, queries {e_q.shape}; "
+            f"class vectors have shape {shape}, queries {e_q.shape}; "
             f"need (C, d) or (Q, C, d) class vectors for (d,) or (Q, d) "
             f"queries")
-    if mat.shape[-2] < 2:
-        raise ValueError(
-            f"need at least 2 class vectors, got {mat.shape[-2]}")
+    if shape[-2] < 2:
+        raise ValueError(f"need at least 2 class vectors, got {shape[-2]}")
     _check_nonzero(e_q, "query vector")
     if e_q.ndim == 2:  # (Q, 1, d) broadcasts against the class axis
         e_q = nm.reshape(e_q, (e_q.shape[0], 1, e_q.shape[1]))
-    return nm.mul(clf.tau, nm.cosine(mat, e_q))
+    return nm.mul(clf.tau, nm.cosine(class_vectors, e_q))
 
 
 def loss_supervised(scores: Tensor, labels) -> Tensor:
@@ -120,19 +116,16 @@ def loss_supervised(scores: Tensor, labels) -> Tensor:
                             np.full(labels.shape, 1.0 / labels.size))
 
 
-def loss_episode(all_scores, labels: Sequence[int]) -> Tensor:
+def loss_episode(all_scores: Tensor, labels: Sequence[int]) -> Tensor:
     """Mean over classes of the mean cross-entropy of that class's queries.
 
-    ``all_scores`` is a (Q, C) Tensor or a sequence of Q (C,) rows, which
-    are stacked once.  Each row is weighted by
-    ``1 / (classes * queries of its class)``.  With the same number of
-    queries per class this equals the flat mean; with uneven counts every
-    class still contributes equally.
+    ``all_scores`` is the (Q, C) Tensor of the episode's scores.  Each row
+    is weighted by ``1 / (classes * queries of its class)``.  With the
+    same number of queries per class this equals the flat mean; with
+    uneven counts every class still contributes equally.
     """
     if len(labels) == 0:
         raise ValueError("empty query set")
-    if not isinstance(all_scores, Tensor):
-        all_scores = nm.stack_rows(all_scores)
     if all_scores.ndim != 2 or all_scores.shape[0] != len(labels):
         raise ValueError(f"scores of shape {all_scores.shape} but "
                          f"{len(labels)} labels")

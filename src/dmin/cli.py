@@ -26,11 +26,12 @@ from . import numerics as nm
 from .encoder import EncoderConfig
 from .episodes import (DataError, Dataset, gen_synthetic,
                        load_jsonl_vectors, load_tsv, save_jsonl_vectors)
-from .harness import (ABLATION_SHOTS, TrainConfig, evaluate, meta_train,
-                      model_config_from, pipeline_split, pretrain,
-                      run_ablation_suite, separation_report,
+from .harness import (ABLATION_SHOTS, ABLATIONS, TrainConfig, evaluate,
+                      meta_train, model_config_from, pipeline_split,
+                      pretrain, run_ablation_suite, separation_report,
                       train_config_from_dict)
 from .model import CheckpointError, Model, load_checkpoint, save_checkpoint
+from .routing import PIPELINE_CAPSULES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,14 +76,16 @@ def _load_config(path) -> tuple[dict, TrainConfig]:
         raise DataError(f"{path}: {err}") from err
 
 
-def _config_for(path, dataset: Dataset) -> TrainConfig:
-    """Load a train config and reconcile its encoder with the dataset.
+def _config_for(path, dataset: Dataset, data) -> TrainConfig:
+    """Load a train config and reconcile its encoder with the dataset
+    read from ``data``.
 
     When the file does not pin an encoder (or no file is given), the
     encoder is inferred from the data: vectors use a pass-through of the
     observed dimension, text uses feature hashing.  An explicitly
     configured encoder that cannot consume the data is an error, and so
-    are routing dimensions that differ from the settled encoder's.
+    are routing dimensions that differ from the settled encoder's, and a
+    dimension that unset routing's default capsules cannot split.
     """
     raw, cfg = _load_config(path)
     explicit = "encoder" in raw
@@ -105,10 +108,15 @@ def _config_for(path, dataset: Dataset) -> TrainConfig:
     try:
         model_config_from(cfg, dataset.num_classes)
     except ValueError as err:
+        if cfg.routing is None:  # the default routing refused the dim
+            where = f" in {path}" if path else ""
+            raise DataError(
+                f"{data}: routing is unset{where}, and its default of "
+                f"{PIPELINE_CAPSULES} capsules cannot route embedding "
+                f"dimension {cfg.encoder.embed_dim}: {err}") from err
         # ModelConfig calls the routing configs dmm and qim; a config
         # file nests them under routing
-        key = "" if cfg.routing is None else "routing."
-        raise DataError(f"{path}: {key}{err}" if path else str(err)) from err
+        raise DataError(f"{path}: routing.{err}") from err
     return cfg
 
 
@@ -181,7 +189,7 @@ def _check_data_matches(model: Model, dataset: Dataset) -> None:
 def _cmd_pretrain(args) -> int:
     _check_out(args, "--out", "--data")
     dataset = load_dataset(args.data)
-    cfg = _config_for(args.config, dataset)
+    cfg = _config_for(args.config, dataset, args.data)
     result = pretrain(dataset, cfg)
     save_checkpoint(result.model, args.out)
     print(f"pretrained {cfg.stage1.steps} steps over "
@@ -213,6 +221,9 @@ def _cmd_metatrain(args) -> int:
 def _cmd_eval(args) -> int:
     _check_flags(args, ("--episodes", 1), ("--way", 2), ("--shot", 1),
                  ("--queries", 1), ("--seed", 0, 2**64 - 1))
+    if args.ablation is not None and args.ablation not in ABLATIONS:
+        raise DataError(f"--ablation must be one of {', '.join(ABLATIONS)}, "
+                        f"got {args.ablation!r}")
     _check_out(args, "--out", "--data", "--model")
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
@@ -266,7 +277,7 @@ def _cmd_synth(args) -> int:
 def _cmd_ablate(args) -> int:
     _check_out(args, "--out", "--data")
     dataset = load_dataset(args.data)
-    cfg = _config_for(args.config, dataset)
+    cfg = _config_for(args.config, dataset, args.data)
     if cfg.num_base is not None and cfg.num_base >= dataset.num_classes:
         raise DataError(
             f"{args.config}: num_base must be below the dataset's "

@@ -24,6 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .numerics import EPS
+
 log = logging.getLogger(__name__)
 
 _F64_MAX = float(np.finfo(np.float64).max)
@@ -204,7 +206,9 @@ def load_jsonl_vectors(path) -> Dataset:
     """``{"label": ..., "vector": [...]}`` per line; blank lines skipped.
 
     Vector entries must be finite numbers: JSON's ``NaN`` and ``Infinity``
-    literals are refused here rather than failing later in training.
+    literals are refused here rather than failing later in training.  So
+    is a vector whose norm is at most ``numerics.EPS``, which no cosine
+    can score.
     """
     names, vectors, skipped = [], [], 0
     dim = None
@@ -240,8 +244,13 @@ def load_jsonl_vectors(path) -> Dataset:
                 raise DataError(
                     f"{path}: line {lineno}: vector has dimension "
                     f"{len(vec)}, earlier records have {dim}")
+            vec = np.asarray(vec, dtype=np.float64)
+            if not np.linalg.norm(vec) > EPS:
+                raise DataError(
+                    f"{path}: line {lineno}: vector has zero norm; cosine "
+                    f"scores are undefined")
             names.append(str(record["label"]))
-            vectors.append(np.asarray(vec, dtype=np.float64))
+            vectors.append(vec)
     if not vectors:
         raise DataError(f"{path}: no records")
     if skipped:
@@ -266,7 +275,8 @@ def save_jsonl_vectors(dataset: Dataset, path) -> None:
 def gen_synthetic(num_classes: int, per_class: int, dim: int,
                   separation: float, noise_sigma: float,
                   seed: int) -> Dataset:
-    """Gaussian blobs around centers on a sphere of radius sep * sigma."""
+    """Gaussian blobs around centers on a sphere of radius sep * sigma;
+    vectors beyond the float range or of zero norm raise DataError."""
     if num_classes < 1 or per_class < 1 or dim < 1:
         raise ValueError("num_classes, per_class and dim must be positive")
     for name, v in (("separation", separation), ("noise_sigma", noise_sigma)):
@@ -276,20 +286,26 @@ def gen_synthetic(num_classes: int, per_class: int, dim: int,
     centers = rng.normal(size=(num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     centers *= separation * noise_sigma
-    payloads, labels = [], []
     with np.errstate(over="ignore"):  # an overflow is refused below
-        for c in range(num_classes):
-            noise = rng.normal(0.0, noise_sigma, size=(per_class, dim))
-            rows = centers[c] + noise
-            if not np.isfinite(rows).all():
-                raise DataError(
-                    f"separation {separation} and noise_sigma {noise_sigma} "
-                    f"give vectors beyond the float range")
-            for row in rows:
-                payloads.append(row)
-                labels.append(c)
+        blocks = [centers[c] + rng.normal(0.0, noise_sigma,
+                                          size=(per_class, dim))
+                  for c in range(num_classes)]
+    # one pass over every row; payloads stay views of their class's block,
+    # so a class subset does not keep the other classes' rows alive
+    rows = np.concatenate(blocks)
+    if not np.isfinite(rows).all():
+        raise DataError(
+            f"separation {separation} and noise_sigma {noise_sigma} "
+            f"give vectors beyond the float range")
+    if not np.sqrt(np.einsum("ij,ij->i", rows, rows)).min() > EPS:
+        raise DataError(
+            f"separation {separation} and noise_sigma {noise_sigma} "
+            f"give vectors of zero norm, which no cosine can score")
     names = [f"class_{c:02d}" for c in range(num_classes)]
-    return Dataset(payloads=payloads, labels=labels, class_names=names)
+    return Dataset(payloads=[row for block in blocks for row in block],
+                   labels=[c for c in range(num_classes)
+                           for _ in range(per_class)],
+                   class_names=names)
 
 
 def subset_by_classes(dataset: Dataset, class_ids: Sequence[int]) -> Dataset:

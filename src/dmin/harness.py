@@ -10,15 +10,20 @@ loss.  Ablations cut individual pieces: ``no_dmm`` skips adaptation,
 ``no_qim`` replaces induction with the mean of the adapted supports;
 combined they reduce to a prototypical mean-of-supports baseline.
 
+Training (:func:`episode_forward`) and evaluation
+(:func:`episode_scores`) share one episode forward: both stack the
+supports and queries, score one (Q, C) Tensor with one
+:func:`few_scores` call and hand it to :func:`loss_episode`.  They
+differ only in the two routing steps.  An evaluation episode makes 2
+routing calls: one adapts every support, and one induces every
+(query, class) vector.  Training routes each support and each
+(query, class) pair in its own call, and stacks the outputs, until the
+benchmark counts routed pairs instead of calls (ROADMAP item 1).
+
 Evaluation is forward-only and runs its episodes one after another in
 the caller's thread, under the caller's numpy error state.  Every episode
 is regenerated from ``(seed, episode_index)``, so an episode's accuracy
-does not depend on how many episodes run or in what order.  An
-evaluation episode makes 2 routing calls (:func:`episode_scores`): one
-adapts every support, and one induces every (query, class) vector.
-Training stays per pair (:func:`episode_forward`, one routing call per
-support and per (query, class) pair) until the benchmark counts routed
-pairs instead of calls (ROADMAP item 1).
+does not depend on how many episodes run or in what order.
 """
 
 from __future__ import annotations
@@ -167,103 +172,81 @@ def model_config_from(cfg: TrainConfig, num_base_classes: int) -> ModelConfig:
 # episode forward pass
 # ---------------------------------------------------------------------------
 
-def _mean_tensor(row):
-    total = row[0]
-    for extra in row[1:]:
-        total = nm.add(total, extra)
-    return nm.scale(total, 1.0 / len(row))
-
-
-def episode_forward(model: Model, tensors: dict, episode: Episode,
-                    flags: frozenset):
-    """Scores for every query in an episode; returns (score Tensors, labels).
-
-    Routes one (support, base memory) pair and one (query, class) pair per
-    call.  Training still runs through here, because the benchmark pins
-    these per-pair calls; :func:`episode_scores` is the batched form, and
-    ROADMAP items 1-2 delete this one.
-    """
-    way = len(episode.class_ids)
-    sup_by_class = [[] for _ in range(way)]
-    for lab, payload in episode.support:
-        sup_by_class[lab].append(model.encode(tensors, payload))
-
-    if "no_dmm" in flags:
-        adapted = sup_by_class
-    else:
-        dparams = model.dmm_params(tensors)
-        w_base = tensors["clf.w_base"]
-        adapted = [[dmm_adapt(dparams, model.config.dmm, w_base, e)
-                    for e in row] for row in sup_by_class]
-
-    clf = model.classifier(tensors)
-    scores, labels = [], []
-    if "no_qim" in flags:
-        class_vectors = [_mean_tensor(row) for row in adapted]
-        for lab, payload in episode.queries:
-            e_q = model.encode(tensors, payload)
-            scores.append(few_scores(clf, e_q, class_vectors))
-            labels.append(lab)
-    else:
-        qparams = model.qim_params(tensors)
-        stacks = [nm.stack_rows(row) for row in adapted]
-        for lab, payload in episode.queries:
-            e_q = model.encode(tensors, payload)
-            class_vectors = [qim_induce(qparams, model.config.qim, stk, e_q)
-                             for stk in stacks]
-            scores.append(few_scores(clf, e_q, class_vectors))
-            labels.append(lab)
-    return scores, labels
-
-
-def episode_scores(model: Model, tensors: dict, episode: Episode,
-                   flags: frozenset):
-    """Scores of every query in an episode as one (Q, C) Tensor, and the
-    query labels: :func:`episode_forward` with two routing calls in all.
-
-    The supports are stacked by class, which needs the same number of
-    shots in every class (``sample_episode`` always draws that).  One
-    :func:`dmm_adapt` call adapts all C * K supports against the shared
-    base rows, one :func:`qim_induce` call routes the (Q, 1) query axis
-    against the (C,) class axis of the (C, K) adapted stacks, and one
-    :func:`few_scores` call scores the (Q, C) class vectors.  ``no_dmm``
-    skips adaptation; ``no_qim`` takes each class's mean of adapted
-    supports, which every query shares.  Routing gives each pair the
-    bits it gets when routed alone, but the transforms and the scores are
-    matrix products over the stacks, so scores agree with
-    :func:`episode_forward` to about 1e-13, not bit for bit.
-    """
+def _episode(model: Model, tensors: dict, episode: Episode,
+             flags: frozenset, per_pair: bool):
+    """The episode forward of :func:`episode_forward` (``per_pair``) and
+    :func:`episode_scores`, which differ only in the two routing steps."""
     way, shots = len(episode.class_ids), len(episode.support)
     counts = np.bincount([lab for lab, _ in episode.support],
                          minlength=way)
     if counts.min() != counts.max():
-        raise ValueError(f"episode_scores needs the same number of shots "
-                         f"in every class, got {counts.tolist()}")
+        raise ValueError(f"an episode forward needs the same number of "
+                         f"shots in every class, got {counts.tolist()}")
     shot = shots // way
     # class-major (C, K) for induction; shot-major (K, C) for the mean,
     # whose vecmat sums the leading axis
     by_class = sorted(range(shots), key=lambda i: episode.support[i][0])
     order = (np.reshape(by_class, (way, shot)).T.reshape(-1)
              if "no_qim" in flags else by_class)
-    supports = nm.stack_rows([model.encode(tensors, episode.support[i][1])
-                              for i in order])
-    if "no_dmm" not in flags:
-        supports = dmm_adapt(model.dmm_params(tensors), model.config.dmm,
-                             tensors["clf.w_base"], supports)
-    queries = nm.stack_rows([model.encode(tensors, payload)
-                             for _, payload in episode.queries])
-    dim = queries.shape[1]
+    rows = [model.encode(tensors, episode.support[i][1]) for i in order]
+    queries = [model.encode(tensors, payload)
+               for _, payload in episode.queries]
+    q_stack = nm.stack_rows(queries)
+    num_q, dim = q_stack.shape
+    supports = nm.stack_rows(rows)
+    if "no_dmm" not in flags:  # routing step 1: each support alone, or all
+        dmm = (model.dmm_params(tensors), model.config.dmm,
+               tensors["clf.w_base"])
+        if per_pair:
+            rows = [dmm_adapt(*dmm, e) for e in rows]
+            supports = nm.stack_rows(rows)
+        else:
+            supports = dmm_adapt(*dmm, supports)
     if "no_qim" in flags:
         class_vectors = nm.vecmat(
             nm.constant(np.full((shot, way), 1.0 / shot)),
             nm.reshape(supports, (shot, way, dim)))
-    else:
-        class_vectors = qim_induce(
-            model.qim_params(tensors), model.config.qim,
-            nm.reshape(supports, (way, shot, dim)),
-            nm.reshape(queries, (len(episode.queries), 1, dim)))
-    scores = few_scores(model.classifier(tensors), queries, class_vectors)
+    else:  # routing step 2: induce each (query, class) pair alone, or all
+        qim = (model.qim_params(tensors), model.config.qim)
+        if per_pair:
+            stacks = [nm.stack_rows(rows[c * shot:(c + 1) * shot])
+                      for c in range(way)]
+            class_vectors = nm.reshape(nm.stack_rows(
+                [qim_induce(*qim, stk, e) for e in queries for stk in stacks]),
+                (num_q, way, dim))
+        else:
+            class_vectors = qim_induce(
+                *qim, nm.reshape(supports, (way, shot, dim)),
+                nm.reshape(q_stack, (num_q, 1, dim)))
+    scores = few_scores(model.classifier(tensors), q_stack, class_vectors)
     return scores, [lab for lab, _ in episode.queries]
+
+
+def episode_forward(model: Model, tensors: dict, episode: Episode,
+                    flags: frozenset):
+    """Scores of every query in an episode as one (Q, C) Tensor, and the
+    query labels; training's forward pass.
+
+    The supports are stacked by class, which needs the same number of
+    shots in every class (``sample_episode`` always draws that).  One
+    :func:`dmm_adapt` call per support and one :func:`qim_induce` call per
+    (query, class) pair, stacked to (Q, C, d) class vectors, because the
+    benchmark pins these per-pair calls (ROADMAP items 1-2).  ``no_dmm``
+    skips adaptation; ``no_qim`` takes each class's mean of adapted
+    supports, which every query shares.
+    """
+    return _episode(model, tensors, episode, flags, per_pair=True)
+
+
+def episode_scores(model: Model, tensors: dict, episode: Episode,
+                   flags: frozenset):
+    """:func:`episode_forward` with two routing calls in all: one adapts
+    every support, one routes the (Q, 1) query axis against the (C,) class
+    axis of the (C, K) adapted stacks.  Each pair gets the bits it gets
+    when routed alone, but the transforms are matrix products over the
+    stacks, so scores agree with :func:`episode_forward` to about 1e-13.
+    """
+    return _episode(model, tensors, episode, flags, per_pair=False)
 
 
 def episode_accuracy(scores: nm.Tensor, labels) -> float:

@@ -56,7 +56,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -535,19 +534,14 @@ def _cosines(mv, qv, nrows=None, centred=False, row_axis=False):
     that axis even when n is 1, which turns a -0.0 into +0.0 exactly as
     the sum over n rows of a (l, d) query does.
     """
-    # a rank-1 query keeps the arithmetic the classifier's scores are
-    # pinned to: one matrix-vector product for the row dots and for the
-    # query's gradient
-    rank1 = qv.ndim == 1
-    rowdot = operator.matmul if rank1 else _rowdot
-    nq = np.sqrt(rowdot(qv, qv))
+    nq = np.sqrt(_rowdot(qv, qv))
     if nrows is None:
         nrows = np.sqrt(_rowdot(mv, mv))
     live = (nrows > EPS) & (nq > EPS)
     safe_rows = np.where(live, nrows, 1.0)
     safe_q = nq + (nq <= EPS)  # every row of a dead query is masked
     norms = safe_rows * safe_q
-    c = np.where(live, rowdot(mv, qv) / norms, 0.0)
+    c = np.where(live, _rowdot(mv, qv) / norms, 0.0)
 
     def vjp(g):
         gl = np.where(live, g, 0.0)
@@ -556,10 +550,7 @@ def _cosines(mv, qv, nrows=None, centred=False, row_axis=False):
         gm = _sum_to(a[..., None] * qv
                      - (glc / (safe_rows * safe_rows))[..., None] * mv,
                      mv.shape)
-        if rank1:
-            gq = mv.reshape(-1, qv.shape[0]).T @ a.reshape(-1) \
-                - qv * float(glc.sum()) / (safe_q * safe_q)
-        elif row_axis:
+        if row_axis:
             gq = _add(a[..., None] * mv, axis=-3, keepdims=True) - qv * (
                 _add(glc, axis=-2, keepdims=True)
                 / (safe_q * safe_q))[..., None]
@@ -577,7 +568,8 @@ def cosine(m: Tensor, q: Tensor) -> Tensor:
     The rows have one length; the leading axes of ``m`` and ``q``
     broadcast by numpy's rules and give the shape of the result, so a
     (n, d) ``m`` against a (B, 1, d) ``q`` gives (B, n) scores.  0 where
-    either norm is below EPS.  Two rank-1 operands give a scalar.
+    either norm is below EPS.  A rank-1 operand is one row, broadcast like
+    any other, so two rank-1 operands give a scalar.
     """
     if m.ndim < 1 or q.ndim < 1 or m.shape[-1] != q.shape[-1] or not all(
             a == b or 1 in (a, b) for a, b in zip(m.shape[-2::-1],

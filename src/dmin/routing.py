@@ -41,6 +41,10 @@ from . import numerics as nm
 from .numerics import Tensor
 
 
+# capsules per operator of the d -> d routing a pipeline gets by default
+PIPELINE_CAPSULES = 4
+
+
 @dataclass(frozen=True)
 class RoutingConfig:
     """Shape and iteration-count hyperparameters for one routing operator.
@@ -73,7 +77,7 @@ class RoutingConfig:
         return self.capsule_count * self.capsule_dim
 
     @classmethod
-    def for_pipeline(cls, dim: int, capsule_count: int = 4,
+    def for_pipeline(cls, dim: int, capsule_count: int = PIPELINE_CAPSULES,
                      iterations: int = 3) -> "RoutingConfig":
         """Config whose output dimension equals ``dim`` (d -> d routing)."""
         if dim % capsule_count != 0:

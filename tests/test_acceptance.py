@@ -290,8 +290,8 @@ def test_criterion_6_prototypical_equivalence(capsys):
     for index in range(20):
         episode = sample_episode(dataset, ep_cfg, index)
         scores, labels = episode_forward(model, tensors, episode, flags)
-        ours.append(sum(int(np.argmax(s.array)) == lab
-                        for s, lab in zip(scores, labels)))
+        ours.append(sum(int(np.argmax(s)) == lab
+                        for s, lab in zip(scores.array, labels)))
         by_class = [[] for _ in episode.class_ids]
         for lab, payload in episode.support:
             by_class[lab].append(np.asarray(payload))

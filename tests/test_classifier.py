@@ -102,7 +102,7 @@ class TestBaseScores:
 class TestFewScores:
     def test_matching_class_vector_wins(self):
         clf = make_clf(np.eye(2, 4))  # w_base unused by few_scores
-        vecs = [nm.constant(v) for v in np.eye(3, 4)]
+        vecs = nm.constant(np.eye(3, 4))
         s = few_scores(clf, nm.constant(np.eye(3, 4)[1]), vecs).array
         assert np.argmax(s) == 1
         npt.assert_allclose(s, [0.0, 10.0, 0.0], atol=1e-12)
@@ -112,7 +112,7 @@ class TestFewScores:
         v = rng.normal(size=6)
         clf = make_clf(np.eye(2, 6))
         s = few_scores(clf, nm.constant(rng.normal(size=6)),
-                       [nm.constant(v)] * 4).array
+                       nm.constant(np.tile(v, (4, 1)))).array
         npt.assert_allclose(s, np.full(4, s[0]), atol=1e-12)
 
     def test_5way_fixture_matches_oracle(self):
@@ -120,8 +120,7 @@ class TestFewScores:
         vecs = rng.normal(size=(5, 12))
         q = rng.normal(size=12)
         clf = make_clf(np.eye(2, 12), tau=10.0)
-        got = few_scores(clf, nm.constant(q),
-                         [nm.constant(v) for v in vecs]).array
+        got = few_scores(clf, nm.constant(q), nm.constant(vecs)).array
         npt.assert_allclose(got, normalize_dot_oracle(vecs, q, 10.0),
                             atol=1e-12)
 
@@ -129,10 +128,10 @@ class TestFewScores:
         clf = make_clf(np.eye(2, 4))
         with pytest.raises(ValueError):
             few_scores(clf, nm.constant(np.ones(4)),
-                       [nm.constant(np.ones(4))])
+                       nm.constant(np.ones((1, 4))))
         with pytest.raises(ValueError):
             few_scores(clf, nm.constant(np.zeros(4)),
-                       [nm.constant(np.ones(4))] * 2)
+                       nm.constant(np.ones((2, 4))))
 
 
 class TestLossSupervised:
@@ -181,38 +180,32 @@ class TestLossSupervised:
 
 class TestLossEpisode:
     def test_perfect_predictions_give_zero(self):
-        scores, labels = [], []
-        for c in range(3):
-            s = np.zeros(3)
-            s[c] = 60.0
-            scores.append(nm.constant(s))
-            labels.append(c)
+        scores, labels = nm.constant(np.eye(3) * 60.0), [0, 1, 2]
         assert loss_episode(scores, labels).item() == pytest.approx(0.0,
                                                                     abs=1e-15)
 
     def test_uniform_predictions_give_log_c(self):
-        scores = [nm.constant(np.zeros(5)) for _ in range(10)]
+        scores = nm.constant(np.zeros((10, 5)))
         labels = [q % 5 for q in range(10)]
         assert loss_episode(scores, labels).item() == pytest.approx(
             math.log(5.0), abs=1e-12)
 
     def test_two_class_averaging(self):
         hot = np.array([60.0, 0.0])
-        scores = [nm.constant(np.zeros(2)), nm.constant(hot)]
+        scores = nm.constant(np.stack([np.zeros(2), hot]))
         labels = [0, 0]
         # same class: plain mean
         assert loss_episode(scores, labels).item() == pytest.approx(
             math.log(2.0) / 2.0, abs=1e-12)
         # split across classes: mean of per-class means, same value here
-        scores = [nm.constant(np.zeros(2)), nm.constant(hot[::-1].copy())]
+        scores = nm.constant(np.stack([np.zeros(2), hot[::-1]]))
         assert loss_episode(scores, [0, 1]).item() == pytest.approx(
             math.log(2.0) / 2.0, abs=1e-12)
 
     def test_uneven_classes_weighted_per_class(self):
         # class 0 has two uniform queries (ln2 each), class 1 has one
         # saturated query (~0): mean of means is ln2/2, flat mean is 2ln2/3
-        scores = [nm.constant(np.zeros(2)), nm.constant(np.zeros(2)),
-                  nm.constant(np.array([0.0, 60.0]))]
+        scores = nm.constant([[0.0, 0.0], [0.0, 0.0], [0.0, 60.0]])
         labels = [0, 0, 1]
         assert loss_episode(scores, labels).item() == pytest.approx(
             math.log(2.0) / 2.0, abs=1e-12)
@@ -220,22 +213,13 @@ class TestLossEpisode:
     def test_single_query_equals_supervised(self):
         rng = np.random.default_rng(15)
         s = rng.normal(size=4)
-        assert loss_episode([nm.constant(s)], [2]).item() == pytest.approx(
+        got = loss_episode(nm.constant(s[None]), [2]).item()
+        assert got == pytest.approx(
             loss_supervised(nm.constant(s), 2).item(), abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            loss_episode([], [])
-
-    @pytest.mark.parametrize("queries", [1, 2, 7, 25])
-    def test_records_one_stack_and_one_cross_entropy(self, queries):
-        rng = np.random.default_rng(queries)
-        tape = nm.Tape()
-        rows = [tape.leaf(rng.normal(size=4)) for _ in range(queries)]
-        before = len(tape)
-        loss_episode(rows, [q % 4 for q in range(queries)])
-        assert [node.op for node in tape.nodes[before:]] == [
-            "stack_rows", "cross_entropy"]
+            loss_episode(nm.constant(np.zeros((0, 2))), [])
 
     def test_uneven_classes_match_an_exact_per_class_mean(self):
         # losses near log(classes) < 2, where 1e-15 is over 4 ulps; the
@@ -254,19 +238,18 @@ class TestLossEpisode:
                      np.count_nonzero(np.equal(labels, k))
                      for k in sorted(set(labels))]
             want = math.fsum(means) / len(means)
-            got = loss_episode([nm.constant(s) for s in scores],
-                               labels).item()
+            got = loss_episode(nm.constant(scores), labels).item()
             assert abs(got - want) <= 1e-15
             perm = rng.permutation(len(labels))
-            assert loss_episode([nm.constant(scores[i]) for i in perm],
+            assert loss_episode(nm.constant(scores[perm]),
                                 [labels[i] for i in perm]).item() == got
 
     def test_gradient_is_weighted_softmax_minus_onehot(self):
         tape = nm.Tape()
-        rows = [tape.leaf(np.zeros(2)) for _ in range(3)]
-        grads = nm.backward(tape, loss_episode(rows, [0, 0, 1]))
+        scores = tape.leaf(np.zeros((3, 2)))
+        grads = nm.backward(tape, loss_episode(scores, [0, 0, 1]))
         # class 0's two queries weigh 1/4 each, class 1's one query 1/2
-        npt.assert_allclose([grads[r.node_id] for r in rows],
+        npt.assert_allclose(grads[scores.node_id],
                             [[-0.125, 0.125], [-0.125, 0.125],
                              [0.25, -0.25]], atol=1e-15)
 

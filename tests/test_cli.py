@@ -395,6 +395,22 @@ def _jsonl_with(literal):
     return make
 
 
+def _jsonl_zero_vector(body, lines):
+    """The data file with the third record's vector all zeros."""
+    record = json.loads(lines[2])
+    record["vector"] = [0.0] * len(record["vector"])
+    return "\n".join([*lines[:2], json.dumps(record), *lines[3:]]) + "\n"
+
+
+def _jsonl_dim(dim):
+    """The data file with every vector cut to its first ``dim`` entries."""
+    def make(body, lines):
+        records = [json.loads(line) for line in lines]
+        return "".join(json.dumps({**r, "vector": r["vector"][:dim]}) + "\n"
+                       for r in records)
+    return make
+
+
 def _config(obj):
     return lambda body, lines: json.dumps(obj)
 
@@ -404,8 +420,10 @@ def _text(content):
     return lambda body, lines: content
 
 
-# argv templates: BAD is the malformed file, MODEL the trained checkpoint
+# argv templates: BAD is the malformed file, MODEL the trained checkpoint,
+# CONFIG a valid config that sets no routing
 BAD, MODEL, DATA, TEXT, OUT = "{bad}", "{model}", "{data}", "{text}", "{out}"
+CONFIG = "{config}"
 EVAL = ["eval", "--model", BAD, "--data", DATA, "--episodes", "1",
         "--out", OUT]
 EVAL_CONFIG = ["eval", "--config", BAD, "--model", MODEL, "--data", DATA,
@@ -536,6 +554,21 @@ MALFORMED = [
       "--out", OUT], []),
     ("jsonl_huge_int", ".jsonl", _jsonl_with("1" + "0" * 400),
      ["pretrain", "--data", BAD, "--out", OUT], []),
+    ("jsonl_zero_vector", ".jsonl", _jsonl_zero_vector,
+     ["pretrain", "--data", BAD, "--out", OUT], ["line 3", "zero norm"]),
+    # unset routing takes 4 capsules of at least 2 coordinates each
+    ("jsonl_dim_4_default_routing", ".jsonl", _jsonl_dim(4),
+     ["pretrain", "--data", BAD, "--out", OUT],
+     ["routing is unset,", "default of 4 capsules", "dimension 4"]),
+    ("jsonl_dim_4_default_routing_config", ".jsonl", _jsonl_dim(4),
+     ["ablate", "--config", CONFIG, "--data", BAD, "--out", OUT],
+     ["routing is unset in", "config.json", "dimension 4"]),
+    ("jsonl_dim_6_default_routing", ".jsonl", _jsonl_dim(6),
+     ["ablate", "--data", BAD, "--out", OUT],
+     ["routing is unset,", "default of 4 capsules", "dimension 6"]),
+    ("jsonl_dim_6_default_routing_config", ".jsonl", _jsonl_dim(6),
+     ["pretrain", "--config", CONFIG, "--data", BAD, "--out", OUT],
+     ["routing is unset in", "config.json", "dimension 6"]),
     ("jsonl_invalid_utf8", ".jsonl",
      _text(b'{"label": "a\xff", "vector": [1.0, 2.0]}\n'),
      ["pretrain", "--data", BAD, "--out", OUT], []),
@@ -549,9 +582,9 @@ MALFORMED = [
 @pytest.mark.parametrize("case,suffix,make,argv,named", MALFORMED,
                          ids=[row[0] for row in MALFORMED])
 def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
-                                               data_path, text_path, capsys,
-                                               case, suffix, make, argv,
-                                               named):
+                                               data_path, text_path,
+                                               config_path, capsys, case,
+                                               suffix, make, argv, named):
     body = json.loads(trained_path.read_text(encoding="utf-8"))
     lines = data_path.read_text(encoding="utf-8").splitlines()
     bad = tmp_path / f"{case}{suffix}"
@@ -559,7 +592,8 @@ def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
     bad.write_bytes(content if isinstance(content, bytes)
                     else content.encode("utf-8"))
     names = {"bad": bad, "model": trained_path, "data": data_path,
-             "text": text_path, "out": tmp_path / "out"}
+             "text": text_path, "config": config_path,
+             "out": tmp_path / "out"}
     capsys.readouterr()
     assert cli.main([arg.format(**names) for arg in argv]) == 2
     err = capsys.readouterr().err
@@ -584,6 +618,12 @@ BAD_FLAGS = [
     ("synth_overflowing_vectors",
      SYNTH + ["--separation", "1e200", "--sigma", "1e200"],
      ["--separation", "--sigma", "float range"]),
+    ("synth_vanishing_vectors",
+     SYNTH + ["--separation", "3", "--sigma", "1e-320"],
+     ["--separation 3.0 with --sigma 1e-320", "zero norm"]),
+    ("eval_unknown_ablation",
+     ["eval", "--model", MODEL, "--data", DATA, "--ablation", "bogus",
+      "--out", OUT], ["--ablation must be one of", "'bogus'"]),
     ("eval_shot_beyond_data",
      ["eval", "--model", MODEL, "--data", DATA, "--shot", "40",
       "--out", OUT], ["--shot 40", "at least 50 items"]),
