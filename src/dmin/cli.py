@@ -103,8 +103,12 @@ def _config_for(path, dataset: Dataset, data) -> TrainConfig:
                 f"{path}: config encoder (kind={enc.kind!r}, "
                 f"embed_dim={enc.embed_dim}) cannot consume vector data of "
                 f"dimension {dataset.dim}")
-        cfg = replace(cfg, encoder=EncoderConfig(kind="precomputed",
-                                                 embed_dim=dataset.dim))
+        try:
+            enc = EncoderConfig(kind="precomputed", embed_dim=dataset.dim)
+        except ValueError as err:  # the data, not a config, set the dim
+            raise DataError(f"{data}: vectors of dimension {dataset.dim} "
+                            f"cannot be embedded ({err})") from err
+        cfg = replace(cfg, encoder=enc)
     try:
         model_config_from(cfg, dataset.num_classes)
     except ValueError as err:
@@ -277,6 +281,9 @@ def _cmd_synth(args) -> int:
 def _cmd_ablate(args) -> int:
     _check_out(args, "--out", "--data")
     dataset = load_dataset(args.data)
+    if dataset.num_classes < 2:
+        raise DataError(f"{args.data}: the base/novel split needs at least "
+                        f"2 classes, got {dataset.num_classes}")
     cfg = _config_for(args.config, dataset, args.data)
     if cfg.num_base is not None and cfg.num_base >= dataset.num_classes:
         raise DataError(

@@ -31,6 +31,7 @@ from .numerics import Tensor
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
 _MASK64 = (1 << 64) - 1
+PROJECTION_INIT_STD = 0.5
 
 
 def fnv1a64(data: bytes) -> int:
@@ -98,10 +99,9 @@ class FeatureHashEncoder:
         return nm.tanh(nm.embed(self.projection, ids, counts[ids]))
 
 
-def init_encoder_arrays(cfg: EncoderConfig, rng: np.random.Generator,
-                        std: float = 0.5) -> dict:
+def init_encoder_arrays(cfg: EncoderConfig, rng: np.random.Generator) -> dict:
     """Fresh trainable arrays for an encoder (empty for precomputed)."""
     if cfg.kind != "feature_hash":
         return {}
-    return {"projection": rng.normal(0.0, std,
+    return {"projection": rng.normal(0.0, PROJECTION_INIT_STD,
                                      (cfg.embed_dim, cfg.vocab_buckets))}

@@ -85,8 +85,8 @@ class RoutingPair:
 
     def __post_init__(self):
         if self.share_params and self.dmm != self.qim:
-            raise ValueError("routing.share_params requires identical "
-                             "routing.dmm and routing.qim configs")
+            raise ValueError("share_params requires identical dmm and qim "
+                             "configs")
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,8 @@ def config_from_dict(cls, raw, key: str = ""):
     ``cls``'s annotations: nested config dataclasses recurse, only
     ``T | None`` fields take null, and scalars take what :data:`_SCALARS`
     allows.  Unknown, missing or mistyped fields raise :class:`DataError`
-    naming the dotted key below ``key``."""
+    naming the dotted key below ``key``, and so does a nested config's
+    own refusal, prefixed with ``key``."""
     what = f"config key {key!r}" if key else "config"
     if type(raw) is not dict:
         raise DataError(f"{what} must be an object")
@@ -123,7 +124,12 @@ def config_from_dict(cls, raw, key: str = ""):
         elif not _SCALARS[type_name][0](v):
             raise DataError(f"config field {name} must be "
                             f"{_SCALARS[type_name][1]}, got {v!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as err:
+        if not key:  # the top level's refusals name their own keys
+            raise
+        raise DataError(f"{key}.{err}") from err
 
 
 @dataclass

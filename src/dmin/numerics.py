@@ -12,21 +12,17 @@ Conventions:
   the last axis and treat any leading axes as independent rows, so a
   rank-1 input is simply a single row.  :func:`embed` is :func:`linear`
   of one sparse constant row, given as the strictly increasing indices of
-  its nonzero columns and their values.  The second operand of :func:`dot`
-  and :func:`pccs` has the shape of the first's trailing axes and is
-  broadcast over its leading ones.  The leading axes of :func:`cosine`'s
-  two operands broadcast by numpy's rules, so a (n, d) ``m`` against a
-  (B, 1, d) ``q`` scores B rows against n in one node; its VJP sums each
-  operand's gradient over the axes that operand was broadcast along.
-  :func:`route`'s (..., n, l, d_v) memory and (..., l, d_v) query
-  broadcast their leading axes the same way: each entry of the batch is
-  one (memory, query) pair, routed with the bits it has when routed
-  alone, and the VJP sums over broadcast axes as :func:`cosine`'s does.
-  :func:`vecmat` weights and sums the leading axis of its second operand.
-  :func:`cross_entropy` takes one label and one weight per row and sums
-  the rows to a scalar; its labels and weights are plain constants, never
-  recorded.  There is no other broadcasting except scalar-times-tensor in
-  :func:`mul`,
+  its nonzero columns and their values,
+- one broadcasting rule, numpy's: the shapes of the two operands of
+  :func:`add`, :func:`mul`, :func:`dot`, :func:`cosine` and :func:`pccs`
+  broadcast, and so do the leading axes of :func:`route`'s (..., n, l,
+  d_v) memory and (..., l, d_v) query, each entry of whose batch is one
+  pair routed with the bits it has alone.  ``dot``, ``cosine`` and
+  ``pccs`` also need rows of one length (2 or more for ``pccs``).  Each
+  VJP sums an operand's gradient over the axes it was broadcast along.
+  There is no other broadcasting: :func:`vecmat`'s weights and
+  :func:`cross_entropy`'s labels and weights have the shape of the other
+  operand without its last axis,
 - :func:`vecmat`'s sum over rows (and so :func:`route`'s capsule mix) is
   order-fixed: the rows are added in the order of their bytes, so the
   result does not depend on the order they come in,
@@ -80,7 +76,6 @@ __all__ = [
     "constant",
     "add",
     "mul",
-    "scale",
     "linear",
     "embed",
     "vecmat",
@@ -220,38 +215,50 @@ def _rowdot(a, b):
     return _einsum("...i,...i->...", a, b)
 
 
+def _check_operands(op: str, a: Tensor, b: Tensor, row: int = 0) -> None:
+    """Refuse operands whose shapes do not broadcast by numpy's rules; a
+    row op (``row`` >= 1) also needs rows of one length, at least ``row``."""
+    sa, sb = a.shape, b.shape
+    if row and not (sa and sb and sa[-1] == sb[-1] >= row) or not all(
+            x == y or 1 in (x, y) for x, y in zip(sa[::-1], sb[::-1])):
+        raise ValueError(f"{op}: shape mismatch {sa} vs {sb}"
+                         + (f"; rows need one length >= {row}" if row else ""))
+
+
+def _sum_to(g, shape):
+    """Sum ``g`` over the axes along which an operand of ``shape`` was
+    broadcast to ``g.shape``: its missing leading axes and its length-1
+    axes."""
+    if g.shape == shape:
+        return g
+    if g.shape[1:] == shape:  # one added leading axis (routing): no tuple work
+        return _add(g, axis=0)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, k in enumerate(shape) if k == 1 < g.shape[lead + i])
+    return _add(g, axis=axes, keepdims=True).reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # elementwise and linear-algebra operations
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return _result("add", a.array + b.array, (a, b), lambda g: (g, g))
+    """Elementwise sum; the shapes broadcast by numpy's rules."""
+    _check_operands("add", a, b)
+    av, bv = a.array, b.array
+    return _result("add", av + bv, (a, b),
+                   lambda g: (_sum_to(g, av.shape), _sum_to(g, bv.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; one operand may be a scalar (rank-0)."""
+    """Elementwise product; the shapes broadcast by numpy's rules, so a
+    rank-0 operand scales every entry of the other."""
+    _check_operands("mul", a, b)
     av, bv = a.array, b.array
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-
-    def vjp(g):
-        ga = g * bv
-        gb = g * av
-        if av.ndim == 0 and g.ndim != 0:
-            ga = np.sum(g * bv)
-        if bv.ndim == 0 and g.ndim != 0:
-            gb = np.sum(g * av)
-        return ga, gb
-
-    return _result("mul", av * bv, (a, b), vjp)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a plain (non-differentiated) float constant."""
-    c = float(c)
-    return _result("scale", x.array * c, (x,), lambda g: (g * c,))
+    return _result("mul", av * bv, (a, b),
+                   lambda g: (_sum_to(g * bv, av.shape),
+                              _sum_to(g * av, bv.shape)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -457,26 +464,14 @@ def cross_entropy(scores: Tensor, labels, weights) -> Tensor:
 # reductions and assembly
 # ---------------------------------------------------------------------------
 
-def _check_trailing(op: str, m: Tensor, q: Tensor, min_len: int = 1) -> None:
-    if q.ndim < 1 or m.shape[m.ndim - q.ndim:] != q.shape:
-        raise ValueError(f"{op}: shape mismatch {m.shape} vs {q.shape}")
-    if q.shape[-1] < min_len:
-        raise ValueError(
-            f"{op}: need rows of length >= {min_len}, got shape {m.shape}")
-
-
 def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Dot product of each row of ``a`` with the matching row of ``b``.
-
-    ``b`` has the shape of ``a``'s trailing axes and is broadcast over the
-    leading ones; the result has shape ``a.shape[:-1]``.
-    """
-    _check_trailing("dot", a, b)
+    """Dot product of each row of ``a`` with the matching row of ``b``;
+    the leading axes broadcast and give the shape of the result."""
+    _check_operands("dot", a, b, 1)
     av, bv = a.array, b.array
-    lead = tuple(range(a.ndim - b.ndim))
     return _result("dot", _rowdot(av, bv), (a, b),
-                   lambda g: (g[..., None] * bv,
-                              (g[..., None] * av).sum(axis=lead)))
+                   lambda g: (_sum_to(g[..., None] * bv, av.shape),
+                              _sum_to(g[..., None] * av, bv.shape)))
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
@@ -506,25 +501,10 @@ def _centre(a):
     return a - _add(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
-def _sum_to(g, shape):
-    """Sum ``g`` over the axes along which an operand of ``shape`` was
-    broadcast to ``g.shape``: its missing leading axes and its length-1
-    axes."""
-    if g.shape == shape:
-        return g
-    if g.shape[1:] == shape:  # one added leading axis (routing): no tuple work
-        return _add(g, axis=0)
-    lead = g.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(
-        lead + i for i, k in enumerate(shape) if k == 1 < g.shape[lead + i])
-    return _add(g, axis=axes, keepdims=True).reshape(shape)
-
-
 def _cosines(mv, qv, nrows=None, centred=False, row_axis=False):
     """Cosine of each row of ``mv`` with the matching row of ``qv`` and its
-    VJP to (row, query) gradients.  The leading axes of ``mv`` and ``qv``
-    broadcast by numpy's rules; each gradient is summed over the axes its
-    operand was broadcast along.
+    VJP to (row, query) gradients, each summed over the axes its operand
+    was broadcast along.
 
     ``nrows`` may pass in the row norms of ``mv``.  ``centred`` inputs are
     mean-centred (Pearson): centring is a symmetric projection, so the VJP
@@ -565,16 +545,11 @@ def _cosines(mv, qv, nrows=None, centred=False, row_axis=False):
 def cosine(m: Tensor, q: Tensor) -> Tensor:
     """Cosine similarity of each row of ``m`` with the matching row of ``q``.
 
-    The rows have one length; the leading axes of ``m`` and ``q``
-    broadcast by numpy's rules and give the shape of the result, so a
-    (n, d) ``m`` against a (B, 1, d) ``q`` gives (B, n) scores.  0 where
-    either norm is below EPS.  A rank-1 operand is one row, broadcast like
-    any other, so two rank-1 operands give a scalar.
+    The leading axes give the shape of the result: a (n, d) ``m`` against
+    a (B, 1, d) ``q`` gives (B, n) scores, and two rank-1 operands a
+    scalar.  0 where either norm is below EPS.
     """
-    if m.ndim < 1 or q.ndim < 1 or m.shape[-1] != q.shape[-1] or not all(
-            a == b or 1 in (a, b) for a, b in zip(m.shape[-2::-1],
-                                                  q.shape[-2::-1])):
-        raise ValueError(f"cosine: shape mismatch {m.shape} vs {q.shape}")
+    _check_operands("cosine", m, q, 1)
     c, vjp = _cosines(m.array, q.array)
     return _result("cosine", c, (m, q), vjp)
 
@@ -582,13 +557,13 @@ def cosine(m: Tensor, q: Tensor) -> Tensor:
 def pccs(m: Tensor, q: Tensor) -> Tensor:
     """Pearson correlation of each row of ``m`` with the matching row of ``q``.
 
-    ``q`` has the shape of ``m``'s trailing axes.  The entries of a row are
+    Shapes broadcast as in :func:`cosine`.  The entries of a row are
     paired samples, so rows need length 2 or more: a single sample has no
     variance to correlate.  Equal to the cosine of the mean-centred rows,
     so rows with (near) zero variance yield 0, a neutral value for routing.
     Centring is fused into the node.
     """
-    _check_trailing("pccs", m, q, 2)
+    _check_operands("pccs", m, q, 2)
     c, vjp = _cosines(_centre(m.array), _centre(q.array), centred=True)
     return _result("pccs", c, (m, q), vjp)
 

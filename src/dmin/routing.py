@@ -43,6 +43,9 @@ from .numerics import Tensor
 
 # capsules per operator of the d -> d routing a pipeline gets by default
 PIPELINE_CAPSULES = 4
+# spread of the noise in fresh capsule transforms' weights and biases
+W_INIT_STD = 0.1
+B_INIT_STD = 0.1
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,6 @@ def qim_induce(params: RoutingParams, cfg: RoutingConfig, adapted_supports,
 
 
 def init_routing_arrays(cfg: RoutingConfig, rng: np.random.Generator,
-                        std: float = 0.1, bias_std: float = 0.1,
                         identity_blocks: bool = False) -> dict:
     """Fresh parameter arrays ``{"w", "b"}`` for one routing operator.
 
@@ -226,8 +228,9 @@ def init_routing_arrays(cfg: RoutingConfig, rng: np.random.Generator,
             f"{cfg.output_dim} != {cfg.input_dim}")
     ws, bs = [], []
     for _ in range(cfg.capsule_count):
-        ws.append(rng.normal(0.0, std, (cfg.capsule_dim, cfg.input_dim)))
-        bs.append(rng.normal(0.0, bias_std, cfg.capsule_dim))
+        ws.append(rng.normal(0.0, W_INIT_STD,
+                             (cfg.capsule_dim, cfg.input_dim)))
+        bs.append(rng.normal(0.0, B_INIT_STD, cfg.capsule_dim))
     w = np.concatenate(ws)
     if identity_blocks:
         w += np.eye(cfg.input_dim)

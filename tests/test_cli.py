@@ -411,6 +411,13 @@ def _jsonl_dim(dim):
     return make
 
 
+def _jsonl_one_class(body, lines):
+    """The data file cut to the records of its first record's label."""
+    label = json.loads(lines[0])["label"]
+    return "".join(line + "\n" for line in lines
+                   if json.loads(line)["label"] == label)
+
+
 def _config(obj):
     return lambda body, lines: json.dumps(obj)
 
@@ -464,6 +471,10 @@ MALFORMED = [
      ["config field share_routing must be true or false"]),
     ("ckpt_unknown_config_field", ".ckpt", _ckpt_config_with("dmm.bogus", 1),
      EVAL, ["config key 'dmm'", "'bogus'"]),
+    # a nested config's own check, prefixed with its key
+    ("ckpt_zero_capsule_count", ".ckpt",
+     _ckpt_config_with("dmm.capsule_count", 0), EVAL,
+     ["dmm.capsule_count must be a positive integer, got 0"]),
     ("config_float_int", ".json", _config({"stage1": {"steps": 2.5}}),
      PRETRAIN_CONFIG, ["stage1.steps"]),
     ("config_bool_int", ".json", _config({"eval": {"episodes": True}}),
@@ -491,6 +502,13 @@ MALFORMED = [
     ("config_routing_qim_missing", ".json",
      _config({"routing": {"dmm": ROUTING_OK}}), PRETRAIN_CONFIG,
      ["routing.qim"]),
+    ("config_routing_capsule_dim_1", ".json",
+     _config({"routing": {"dmm": {**ROUTING_WIDE, "capsule_dim": 1},
+                          "qim": {"input_dim": 8}}}),
+     PRETRAIN_CONFIG, ["routing.dmm.capsule_dim must be >= 2"]),
+    ("config_encoder_embed_dim_1", ".json",
+     _config({"encoder": {"kind": "precomputed", "embed_dim": 1}}),
+     PRETRAIN_CONFIG, ["encoder.embed_dim must be >= 2"]),
     ("config_routing_not_object", ".json", _config({"routing": [1]}),
      PRETRAIN_CONFIG, ["'routing'"]),
     ("config_null_stage", ".json", _config({"stage1": None}),
@@ -569,6 +587,14 @@ MALFORMED = [
     ("jsonl_dim_6_default_routing_config", ".jsonl", _jsonl_dim(6),
      ["pretrain", "--config", CONFIG, "--data", BAD, "--out", OUT],
      ["routing is unset in", "config.json", "dimension 6"]),
+    # the data, not a config, sets a dimension the model cannot take
+    ("jsonl_dim_1", ".jsonl", _jsonl_dim(1),
+     ["pretrain", "--data", BAD, "--out", OUT], ["vectors of dimension 1"]),
+    ("jsonl_dim_1_ablate", ".jsonl", _jsonl_dim(1),
+     ["ablate", "--data", BAD, "--out", OUT], ["vectors of dimension 1"]),
+    ("jsonl_one_class_ablate", ".jsonl", _jsonl_one_class,
+     ["ablate", "--data", BAD, "--out", OUT],
+     ["base/novel split needs at least 2 classes, got 1"]),
     ("jsonl_invalid_utf8", ".jsonl",
      _text(b'{"label": "a\xff", "vector": [1.0, 2.0]}\n'),
      ["pretrain", "--data", BAD, "--out", OUT], []),

@@ -339,10 +339,14 @@ def _op_cases(rng):
     # "op/variant" names a further case of the same op
     return [
         ("add", {"a": vec(d), "b": vec(d)}, lambda t: nm.add(t["a"], t["b"])),
+        # a leading axis missing from a, and length-1 axes in both
+        ("add/broadcast", {"a": mat(n, 1), "b": rng.normal(0.0, 2.0, (m, 1, d))},
+         lambda t: nm.add(t["a"], t["b"])),
         ("mul", {"a": vec(d), "b": vec(d)}, lambda t: nm.mul(t["a"], t["b"])),
         ("mul/scalar", {"a": np.array(rng.normal()), "b": vec(d)},
          lambda t: nm.mul(t["a"], t["b"])),
-        ("scale", {"a": vec(d)}, lambda t: nm.scale(t["a"], -1.7)),
+        ("mul/broadcast", {"a": mat(n, 1), "b": vec(d)},
+         lambda t: nm.mul(t["a"], t["b"])),
         ("linear", {"x": vec(d), "w": mat(m, d)}, lambda t: nm.linear(t["x"], t["w"])),
         ("linear/bias", {"x": vec(d), "w": mat(m, d), "b": vec(m)},
          lambda t: nm.linear(t["x"], t["w"], t["b"])),
@@ -374,6 +378,8 @@ def _op_cases(rng):
         ("dot", {"a": vec(d), "b": vec(d)}, lambda t: nm.dot(t["a"], t["b"])),
         ("dot/broadcast", {"m": cube(n), "q": mat(m, d)},
          lambda t: nm.dot(t["m"], t["q"])),
+        ("dot/batched", {"m": mat(n, d), "q": rng.normal(0.0, 2.0, (m, 1, d))},
+         lambda t: nm.dot(t["m"], t["q"])),
         ("stack_rows", {"a": vec(d), "b": vec(d)},
          lambda t: nm.stack_rows([t["a"], t["b"]])),
         ("stack_rows/matrices", {"a": mat(n, d), "b": mat(n, d)},
@@ -393,6 +399,8 @@ def _op_cases(rng):
         ("pccs/rows", {"m": mat(n, d), "q": vec(d)},
          lambda t: nm.pccs(t["m"], t["q"])),
         ("pccs/broadcast", {"m": cube(n), "q": mat(m, d)},
+         lambda t: nm.pccs(t["m"], t["q"])),
+        ("pccs/batched", {"m": mat(n, d), "q": rng.normal(0.0, 2.0, (m, 1, d))},
          lambda t: nm.pccs(t["m"], t["q"])),
         ("route", {"m": 0.3 * cube(n), "q": 0.3 * mat(m, d)},
          lambda t: nm.route(t["m"], t["q"], 3)[0]),
@@ -542,10 +550,21 @@ def test_broadcast_cosine_rows_match_rows_computed_alone(b, n, d, batched,
 
 
 def test_cosine_refuses_shapes_that_do_not_broadcast():
-    for ms, qs in (((5, 4), (3, 2, 4)), ((5, 4), (5, 3)), ((2, 5, 4), (3, 1, 4)),
-                   ((4,), ())):
-        with pytest.raises(ValueError, match="cosine: shape mismatch"):
-            nm.cosine(c(np.ones(ms)), c(np.ones(qs)))
+    """Every two-operand op refuses shapes that do not broadcast; the row
+    ops also refuse a scalar and rows of unequal length, and ``pccs`` rows
+    of length 1."""
+    ops = ("add", "mul", "dot", "cosine", "pccs")
+    cases = [(op, ms, qs) for op in ops for ms, qs in (
+        ((5, 4), (3, 2, 4)), ((5, 4), (5, 3)), ((2, 5, 4), (3, 1, 4)))]
+    cases += [(op, ms, qs) for op in ops[2:] for ms, qs in (
+        ((4,), ()), ((5, 1), (5, 3)))]
+    for op, ms, qs in cases + [("pccs", (5, 1), (1,))]:
+        with pytest.raises(ValueError, match=f"{op}: shape mismatch"):
+            getattr(nm, op)(c(np.ones(ms)), c(np.ones(qs)))
+    for op in ops[:2]:  # elementwise ops broadcast those
+        assert getattr(nm, op)(c(np.ones((5, 1))), c(np.ones((5, 3)))).shape \
+            == (5, 3)
+        assert getattr(nm, op)(c(np.ones(4)), c(np.ones(()))).shape == (4,)
 
 
 NOT_OPS = {"EPS", "NumericError", "Tensor", "Tape", "constant", "backward"}
@@ -575,7 +594,7 @@ def _composed_route(m, q, iterations):
     for it in range(iterations):
         if it:
             logits = nm.add(logits, nm.mul(gates, nm.dot(m, caps)))
-            q = nm.scale(nm.add(q, caps), 0.5)
+            q = nm.mul(nm.add(q, caps), nm.constant(0.5))
             gates = nm.tanh(nm.pccs(m, q))
         coupling = nm.softmax(logits)
         caps = nm.squash(nm.vecmat(nm.add(coupling, gates), m))
