@@ -193,6 +193,9 @@ def _check_data_matches(model: Model, dataset: Dataset) -> None:
 def _cmd_pretrain(args) -> int:
     _check_out(args, "--out", "--data")
     dataset = load_dataset(args.data)
+    if dataset.num_classes < 2:  # the loss over one class is always 0
+        raise DataError(f"{args.data}: pretraining needs at least 2 "
+                        f"classes, got {dataset.num_classes}")
     cfg = _config_for(args.config, dataset, args.data)
     result = pretrain(dataset, cfg)
     save_checkpoint(result.model, args.out)

@@ -13,7 +13,10 @@ combined they reduce to a prototypical mean-of-supports baseline.
 Training (:func:`episode_forward`) and evaluation
 (:func:`episode_scores`) share one episode forward: both stack the
 supports and queries, score one (Q, C) Tensor with one
-:func:`few_scores` call and hand it to :func:`loss_episode`.  They
+:func:`few_scores` call and hand it to :func:`loss_episode`.  A vector
+episode's supports are one constant and its queries another, made
+without an encode per item (training's per-pair calls take views of
+their rows); text is encoded item by item and stacked.  They
 differ only in the two routing steps.  An evaluation episode makes 2
 routing calls: one adapts every support, and one induces every
 (query, class) vector.  Training routes each support and each
@@ -172,6 +175,18 @@ def model_config_from(cfg: TrainConfig, num_base_classes: int) -> ModelConfig:
 # episode forward pass
 # ---------------------------------------------------------------------------
 
+def _encode(model: Model, tensors: dict, payloads: list, rows: bool):
+    """The payloads' sample vectors as one (N, d) Tensor and, if ``rows``,
+    as a list of N (d,) Tensors too.  Vector payloads make one constant,
+    whose rows are views of it; text payloads are encoded one by one and
+    stacked."""
+    if all(isinstance(p, np.ndarray) for p in payloads):
+        stack = model.encode_vectors(payloads)
+        return stack, [nm.constant(v) for v in stack.array] if rows else None
+    items = [model.encode(tensors, p) for p in payloads]
+    return nm.stack_rows(items), items
+
+
 def _episode(model: Model, tensors: dict, episode: Episode,
              flags: frozenset, per_pair: bool):
     """The episode forward of :func:`episode_forward` (``per_pair``) and
@@ -188,12 +203,12 @@ def _episode(model: Model, tensors: dict, episode: Episode,
     by_class = sorted(range(shots), key=lambda i: episode.support[i][0])
     order = (np.reshape(by_class, (way, shot)).T.reshape(-1)
              if "no_qim" in flags else by_class)
-    rows = [model.encode(tensors, episode.support[i][1]) for i in order]
-    queries = [model.encode(tensors, payload)
-               for _, payload in episode.queries]
-    q_stack = nm.stack_rows(queries)
+    supports, rows = _encode(model, tensors,
+                             [episode.support[i][1] for i in order], per_pair)
+    q_stack, queries = _encode(model, tensors,
+                               [payload for _, payload in episode.queries],
+                               per_pair)
     num_q, dim = q_stack.shape
-    supports = nm.stack_rows(rows)
     if "no_dmm" not in flags:  # routing step 1: each support alone, or all
         dmm = (model.dmm_params(tensors), model.config.dmm,
                tensors["clf.w_base"])
@@ -437,8 +452,8 @@ def separation_report(model: Model, dataset: Dataset, *, way: int = 10,
     episode = sample_episode(dataset, ep_cfg, 0)
     tensors = model.tensors()
     labels = [lab for lab, _ in episode.support]
-    before = nm.stack_rows([model.encode(tensors, payload)
-                            for _, payload in episode.support])
+    before = _encode(model, tensors,
+                     [payload for _, payload in episode.support], False)[0]
     after = dmm_adapt(model.dmm_params(tensors), model.config.dmm,
                       tensors["clf.w_base"], before).array
     before = before.array

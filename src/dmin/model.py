@@ -159,10 +159,7 @@ class Model:
         """Sample vector for one payload: text through the hash encoder,
         precomputed vectors passed straight through."""
         if isinstance(payload, np.ndarray):
-            if payload.shape != (self.config.embed_dim,):
-                raise ValueError(
-                    f"vector payload has shape {payload.shape}, model "
-                    f"expects ({self.config.embed_dim},)")
+            self._check_vector(payload)
             return nm.constant(payload)
         if self.config.encoder.kind != "feature_hash":
             raise ValueError(
@@ -171,6 +168,19 @@ class Model:
         enc = FeatureHashEncoder(self.config.encoder,
                                  tensors["enc.projection"])
         return enc.encode(payload)
+
+    def encode_vectors(self, payloads) -> Tensor:
+        """Vector payloads stacked to one (N, d) constant: :meth:`encode`
+        of each, stacked, without a Tensor per payload."""
+        for payload in payloads:
+            self._check_vector(payload)
+        return nm.constant(np.stack(payloads))
+
+    def _check_vector(self, payload: np.ndarray) -> None:
+        if payload.shape != (self.config.embed_dim,):
+            raise ValueError(
+                f"vector payload has shape {payload.shape}, model "
+                f"expects ({self.config.embed_dim},)")
 
     def param_digest(self) -> str:
         """sha256 of the parameters in the checkpoint layout."""

@@ -33,6 +33,13 @@ Conventions:
   :func:`backward` checks every leaf gradient,
 - :func:`route`, :func:`cross_entropy` and the public row ops share
   private forward/VJP pairs, so each formula is written once,
+- :func:`route`'s forward works at the shape each quantity has: the
+  centred memory rows, their norms and their byte order once per memory;
+  the query's centring and norms at the query's shape, which is the
+  batch's only from round 2 on; the gates, logits, coupling and
+  capsules per pair.  Its dots and its capsule mix contract the operands
+  as they are, with the bits of a broadcast multiply and sum.  Round 1's
+  coupling is the constant 1/l, a softmax of zero logits bit for bit,
 - a result is recorded on a tape iff at least one input is recorded; mixing
   inputs from two different tapes is an error,
 - a VJP closes over arrays, never over Tensors: their tape link would make
@@ -56,7 +63,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# what np.einsum, np.clip, .sum and .max call, minus their Python dispatch
+# what np.einsum, np.clip and .sum call, minus their Python dispatch
 # layers; the results are bit-identical
 try:
     from numpy._core.multiarray import c_einsum as _einsum
@@ -64,7 +71,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
     _einsum = np.einsum
-_add, _max = np.add.reduce, np.maximum.reduce
+_add = np.add.reduce
 
 EPS = 1e-12
 
@@ -330,13 +337,15 @@ def _row_order(rows, *leads):
             for s in leads]
 
 
-def _mix(wv, mv, axis, ms, take):
-    """Row mixture ``sum_i wv[i] * mv[i]`` along ``axis`` of ``mv``, kept as
-    a length-1 axis, and its VJP; ``ms`` holds ``mv``'s rows in the order
-    that the flat index ``take`` (None: as given) puts ``wv``'s rows in."""
+def _mix(wv, mv, ms, take, subscripts):
+    """Row mixture ``sum_i wv[i] * mv[i]`` as the einsum ``subscripts``
+    contracts it, and its VJP, which takes the gradient with a row axis;
+    ``ms`` holds ``mv``'s rows in the order that the flat index ``take``
+    (None: as given) puts ``wv``'s rows in.  The contraction adds the
+    products row by row, the bits of a multiply and a sum over that axis."""
     ws = wv if take is None else \
-        wv.reshape(len(take), -1)[take].reshape(wv.shape)
-    return (_add(ws[..., None] * ms, axis=axis, keepdims=True) + 0.0,
+        wv.reshape(len(take), -1).take(take, axis=0).reshape(wv.shape)
+    return (_einsum(subscripts, ws, ms) + 0.0,
             lambda g: (_rowdot(mv, g), wv[..., None] * g))
 
 
@@ -360,8 +369,9 @@ def vecmat(w: Tensor, m: Tensor) -> Tensor:
     wv, mv = w.array, m.array
     take = None if len(mv) < 3 or not mv.size else _row_order(np.concatenate(
         (mv.reshape(len(mv), -1), wv.reshape(len(mv), -1)), 1), ())[0]
-    out, vjp = _mix(wv, mv, 0, mv if take is None else mv[take], take)
-    return _result("vecmat", out[0], (w, m), vjp)
+    out, vjp = _mix(wv, mv, mv if take is None else mv[take], take,
+                    "n...,n...k->...k")
+    return _result("vecmat", out, (w, m), vjp)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -412,12 +422,27 @@ def squash(x: Tensor) -> Tensor:
 # softmax family
 # ---------------------------------------------------------------------------
 
+def _last(ufunc, xv):
+    """``ufunc`` reduced over the last axis of ``xv``, kept as a length-1
+    axis.  numpy reduces a short inner axis slowly, row by row, so an axis
+    of fewer than 8 entries is reduced by one elementwise call per entry.
+    A sum of positive entries, such as softmax's, is then added in order,
+    which is what numpy's reduce does there, bit for bit."""
+    k = xv.shape[-1]
+    if k >= 8:
+        return ufunc.reduce(xv, axis=-1, keepdims=True)
+    out = xv[..., :1]
+    for j in range(1, k):
+        out = ufunc(out, xv[..., j:j + 1])
+    return out
+
+
 def _softmax(xv):
     """``softmax``'s rows, their VJP, and a function that gives each row's
     log-sum-exp (only the loss asks for it, so it is made on demand)."""
-    top = _max(xv, axis=-1, keepdims=True)
+    top = _last(np.maximum, xv)
     z = np.exp(xv - top)
-    total = _add(z, axis=-1, keepdims=True)
+    total = _last(np.add, z)
     y = z / total
     return (y, lambda g: y * (g - _rowdot(g, y)[..., None]),
             lambda: (top + np.log(total))[..., 0])
@@ -501,42 +526,56 @@ def _centre(a):
     return a - _add(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
-def _cosines(mv, qv, nrows=None, centred=False, row_axis=False):
+def _row_norms(xv):
+    """Whether each row of ``xv`` has a norm above EPS, and the row norms
+    with each other row's replaced by 1, a safe divisor."""
+    norms = np.sqrt(_rowdot(xv, xv))
+    live = norms > EPS
+    return live, np.where(live, norms, 1.0)
+
+
+def _cosines(mv, qv, rows=None, centred=False, row_axis=False):
     """Cosine of each row of ``mv`` with the matching row of ``qv`` and its
     VJP to (row, query) gradients, each summed over the axes its operand
     was broadcast along.
 
-    ``nrows`` may pass in the row norms of ``mv``.  ``centred`` inputs are
+    ``rows`` may pass in ``_row_norms(mv)``.  ``centred`` inputs are
     mean-centred (Pearson): centring is a symmetric projection, so the VJP
     applies it unchanged to both gradients.  ``row_axis`` says that ``qv``
-    is (..., 1, l, d) against a (..., n, l, d) ``mv`` of the same leading
-    axes, as in :func:`route`: the query's gradient is then summed over
-    that axis even when n is 1, which turns a -0.0 into +0.0 exactly as
-    the sum over n rows of a (l, d) query does.
+    is a (..., l, d) query against (..., n, l, d) rows, as in
+    :func:`route`: the dots contract each operand at its own shape and the
+    query's norms are taken at the query's shape.  The rows' gradient is
+    then left at the shape of the batch, for the caller to sum, and the
+    query's is summed over the row axis even when n is 1, which turns a
+    -0.0 into +0.0 exactly as the sum over n rows of a (l, d) query does.
+    A pair with a dead row or query is 0 and gets zero gradient, so the
+    divisor a dead one gets does not change a bit.
     """
-    nq = np.sqrt(_rowdot(qv, qv))
-    if nrows is None:
-        nrows = np.sqrt(_rowdot(mv, mv))
-    live = (nrows > EPS) & (nq > EPS)
-    safe_rows = np.where(live, nrows, 1.0)
-    safe_q = nq + (nq <= EPS)  # every row of a dead query is masked
-    norms = safe_rows * safe_q
-    c = np.where(live, _rowdot(mv, qv) / norms, 0.0)
+    live_q, safe_q = _row_norms(qv)
+    live_m, safe_m = _row_norms(mv) if rows is None else rows
+    if row_axis:
+        dots = _einsum("...nld,...ld->...nl", mv, qv)
+        qrows, live_qr, safe_qr = qv[..., None, :, :], live_q[..., None, :], \
+            safe_q[..., None, :]
+    else:
+        dots, qrows, live_qr, safe_qr = _rowdot(mv, qv), qv, live_q, safe_q
+    live = live_m & live_qr
+    norms = safe_m * safe_qr
+    c = np.where(live, dots / norms, 0.0)
 
     def vjp(g):
         gl = np.where(live, g, 0.0)
         a = gl / norms
         glc = gl * c
-        gm = _sum_to(a[..., None] * qv
-                     - (glc / (safe_rows * safe_rows))[..., None] * mv,
-                     mv.shape)
+        gm = a[..., None] * qrows \
+            - (glc / (safe_m * safe_m))[..., None] * mv
         if row_axis:
-            gq = _add(a[..., None] * mv, axis=-3, keepdims=True) - qv * (
-                _add(glc, axis=-2, keepdims=True)
-                / (safe_q * safe_q))[..., None]
+            gq = _add(a[..., None] * mv, axis=-3) - qv * (
+                _add(glc, axis=-2) / (safe_q * safe_q))[..., None]
         else:
+            gm = _sum_to(gm, mv.shape)
             gq = _sum_to(a[..., None] * mv, qv.shape) - qv * (
-                _sum_to(glc, nq.shape) / (safe_q * safe_q))[..., None]
+                _sum_to(glc, safe_q.shape) / (safe_q * safe_q))[..., None]
         return (_centre(gm), _centre(gq)) if centred else (gm, gq)
 
     return _clip(c, -1.0, 1.0), vjp
@@ -581,13 +620,18 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
     each entry of the broadcast batch is one (memory, query) pair, routed
     on its own: its output has the same bits as when it is routed alone.
     A memory shared by many queries, or a query by many memories, is
-    never copied per pair.  Output and gradients equal, bit for bit, those
-    of the same loop built from the public ops; the VJP replays the rounds
-    in reverse, sums each adjoint in that chain's order, and then sums
-    each operand's gradient over the axes it was broadcast along.  Without
-    a recorded input no per-round state is kept.  Returns the
-    (..., l * d_v) capsules and numpy snapshots: per-round lists
-    ``coupling`` and ``gates``, and ``logits``, each (..., n, l).
+    never copied per pair: what depends on the memory alone (centred
+    rows, row norms, row order) is computed once per memory, the query's
+    centring and norms at the query's shape, and only the gates, logits,
+    coupling and capsules per pair.  Round 1 mixes with the coupling
+    1/l, what a softmax of its zero logits gives.  Output and gradients
+    equal, bit for bit, those of the same loop built from the public ops;
+    the VJP replays the rounds in reverse at the batch's shape, sums each
+    adjoint in that chain's order, and then sums each operand's gradient
+    over the axes it was broadcast along.  Without a recorded input no
+    per-round state is kept.  Returns the (..., l * d_v) capsules and
+    numpy snapshots: per-round lists ``coupling`` and ``gates``, and
+    ``logits``, each (..., n, l).
     """
     mv, qv = m.array, q.array
     mshape, qshape = mv.shape, qv.shape
@@ -604,38 +648,35 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
         raise ValueError(f"route: need n >= 1, d_v >= 2, leading axes that "
                          f"broadcast and iterations >= 1, got {mshape}, "
                          f"{qshape}, {iterations!r}")
+    # per memory: the centred rows, their norms and live mask, and the
+    # mix's byte order of rows (vecmat's agrees: equal rows, equal weights)
+    n, l = mshape[-3:-1]
     mc = _centre(mv)
-    nrows = np.sqrt(_rowdot(mc, mc))
-    # the mix's byte order of rows; vecmat's agrees: equal rows, equal weights
-    n, ms, take = mshape[-3], mv, None
+    rows = _row_norms(mc)
+    ms, take = mv, None
     if n > 2:
         own, take = _row_order(mv.reshape(*mshape[:-2], -1), mshape[:-3], lead)
         ms = mv.reshape(len(own), -1)[own].reshape(mshape)
-    # every array is kept at the batch shape, with a length-1 row axis on
-    # the query and the capsules; broadcast operands are views
-    qv = qv[..., None, :, :]
-    if lead:
-        full = lead + mshape[-3:]
-        if mshape != full:
-            mv, mc = np.broadcast_to(mv, full), np.broadcast_to(mc, full)
-            nrows = np.broadcast_to(nrows, full[:-1])
-        if qshape[:-2] != lead:
-            qv = np.broadcast_to(qv, lead + qv.shape[-3:])
-    logits = np.zeros(mv.shape[:-1])
+    # per pair: (..., n, l) gates, logits and coupling, (..., l, d_v)
+    # capsules; the query keeps its own shape until round 2 moves it
+    logits = np.zeros(lead + (n, l))
     seen = {"coupling": [], "gates": []}
     steps = []
-    gates = caps = agree = None
+    gates = caps = agree = soft_vjp = None
     for it in range(iterations):
         last_gates, last_caps = gates, caps
         if it:
-            agree = _rowdot(mv, caps)
+            agree = _einsum("...nld,...ld->...nl", mv, caps)
             logits = logits + gates * agree
             qv = (qv + caps) * 0.5
-        corr, corr_vjp = _cosines(mc, _centre(qv), nrows, centred=True,
+            coupling, soft_vjp, _ = _softmax(logits)
+        else:  # the softmax of zero logits, bit for bit
+            coupling = np.full(logits.shape, 1.0 / l)
+        corr, corr_vjp = _cosines(mc, _centre(qv), rows, centred=True,
                                   row_axis=True)
         gates = np.tanh(corr)
-        coupling, soft_vjp, _ = _softmax(logits)
-        mixed, mix_vjp = _mix(coupling + gates, mv, -3, ms, take)
+        mixed, mix_vjp = _mix(coupling + gates, mv, ms, take,
+                              "...nl,...nld->...ld")
         caps, squash_vjp = _squash(mixed)
         seen["coupling"].append(coupling)
         seen["gates"].append(gates)
@@ -649,7 +690,7 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
         g_m = g_logits = g_gates = g_q = None
         for (last_gates, last_caps, agree, gates, corr_vjp, soft_vjp,
              mix_vjp, squash_vjp) in reversed(steps):
-            g_weights, gm = mix_vjp(squash_vjp(g_caps))
+            g_weights, gm = mix_vjp(squash_vjp(g_caps)[..., None, :, :])
             g_m = gm if g_m is None else g_m + gm
             g_gates = g_weights if g_gates is None else g_gates + g_weights
             if agree is not None:  # round 1's logits are a constant
@@ -664,11 +705,9 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
             g_q = g_caps = g_q * 0.5
             g_gates = g_logits * agree
             g_agree = g_logits * last_gates
-            g_m = g_m + g_agree[..., None] * last_caps
-            g_caps = g_caps + _add(g_agree[..., None] * mv, axis=-3,
-                                   keepdims=True)
-        return (_sum_to(g_m, mshape),
-                _sum_to(g_q.reshape(lead + qshape[-2:]), qshape))
+            g_m = g_m + g_agree[..., None] * last_caps[..., None, :, :]
+            g_caps = g_caps + _add(g_agree[..., None] * mv, axis=-3)
+        return _sum_to(g_m, mshape), _sum_to(g_q, qshape)
 
     return _result("route", caps.reshape(lead + (-1,)), (m, q), vjp), seen
 

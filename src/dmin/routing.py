@@ -133,7 +133,8 @@ class RoutingTrace:
 
     ``coupling[i]`` and ``gates[i]`` are the (n, capsule_count) coupling
     and gates that iteration ``i`` mixes the memory rows with, so
-    ``gates[0]`` holds the initial gates.  ``capsule_outputs`` are the
+    ``gates[0]`` holds the initial gates and ``coupling[0]`` is
+    ``1 / capsule_count`` everywhere.  ``capsule_outputs`` are the
     final capsules and ``logits`` the logits behind the last coupling.
     A batched call puts its batch axes in front of each of these.
     """

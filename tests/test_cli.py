@@ -595,6 +595,9 @@ MALFORMED = [
     ("jsonl_one_class_ablate", ".jsonl", _jsonl_one_class,
      ["ablate", "--data", BAD, "--out", OUT],
      ["base/novel split needs at least 2 classes, got 1"]),
+    ("jsonl_one_class_pretrain", ".jsonl", _jsonl_one_class,
+     ["pretrain", "--data", BAD, "--out", OUT],
+     ["pretraining needs at least 2 classes, got 1"]),
     ("jsonl_invalid_utf8", ".jsonl",
      _text(b'{"label": "a\xff", "vector": [1.0, 2.0]}\n'),
      ["pretrain", "--data", BAD, "--out", OUT], []),

@@ -648,6 +648,22 @@ class TestEpisodeScores:
             with pytest.raises(ValueError, match="same number of shots"):
                 forward(model, model.tensors(), episode, frozenset())
 
+    def test_a_vector_of_the_wrong_dimension_is_refused(self):
+        ds = blob_dataset()
+        model = init_model(model_config_from(small_cfg(), ds.num_classes),
+                           seed=3)
+        message = r"vector payload has shape \(9,\), model expects \(8,\)"
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, blob_dataset(dim=9), small_cfg(), episodes=1)
+        for part in ("support", "queries"):
+            episode = sample_episode(ds, EpisodeConfig(way=3, shot=2,
+                                                       queries=2, seed=1), 0)
+            items = getattr(episode, part)
+            items[-1] = (items[-1][0], np.zeros(9))
+            for forward in (episode_scores, episode_forward):
+                with pytest.raises(ValueError, match=message):
+                    forward(model, model.tensors(), episode, frozenset())
+
     def test_evaluate_matches_the_per_pair_path_on_fixture_episodes(self):
         model = load_checkpoint(FIXTURE)
         _, novel = split_base_novel(gen_synthetic(30, 50, 32, 6.0, 1.0,

@@ -602,7 +602,7 @@ def _composed_route(m, q, iterations):
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 20), l=st.integers(1, 4), d_v=st.integers(2, 6),
+@given(n=st.integers(1, 20), l=st.integers(1, 10), d_v=st.integers(2, 6),
        r=st.integers(1, 4),
        inputs=st.sampled_from(["random", "zero", "constant_rows",
                                "zero_row"]),
@@ -640,7 +640,7 @@ def test_route_equals_the_composed_loop_bit_for_bit(n, l, d_v, r, inputs,
 
 @settings(max_examples=150, deadline=None)
 @given(stacks=st.integers(1, 4), n=st.integers(3, 20),
-       queries=st.integers(1, 3), l=st.integers(1, 4), d_v=st.integers(2, 6),
+       queries=st.integers(1, 3), l=st.integers(1, 10), d_v=st.integers(2, 6),
        r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_permuting_each_memory_of_a_stack_changes_no_bit(
         stacks, n, queries, l, d_v, r, seed):
@@ -685,7 +685,7 @@ ROUTE_LAYOUTS = {"batched": (("b",), ("b",)), "shared_memory": ((), ("b",)),
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 20), l=st.integers(1, 4), d_v=st.integers(2, 6),
+@given(n=st.integers(1, 20), l=st.integers(1, 10), d_v=st.integers(2, 6),
        r=st.integers(1, 4), b=st.integers(1, 4), k=st.integers(1, 4),
        layout=st.sampled_from(sorted(ROUTE_LAYOUTS)),
        inputs=st.sampled_from(["random", "zero", "constant_rows",

@@ -392,6 +392,25 @@ class TestTraceInvariants:
         npt.assert_array_equal(trace.capsule_outputs,
                                nm.squash(nm.vecmat(last, mhat)).array)
 
+    @pytest.mark.parametrize("memory,query", [((5, 6), (6,)),
+                                              ((3, 4, 6), (2, 1, 6))])
+    def test_first_round_coupling_is_one_over_l(self, memory, query):
+        """Round 1 mixes with the softmax of zero logits: 1/l everywhere,
+        kept as a (..., n, l) array for a single pair and a batch alike."""
+        rng = np.random.default_rng(24)
+        for count in (1, 2, 3):
+            cfg = RoutingConfig(input_dim=6, capsule_count=count,
+                                capsule_dim=2, iterations=2)
+            params = as_constant_params(*make_params(rng, cfg))
+            trace = RoutingTrace()
+            dmr(params, cfg, nm.constant(rng.normal(size=memory)),
+                nm.constant(rng.normal(size=query)), trace=trace)
+            lead = np.broadcast_shapes(memory[:-2], query[:-1])
+            first = trace.coupling[0]
+            assert type(first) is np.ndarray
+            assert first.shape == lead + (memory[-2], count)
+            npt.assert_array_equal(first, np.full(first.shape, 1.0 / count))
+
 
 class TestDmmQim:
     def test_dmm_single_memory_row(self):
