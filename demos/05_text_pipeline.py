@@ -36,9 +36,9 @@ print(f"{ds.num_items} lines over {ds.num_classes} topics, e.g.:")
 print(f"  {ds.class_names[0]!r}: {ds.payloads[0]!r}")
 
 enc = EncoderConfig(kind="feature_hash", embed_dim=16, vocab_buckets=256)
-counts = hash_counts(ds.payloads[0], enc.vocab_buckets)
-print(f"hashed counts: {np.count_nonzero(counts)} active of "
-      f"{enc.vocab_buckets} buckets, L2 norm {np.linalg.norm(counts):.3f}")
+ids, weights = hash_counts(ds.payloads[0], enc.vocab_buckets)
+print(f"hashed counts: {len(ids)} active of "
+      f"{enc.vocab_buckets} buckets, L2 norm {np.linalg.norm(weights):.3f}")
 
 pair = RoutingPair(
     dmm=RoutingConfig(16, capsule_count=2, capsule_dim=8, iterations=2),

@@ -3,19 +3,21 @@
 :class:`FeatureHashEncoder` lowercases text, splits on whitespace, hashes
 each token with 64-bit FNV-1a into one of ``vocab_buckets`` count buckets,
 L2-normalizes the counts, and maps them through a learned projection
-followed by tanh.  The projection step gathers only the columns of the
-buckets a line's tokens hit (:func:`dmin.numerics.embed`), so an item and
-its gradient cost what its tokens cost, not the whole vocabulary.  The
-projection is the only trainable piece and participates in both training
-stages.
+followed by tanh.  A line's counts are kept sparse, as the ids of the
+buckets its tokens hit and their normalized weights (:func:`hash_counts`),
+and the projection step gathers only those columns
+(:func:`dmin.numerics.embed`), so an item and its gradient cost what its
+tokens cost, not the whole vocabulary.  The projection is the only
+trainable piece and participates in both training stages.
 
 :class:`EncoderConfig` also names the ``"precomputed"`` kind: datasets of
 externally computed vectors, which :meth:`dmin.model.Model.encode` passes
 through unchanged, so that kind has no encoder object and no parameters.
 
 Hashing is plain arithmetic on documented constants, so bucket
-assignment is identical across runs and platforms.  A bounded memo of
-each token's bucket keeps repeated tokens from being hashed again.
+assignment is identical across runs and platforms.  Bounded memos of
+each token's bucket and of each line's sparse weights, 16,384 entries
+each, keep a repeated token or line from being hashed again.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
 _MASK64 = (1 << 64) - 1
 PROJECTION_INIT_STD = 0.5
+_MEMO_ENTRIES = 1 << 14  # the bound of each hashing memo
 
 
 def fnv1a64(data: bytes) -> int:
@@ -44,7 +47,7 @@ def fnv1a64(data: bytes) -> int:
 
 # FNV-1a runs byte by byte in Python, so each (token, buckets) pair is
 # hashed once; the bound caps the memo at a few MB on a large vocabulary
-@functools.lru_cache(maxsize=1 << 14)
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def token_bucket(token: str, buckets: int) -> int:
     return fnv1a64(token.encode("utf-8")) % buckets
 
@@ -68,14 +71,33 @@ class EncoderConfig:
                 f"({self.embed_dim})")
 
 
-def hash_counts(text: str, buckets: int) -> np.ndarray:
-    """L2-normalized token-count vector over hash buckets."""
+def hash_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """A line's L2-normalized token counts over hash buckets, sparse.
+
+    Returns ``(ids, weights)``: the strictly increasing ids of the buckets
+    the line's tokens hit, and the normalized counts at those ids, the
+    nonzero entries of the dense count vector divided by its norm, bit
+    for bit.  Both arrays are read-only and shared by every call on the
+    same line.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ValueError("text must be a non-empty string")
-    counts = np.zeros(buckets)
-    for token in text.lower().split():
-        counts[token_bucket(token, buckets)] += 1.0
-    return counts / np.linalg.norm(counts)
+    return _line_weights(text, buckets)
+
+
+# A line is hashed once per bucket count; an entry holds two short arrays
+# (about 600 B for a six-token line), so the bound caps this memo near
+# 10 MB
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _line_weights(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    ids, counts = np.unique(
+        [token_bucket(token, buckets) for token in text.lower().split()],
+        return_counts=True)
+    # a sum of squares of small integers is exact, so this is the dense
+    # vector's norm to the bit
+    weights = counts / np.sqrt(float(counts @ counts))
+    ids.flags.writeable = weights.flags.writeable = False
+    return ids, weights
 
 
 @dataclass
@@ -93,10 +115,8 @@ class FeatureHashEncoder:
                 f"expected {expected}")
 
     def encode(self, item: str) -> Tensor:
-        counts = hash_counts(item, self.config.vocab_buckets)
-        # nonzero of the bool mask is about 5x faster than of the floats
-        ids = (counts != 0).nonzero()[0]
-        return nm.tanh(nm.embed(self.projection, ids, counts[ids]))
+        ids, weights = hash_counts(item, self.config.vocab_buckets)
+        return nm.tanh(nm.embed(self.projection, ids, weights))
 
 
 def init_encoder_arrays(cfg: EncoderConfig, rng: np.random.Generator) -> dict:

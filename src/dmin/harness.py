@@ -1,7 +1,8 @@
 """Two-stage training, evaluation protocol, ablations, and reports.
 
 Stage 1 (:func:`pretrain`) fits the encoder, the base weight rows and
-the temperature with a supervised cross-entropy over base classes.
+the temperature with a supervised cross-entropy over base classes; its
+batches and its closing accuracy pass encode as an episode does (below).
 Stage 2 (:func:`meta_train`) draws C-way K-shot episodes and trains
 every parameter through the full pipeline: encode, adapt supports
 against the base weight rows, induce a per-query class vector from the
@@ -321,9 +322,9 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
         tape = nm.Tape()
         tensors = model.tensors(tape)
         clf = model.classifier(tensors)
-        scores = base_scores(clf, nm.stack_rows([
-            model.encode(tensors, base_dataset.payloads[int(i)])
-            for i in batch]))
+        scores = base_scores(clf, _encode(
+            model, tensors, [base_dataset.payloads[int(i)] for i in batch],
+            False)[0])
         loss = loss_supervised(scores,
                                [base_dataset.labels[int(i)] for i in batch])
         grads = nm.backward(tape, loss)
@@ -338,8 +339,8 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
 
 def _train_accuracy(model: Model, dataset: Dataset) -> float:
     tensors = model.tensors()
-    scores = base_scores(model.classifier(tensors), nm.stack_rows(
-        [model.encode(tensors, payload) for payload in dataset.payloads]))
+    scores = base_scores(model.classifier(tensors),
+                         _encode(model, tensors, dataset.payloads, False)[0])
     hits = np.count_nonzero(scores.array.argmax(axis=1) == dataset.labels)
     return hits / dataset.num_items
 

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
 from dmin.encoder import (EncoderConfig, FeatureHashEncoder, fnv1a64,
@@ -30,19 +31,43 @@ class TestHash:
         assert got == want
 
     def test_counts_normalized(self):
-        v = hash_counts("one two two three three three", 32)
-        assert v.sum() > 0
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        ids, weights = hash_counts("one two two three three three", 32)
+        assert len(ids) == len(weights) > 0 and weights.sum() > 0
+        assert np.linalg.norm(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_counts_case_fold_and_split(self):
-        npt.assert_array_equal(hash_counts("Hello  WORLD", 16),
-                               hash_counts("hello world", 16))
+        for got, want in zip(hash_counts("Hello  WORLD", 16),
+                             hash_counts("hello world", 16)):
+            npt.assert_array_equal(got, want)
 
     def test_counts_reject_blank(self):
-        with pytest.raises(ValueError):
-            hash_counts("", 8)
-        with pytest.raises(ValueError):
-            hash_counts("   \t ", 8)
+        # the checks run before the per-line memo, so a payload it could
+        # not hash still gets the encoder's ValueError
+        for bad in ("", "   \t ", None, b"bytes", ["a"]):
+            with pytest.raises(ValueError,
+                               match="^text must be a non-empty string$"):
+                hash_counts(bad, 8)
+
+    def test_counts_are_read_only_and_shared(self):
+        ids, weights = hash_counts("a shared line a", 64)
+        assert not ids.flags.writeable and not weights.flags.writeable
+        again = hash_counts("a shared line a", 64)
+        assert again[0] is ids and again[1] is weights
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.text("abAB\u00e9z", min_size=1, max_size=5),
+                          min_size=1, max_size=40),
+           buckets=st.sampled_from([1, 2, 16, 64, 97, 4096]))
+    def test_sparse_counts_are_the_dense_nonzeros(self, words, buckets):
+        text = " ".join(words)
+        dense = np.zeros(buckets)
+        for token in text.lower().split():
+            dense[fnv1a64_reference(token.encode("utf-8")) % buckets] += 1.0
+        dense = dense / np.linalg.norm(dense)
+        ids, weights = hash_counts(text, buckets)
+        npt.assert_array_equal(ids, dense.nonzero()[0])
+        assert weights.dtype == np.float64
+        assert weights.tobytes() == dense[ids].tobytes()
 
 
 class TestFeatureHashEncoder:
@@ -114,7 +139,10 @@ class TestFeatureHashEncoder:
         # the adjoint tanh hands back, times every bucket's count; the
         # buckets no token hit get exact zeros
         g = probe * (1.0 - out.array * out.array)
-        npt.assert_array_equal(grad, np.outer(g, hash_counts(text, 64)))
+        ids, weights = hash_counts(text, 64)
+        counts = np.zeros(64)
+        counts[ids] = weights
+        npt.assert_array_equal(grad, np.outer(g, counts))
 
     def test_shape_validation(self):
         cfg = EncoderConfig(embed_dim=4, vocab_buckets=8)
