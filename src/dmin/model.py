@@ -24,7 +24,10 @@ import base64
 import hashlib
 import json
 import math
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -210,10 +213,53 @@ def init_model(config: ModelConfig, seed: int = 0) -> Model:
 # (parameter, gradient, two moments, two scratch rows) take 1.5 MB
 _CHUNK = 1 << 15
 
+# each thread's two scratch rows for the block loop, kept between steps
+_scratch = threading.local()
+# the worker pool: None until first looked for, False with one usable CPU
+_pool = None
+
+
+def _worker_pool():
+    """The one-thread pool that takes the second half of a large
+    parameter's blocks, made on first use; None when fewer than 2 CPUs
+    are usable by this process."""
+    global _pool
+    if _pool is None:
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        _pool = cpus >= 2 and ThreadPoolExecutor(
+            1, thread_name_prefix="dmin-adam")
+    return _pool or None
+
+
+def _drop_pool() -> None:
+    """A forked child has no worker thread: it makes its own pool."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _in_errstate(err, call, fn, *args) -> None:
+    """``fn(*args)`` under the submitting thread's numpy error handling:
+    a new thread starts from numpy's defaults."""
+    with np.errstate(call=call, **err):
+        fn(*args)
+
 
 @dataclass
 class Adam:
-    """Adam update rule; state is kept per parameter name."""
+    """Adam update rule; state is kept per parameter name.
+
+    A parameter larger than one block is updated in 32K-entry blocks that
+    stay in cache.  With 2 or more usable CPUs, one worker thread takes
+    the second half of its blocks while the caller updates the first
+    half; numpy releases the GIL inside each block's loops.  Every entry
+    gets the same operations in the same order either way, so the result
+    is bit-identical to a whole-array update on one thread.
+    """
 
     lr: float
     beta1: float = 0.9
@@ -237,7 +283,6 @@ class Adam:
                     f"non-finite gradient for {name} at step {self.t + 1}")
         self.t += 1
         c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
-        scratch = None
         for name, g in grads.items():
             p, m = params[name], self.m.get(name)
             if m is None:
@@ -248,17 +293,36 @@ class Adam:
                 self._update(p, m, v, g, np.empty_like(m), np.empty_like(m),
                              c1, c2)
                 continue
-            # a large parameter goes through in blocks that stay in cache
-            # for all of their operations, sharing one pair of scratch rows
-            if scratch is None:
-                scratch = np.empty((2, _CHUNK))
-            p, m, v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
-            g = g.reshape(-1)
-            for lo in range(0, p.size, _CHUNK):
-                hi = min(lo + _CHUNK, p.size)
-                self._update(p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi],
-                             scratch[0, :hi - lo], scratch[1, :hi - lo],
-                             c1, c2)
+            flat = (p.reshape(-1), m.reshape(-1), v.reshape(-1),
+                    g.reshape(-1))
+            pool = _worker_pool()
+            if pool is None:
+                self._blocks(flat, 0, p.size, c1, c2)
+                continue
+            # the caller takes the first half of the blocks (the larger
+            # one when their number is odd), the worker the rest; the
+            # step returns only after the worker is done
+            half = -(-p.size // (2 * _CHUNK)) * _CHUNK
+            rest = pool.submit(_in_errstate, np.geterr(), np.geterrcall(),
+                               self._blocks, flat, half, p.size, c1, c2)
+            try:
+                self._blocks(flat, 0, half, c1, c2)
+            finally:
+                wait([rest])
+            rest.result()
+
+    def _blocks(self, flat, lo, hi, c1, c2) -> None:
+        """:meth:`_update` of entries ``lo:hi`` of the flat ``(p, m, v,
+        g)``, one ``_CHUNK``-entry block at a time, through this thread's
+        scratch rows."""
+        scratch = getattr(_scratch, "rows", None)
+        if scratch is None:
+            scratch = _scratch.rows = np.empty((2, _CHUNK))
+        p, m, v, g = flat
+        for a in range(lo, hi, _CHUNK):
+            b = min(a + _CHUNK, hi)
+            self._update(p[a:b], m[a:b], v[a:b], g[a:b],
+                         scratch[0, :b - a], scratch[1, :b - a], c1, c2)
 
     def _update(self, p, m, v, g, s, u, c1, c2) -> None:
         """m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and

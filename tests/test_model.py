@@ -2,12 +2,20 @@ import base64
 import hashlib
 import json
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dmin import model as dmin_model
 from dmin import numerics as nm
 from dmin.encoder import EncoderConfig
 from dmin.harness import RoutingPair, TrainConfig, model_config_from
@@ -96,6 +104,39 @@ class TestModelInit:
                         share_routing=True)
 
 
+BLOCK = dmin_model._CHUNK  # entries per block of a large Adam update
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """A one-worker pool that counts the block halves handed to it."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def _adam_pools(monkeypatch):
+    """Give Adam each of three worker pools in turn, yielding the pool the
+    test owns or None: the process's own (made only with 2 or more usable
+    CPUs), a one-worker pool of the test's own whatever the CPU count, and
+    none (the one-CPU path)."""
+    yield None
+    pool = _CountingPool()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(dmin_model, "_pool", pool)
+            yield pool
+    finally:
+        pool.shutdown()
+    with monkeypatch.context() as patch:
+        patch.setattr(dmin_model, "_pool", False)
+        yield None
+
+
 class TestAdam:
     def test_matches_reference_trajectory(self):
         rng = np.random.default_rng(30)
@@ -125,12 +166,22 @@ class TestAdam:
             Adam(lr=0.1).step({"x": np.zeros(2)},
                               {"x": np.array([1.0, np.nan])})
 
-    def test_in_place_step_is_bit_identical_to_the_textbook_formula(self):
+    def test_in_place_step_is_bit_identical_to_the_textbook_formula(
+            self, monkeypatch):
+        for pool in _adam_pools(monkeypatch):
+            self._check_textbook_bits(pool)
+
+    @staticmethod
+    def _check_textbook_bits(pool):
         rng = np.random.default_rng(31)
-        # "big" is updated in 32K-entry blocks with a short last block;
-        # "big_t" is as large but not C-contiguous, so it is updated whole
+        # "big" is updated in 32K-entry blocks with a short last block,
+        # "two" is exactly 2 blocks, "odd" 3 and "one_plus" a block and one
+        # entry: with a worker, each is split between two threads; "big_t"
+        # is as large but not C-contiguous, so it is updated whole
         shapes = {"w": (3, 4), "tau": (), "late": (5,),
-                  "big": (3 * 2**15 + 7,), "big_t": (64, 1030)}
+                  "big": (3 * BLOCK + 7,), "two": (2 * BLOCK,),
+                  "odd": (3, BLOCK), "one_plus": (BLOCK + 1,),
+                  "big_t": (64, 1030)}
         start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
         start["big_t"] = start["big_t"].T
         got, want = {k: v.copy("K") for k, v in start.items()}, \
@@ -155,6 +206,8 @@ class TestAdam:
                                            np.asarray(b).view(np.int64))
         assert opt.t == ref.t == 25
         assert type(got["tau"]) is np.ndarray and got["tau"].ndim == 0
+        if pool is not None:  # one split per large contiguous step
+            assert pool.submitted == 4 * 25
 
     def test_finite_gradient_whose_sum_overflows_is_accepted(self):
         params = {"x": np.zeros(2)}
@@ -168,20 +221,128 @@ class TestAdam:
             Adam(lr=0.1).step({"a": np.zeros(2), "b": np.zeros(2)},
                               {"a": np.ones(2), "b": np.array([1.0, bad])})
 
-    def test_rejected_step_leaves_params_and_state_unchanged(self):
-        opt = Adam(lr=0.1)
-        params = {"a": np.ones(2), "b": np.ones(2), "c": np.ones(())}
-        opt.step(params, {"a": np.ones(2), "c": np.array(0.5)})
-        before = ({k: v.copy() for k, v in params.items()},
-                  {k: v.copy() for k, v in opt.m.items()},
-                  {k: v.copy() for k, v in opt.v.items()})
-        with pytest.raises(nm.NumericError, match="for b at step 2"):
-            opt.step(params, {"a": np.ones(2), "c": np.array(0.5),
-                              "b": np.array([1.0, np.nan])})
-        assert opt.t == 1 and set(opt.m) == set(opt.v) == {"a", "c"}
-        for want, got in zip(before, (params, opt.m, opt.v)):
-            for k in want:
-                npt.assert_array_equal(got[k], want[k])
+    def test_rejected_step_leaves_params_and_state_unchanged(self,
+                                                             monkeypatch):
+        for _ in _adam_pools(monkeypatch):
+            opt = Adam(lr=0.1)
+            params = {"big": np.ones(3 * BLOCK + 1), "a": np.ones(2),
+                      "b": np.ones(2), "c": np.ones(())}
+            opt.step(params, {"big": np.full(3 * BLOCK + 1, 0.25),
+                              "a": np.ones(2), "c": np.array(0.5)})
+            before = ({k: v.copy() for k, v in params.items()},
+                      {k: v.copy() for k, v in opt.m.items()},
+                      {k: v.copy() for k, v in opt.v.items()})
+            # the large parameter comes before the bad gradient
+            with pytest.raises(nm.NumericError, match="for b at step 2"):
+                opt.step(params, {"big": np.full(3 * BLOCK + 1, 0.25),
+                                  "a": np.ones(2), "c": np.array(0.5),
+                                  "b": np.array([1.0, np.nan])})
+            assert opt.t == 1
+            assert set(opt.m) == set(opt.v) == {"big", "a", "c"}
+            for want, got in zip(before, (params, opt.m, opt.v)):
+                for k in want:
+                    npt.assert_array_equal(got[k], want[k])
+
+    @staticmethod
+    def _overflowing_tail():
+        """A large parameter whose gradient overflows ``g * g`` only in
+        its last block, which a worker would update."""
+        g = np.ones(3 * BLOCK + 5)
+        g[-BLOCK:] = 1e200
+        return {"w": np.zeros(g.shape)}, {"w": g}
+
+    def test_ignored_overflow_warns_in_no_thread(self, monkeypatch):
+        for _ in _adam_pools(monkeypatch):
+            params, grads = self._overflowing_tail()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(over="ignore"):
+                    Adam(lr=0.1).step(params, grads)
+            assert np.all(np.isfinite(params["w"]))
+
+    def test_raised_overflow_surfaces_from_step(self, monkeypatch):
+        for _ in _adam_pools(monkeypatch):
+            params, grads = self._overflowing_tail()
+            with np.errstate(over="raise"), \
+                    pytest.raises(FloatingPointError):
+                Adam(lr=0.1).step(params, grads)
+
+    def test_concurrent_callers_share_the_worker_and_keep_their_bits(
+            self, monkeypatch):
+        # more threads than CPUs, switching often: each caller's blocks
+        # must go through its own scratch rows
+        pool = _CountingPool()
+        monkeypatch.setattr(dmin_model, "_pool", pool)
+        rng = np.random.default_rng(32)
+        starts = [rng.normal(size=2 * BLOCK + 3) for _ in range(3)]
+        grads = [[rng.normal(size=x.shape) for _ in range(5)] for x in starts]
+        want = []
+        for x, gs in zip(starts, grads):
+            ref, params = Adam(lr=0.01), {"x": x.copy()}
+            for g in gs:
+                _textbook_adam_step(ref, params, {"x": g})
+            want.append(params["x"])
+        got = [{"x": x.copy()} for x in starts]
+
+        def steps(k):
+            opt = Adam(lr=0.01)
+            for g in grads[k]:
+                opt.step(got[k], {"x": g})
+
+        threads = [threading.Thread(target=steps, args=(k,))
+                   for k in range(len(starts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert pool.submitted == 3 * 5
+        for params, x in zip(got, want):
+            npt.assert_array_equal(params["x"].view(np.int64),
+                                   x.view(np.int64))
+
+    def test_worker_pool_needs_two_usable_cpus(self, monkeypatch):
+        for cpus, made in (({0}, False), ({0, 1}, True)):
+            monkeypatch.setattr(dmin_model, "_pool", None)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _: cpus,
+                                raising=False)
+            pool = dmin_model._worker_pool()
+            assert (pool is not None) == made
+            assert dmin_model._worker_pool() is pool  # made once
+            if pool is not None:
+                pool.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_worker(self, monkeypatch):
+        pool = _CountingPool()
+        monkeypatch.setattr(dmin_model, "_pool", pool)
+        params, grads = {"w": np.zeros(3 * BLOCK)}, {"w": np.ones(3 * BLOCK)}
+        Adam(lr=0.1).step(params, grads)
+        assert pool.submitted == 1  # the parent's worker thread exists
+        want = params["w"].copy()
+        pid = os.fork()
+        if pid == 0:  # child: an inherited pool's thread would never answer
+            try:
+                params["w"][:] = 0.0
+                Adam(lr=0.1).step(params, grads)
+                os._exit(0 if np.array_equal(params["w"], want) else 1)
+            finally:
+                os._exit(2)
+        pool.shutdown()
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("a step in a forked child did not return")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def _textbook_adam_step(opt, params, grads):
