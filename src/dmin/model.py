@@ -26,8 +26,6 @@ import json
 import math
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -213,8 +211,6 @@ def init_model(config: ModelConfig, seed: int = 0) -> Model:
 # (parameter, gradient, two moments, two scratch rows) take 1.5 MB
 _CHUNK = 1 << 15
 
-# each thread's two scratch rows for the block loop, kept between steps
-_scratch = threading.local()
 # the worker pool: None until first looked for, False with one usable CPU
 _pool = None
 
@@ -222,9 +218,12 @@ _pool = None
 def _worker_pool():
     """The one-thread pool that takes the second half of a large
     parameter's blocks, made on first use; None when fewer than 2 CPUs
-    are usable by this process."""
+    are usable by this process, where the two halves would only take
+    turns and the thread's memory would buy nothing."""
     global _pool
     if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
         cpus = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
         _pool = cpus >= 2 and ThreadPoolExecutor(
@@ -308,16 +307,14 @@ class Adam:
             try:
                 self._blocks(flat, 0, half, c1, c2)
             finally:
-                wait([rest])
+                rest.exception()  # waits for the worker, whatever happened
             rest.result()
 
     def _blocks(self, flat, lo, hi, c1, c2) -> None:
         """:meth:`_update` of entries ``lo:hi`` of the flat ``(p, m, v,
-        g)``, one ``_CHUNK``-entry block at a time, through this thread's
-        scratch rows."""
-        scratch = getattr(_scratch, "rows", None)
-        if scratch is None:
-            scratch = _scratch.rows = np.empty((2, _CHUNK))
+        g)``, one ``_CHUNK``-entry block at a time, through one pair of
+        scratch rows of its own."""
+        scratch = np.empty((2, _CHUNK))
         p, m, v, g = flat
         for a in range(lo, hi, _CHUNK):
             b = min(a + _CHUNK, hi)
