@@ -26,11 +26,11 @@ from . import numerics as nm
 from .encoder import EncoderConfig
 from .episodes import (DataError, Dataset, gen_synthetic,
                        load_jsonl_vectors, load_tsv, save_jsonl_vectors)
-from .harness import (ABLATION_SHOTS, ABLATIONS, TrainConfig, evaluate,
-                      meta_train, model_config_from, pipeline_split,
-                      pretrain, run_ablation_suite, separation_report,
-                      train_config_from_dict)
-from .model import CheckpointError, Model, load_checkpoint, save_checkpoint
+from .harness import (ABLATION_SHOTS, ABLATIONS, MAX_EVAL_EPISODES,
+                      TrainConfig, evaluate, meta_train, model_config_from,
+                      pipeline_split, pretrain, run_ablation_suite,
+                      separation_report, train_config_from_dict)
+from .model import CheckpointError, load_checkpoint, save_checkpoint
 from .routing import PIPELINE_CAPSULES
 
 EXIT_OK = 0
@@ -163,29 +163,6 @@ def _check_out(args, out: str, *inputs: str) -> None:
                             f"refusing to overwrite it")
 
 
-def _check_flags(args, *rules) -> None:
-    """Refuse a numeric flag outside its range, naming the flag; ``rules``
-    are (flag, floor[, ceiling]) tuples, and an unset flag passes."""
-    for flag, floor, *ceiling in rules:
-        v = _flag(args, flag)
-        if v is not None and not v >= floor:
-            raise DataError(f"{flag} must be >= {floor}, got {v}")
-        if v is not None and ceiling and v > ceiling[0]:
-            raise DataError(f"{flag} must be <= {ceiling[0]}, got {v}")
-
-
-def _check_data_matches(model: Model, dataset: Dataset) -> None:
-    if dataset.dim is None:
-        if model.config.encoder.kind != "feature_hash":
-            raise DataError(
-                "model was built for vector inputs "
-                f"({model.config.encoder.kind!r} encoder), data is text")
-    elif dataset.dim != model.config.embed_dim:
-        raise DataError(
-            f"data vectors have dimension {dataset.dim}, model expects "
-            f"{model.config.embed_dim}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -210,7 +187,6 @@ def _cmd_metatrain(args) -> int:
     _check_out(args, "--out", "--data")  # rewriting --model is fine
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
-    _check_data_matches(model, dataset)
     cfg = _load_config(args.config)[1]
     s2 = cfg.stage2
     if s2.episodes:
@@ -226,15 +202,9 @@ def _cmd_metatrain(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_flags(args, ("--episodes", 1), ("--way", 2), ("--shot", 1),
-                 ("--queries", 1), ("--seed", 0, 2**64 - 1))
-    if args.ablation is not None and args.ablation not in ABLATIONS:
-        raise DataError(f"--ablation must be one of {', '.join(ABLATIONS)}, "
-                        f"got {args.ablation!r}")
     _check_out(args, "--out", "--data", "--model")
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
-    _check_data_matches(model, dataset)
     cfg = _load_config(args.config)[1]
 
     def pick(flag, value, key, default):
@@ -260,12 +230,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _check_flags(args, ("--classes", 1), ("--per-class", 1), ("--dim", 1),
-                 ("--seed", 0, 2**64 - 1))
-    for flag, v in (("--separation", args.separation),
-                    ("--sigma", args.sigma)):
-        if not (math.isfinite(v) and v > 0):
-            raise DataError(f"{flag} must be a finite number > 0, got {v}")
     try:
         dataset = gen_synthetic(args.classes, args.per_class, args.dim,
                                 args.separation, args.sigma, args.seed)
@@ -312,11 +276,9 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_separation(args) -> int:
-    _check_flags(args, ("--way", 2), ("--shot", 1), ("--seed", 0, 2**64 - 1))
     _check_out(args, "--out-csv", "--data", "--model")
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
-    _check_data_matches(model, dataset)
     _check_way(None, dataset, (min(args.way, dataset.num_classes), "--way"),
                (args.shot, "--shot"), (1, ""))  # the report draws 1 query
     rep = separation_report(model, dataset, way=args.way, shot=args.shot,
@@ -331,6 +293,31 @@ def _cmd_separation(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# A rule is (requirement, test): main refuses a set flag whose value fails
+# the test with "FLAG must be REQUIREMENT, got VALUE".
+def _ge(floor):
+    return f">= {floor}", lambda v: v >= floor
+
+
+def _le(ceiling):
+    return f"<= {ceiling}", lambda v: v <= ceiling
+
+
+SEED = (_ge(0), _le(2**64 - 1))
+POSITIVE = ("a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+IN_A_DIR = ("a file in an existing directory",
+            lambda v: os.path.isdir(os.path.dirname(v) or ".")
+            and not os.path.isdir(v or "."))
+
+
+def _add(p, flag: str, *rules, **kwargs) -> None:
+    """``p.add_argument(flag, **kwargs)``, recording the flag's ``rules``
+    in ``p``'s ``rules`` default for :func:`main` to check."""
+    p.add_argument(flag, **kwargs)
+    p.set_defaults(rules=[*(p.get_default("rules") or ()),
+                          *((flag, rule) for rule in rules)])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dmin",
                      description="Few-shot text classification with dynamic "
@@ -343,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="train config JSON")
     p.add_argument("--data", required=True, help="base-class dataset "
                    "(.tsv or .jsonl)")
-    p.add_argument("--out", required=True, help="checkpoint to write")
+    _add(p, "--out", IN_A_DIR, required=True, help="checkpoint to write")
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("metatrain",
@@ -351,41 +338,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="train config JSON")
     p.add_argument("--model", required=True, help="checkpoint to start from")
     p.add_argument("--data", required=True, help="episode source dataset")
-    p.add_argument("--out", required=True, help="checkpoint to write")
+    _add(p, "--out", IN_A_DIR, required=True, help="checkpoint to write")
     p.set_defaults(func=_cmd_metatrain)
 
     p = sub.add_parser("eval", help="few-shot accuracy over fresh episodes")
     p.add_argument("--model", required=True, help="trained checkpoint")
     p.add_argument("--data", required=True, help="test-class dataset")
-    p.add_argument("--episodes", type=int, metavar="E")
-    p.add_argument("--way", type=int, metavar="C")
-    p.add_argument("--shot", type=int, metavar="K")
-    p.add_argument("--queries", type=int, metavar="L",
-                   help="query items per class")
-    p.add_argument("--seed", type=int, help="episode sampling seed")
-    p.add_argument("--ablation",
-                   help="full, no_dmm, no_qim, or no_dmm+no_qim")
+    _add(p, "--episodes", _ge(1), _le(MAX_EVAL_EPISODES), type=int,
+         metavar="E")
+    _add(p, "--way", _ge(2), type=int, metavar="C")
+    _add(p, "--shot", _ge(1), type=int, metavar="K")
+    _add(p, "--queries", _ge(1), type=int, metavar="L",
+         help="query items per class")
+    _add(p, "--seed", *SEED, type=int, help="episode sampling seed")
+    _add(p, "--ablation", (f"one of {', '.join(ABLATIONS)}",
+                           lambda v: v in ABLATIONS),
+         help="full, no_dmm, no_qim, or no_dmm+no_qim")
     p.add_argument("--config", help="train config JSON supplying defaults")
-    p.add_argument("--out", required=True, help="report JSON to write")
+    _add(p, "--out", IN_A_DIR, required=True, help="report JSON to write")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic vector dataset")
-    p.add_argument("--classes", type=int, required=True, metavar="N")
-    p.add_argument("--per-class", type=int, required=True, metavar="M")
-    p.add_argument("--dim", type=int, required=True, metavar="D")
-    p.add_argument("--separation", type=float, required=True, metavar="S",
-                   help="class-center sphere radius in noise units")
-    p.add_argument("--sigma", type=float, default=1.0,
-                   help="per-item noise scale (default 1.0)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="JSONL file to write")
+    _add(p, "--classes", _ge(1), type=int, required=True, metavar="N")
+    _add(p, "--per-class", _ge(1), type=int, required=True, metavar="M")
+    _add(p, "--dim", _ge(1), type=int, required=True, metavar="D")
+    _add(p, "--separation", POSITIVE, type=float, required=True, metavar="S",
+         help="class-center sphere radius in noise units")
+    _add(p, "--sigma", POSITIVE, type=float, default=1.0,
+         help="per-item noise scale (default 1.0)")
+    _add(p, "--seed", *SEED, type=int, default=0)
+    _add(p, "--out", IN_A_DIR, required=True, help="JSONL file to write")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ablate",
                        help="train and score the five model variants")
     p.add_argument("--config", help="train config JSON")
     p.add_argument("--data", required=True, help="full dataset to split")
-    p.add_argument("--out", required=True, help="CSV table to write")
+    _add(p, "--out", IN_A_DIR, required=True, help="CSV table to write")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("separation",
@@ -393,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "memory adaptation")
     p.add_argument("--model", required=True, help="trained checkpoint")
     p.add_argument("--data", required=True, help="dataset to sample from")
-    p.add_argument("--way", type=int, default=10)
-    p.add_argument("--shot", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out-csv", required=True, help="vector CSV to write")
+    _add(p, "--way", _ge(2), type=int, default=10)
+    _add(p, "--shot", _ge(1), type=int, default=5)
+    _add(p, "--seed", *SEED, type=int, default=1)
+    _add(p, "--out-csv", IN_A_DIR, required=True, help="vector CSV to write")
     p.set_defaults(func=_cmd_separation)
 
     return parser
@@ -406,6 +395,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag, (must, test) in args.rules:
+            v = _flag(args, flag)
+            if v is not None and not test(v):
+                raise DataError(f"{flag} must be {must}, got {v!r}")
         # every op checks its own result and raises NumericError, so
         # numpy's floating-point warnings would only repeat that one line
         with np.errstate(all="ignore"):

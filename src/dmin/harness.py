@@ -53,6 +53,7 @@ from .silhouette import silhouette_score
 log = logging.getLogger(__name__)
 
 ABLATIONS = ("full", "no_dmm", "no_qim", "no_dmm+no_qim")
+MAX_EVAL_EPISODES = 1_000_000  # evaluate keeps one accuracy per episode
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,9 @@ class TrainConfig:
                  1)):
             if v < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {v}")
+        if self.eval.episodes > MAX_EVAL_EPISODES:
+            raise ValueError(f"eval.episodes must be <= {MAX_EVAL_EPISODES}"
+                             f", got {self.eval.episodes}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for name, v in (("stage1.learning_rate", self.stage1.learning_rate),
@@ -397,8 +401,9 @@ def evaluate(model: Model, dataset: Dataset, cfg: TrainConfig, *,
     shot = cfg.stage2.K if shot is None else shot
     queries = cfg.eval.queries_per_class if queries is None else queries
     seed = cfg.seed if seed is None else seed
-    if episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    if not 1 <= episodes <= MAX_EVAL_EPISODES:
+        raise ValueError(f"episodes must be in [1, {MAX_EVAL_EPISODES}], "
+                         f"got {episodes}")
     flags = (cfg.ablation_flags if ablation is None
              else replace(cfg, ablation=ablation).ablation_flags)
     ep_cfg = EpisodeConfig(way=way, shot=shot, queries=queries, seed=seed)

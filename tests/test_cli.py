@@ -5,8 +5,11 @@ the exit code and the files it writes.  Exit-code contract: 0 success,
 1 usage error, 2 data error, 3 numeric failure.
 """
 
+import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmin import cli
 from dmin.episodes import gen_synthetic, load_jsonl_vectors, save_jsonl_vectors
@@ -543,6 +547,9 @@ MALFORMED = [
     ("config_zero_queries", ".json",
      _config({"stage2": {**ONE_EPISODE, "L": 0}}), METATRAIN_CONFIG,
      ["stage2.L must be >= 1"]),
+    ("config_episodes_beyond_ceiling", ".json",
+     _config({"eval": {"episodes": 10**6 + 1}}), EVAL_CONFIG,
+     ["eval.episodes must be <= 1000000"]),
     ("config_negative_seed", ".json",
      _config({"seed": -1, "stage2": ONE_EPISODE}), METATRAIN_CONFIG,
      ["seed must be in [0, 2**64)"]),
@@ -706,16 +713,41 @@ BAD_FLAGS = [
     ("synth_seed_beyond_64_bits",
      SYNTH + ["--separation", "6", "--seed", str(2**64)],
      ["--seed must be <= 18446744073709551615"]),
+    ("eval_episodes_beyond_ceiling",
+     ["eval", "--model", MODEL, "--data", DATA, "--episodes", str(2**64),
+      "--out", OUT], ["--episodes must be <= 1000000"]),
+    # OUT is never made, so a file inside it has no directory
+    ("pretrain_out_in_missing_directory",
+     ["pretrain", "--data", DATA, "--out", OUT + "/m.ckpt"],
+     ["--out must be a file in an existing directory"]),
+    ("ablate_out_in_missing_directory",
+     ["ablate", "--data", DATA, "--out", OUT + "/t.csv"],
+     ["--out must be a file in an existing directory"]),
+    ("eval_out_is_a_directory",
+     ["eval", "--model", MODEL, "--data", DATA, "--out", "{dir}"],
+     ["--out must be a file in an existing directory"]),
 ]
+
+
+def _refuse_stages(monkeypatch):
+    """Make every training or evaluation stage the CLI calls fail the
+    test, so that a refusal is shown to come before any of them."""
+    def ran(*args, **kwargs):
+        raise AssertionError("a stage ran before the refusal")
+    for stage in ("pretrain", "meta_train", "evaluate", "run_ablation_suite",
+                  "separation_report"):
+        monkeypatch.setattr(cli, stage, ran)
 
 
 @pytest.mark.parametrize("case,argv,named", BAD_FLAGS,
                          ids=[row[0] for row in BAD_FLAGS])
 def test_bad_flag_is_one_line_data_error_naming_it(tmp_path, trained_path,
-                                                   data_path, capsys, case,
-                                                   argv, named):
+                                                   data_path, capsys,
+                                                   monkeypatch, case, argv,
+                                                   named):
+    _refuse_stages(monkeypatch)
     names = {"model": tmp_path / "model.ckpt", "data": tmp_path / "d.jsonl",
-             "out": tmp_path / "out"}
+             "out": tmp_path / "out", "dir": tmp_path}
     names["model"].write_bytes(trained_path.read_bytes())
     names["data"].write_bytes(data_path.read_bytes())
     capsys.readouterr()
@@ -728,6 +760,101 @@ def test_bad_flag_is_one_line_data_error_naming_it(tmp_path, trained_path,
     assert names["data"].read_bytes() == data_path.read_bytes()
     assert names["model"].read_bytes() == trained_path.read_bytes()
     assert not names["out"].exists()
+
+
+def _subcommands(parser) -> dict:
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+# every int or float flag of every subcommand, with each awkward value
+FLAG_TABLE = [(command, action.option_strings[0], value)
+              for command, sub in _subcommands(cli.build_parser()).items()
+              for action in sub._actions if action.type in (int, float)
+              for value in ("0", "-1", str(2**64), "nan", "inf")]
+
+
+@pytest.mark.parametrize("command,flag,value", FLAG_TABLE,
+                         ids=[f"{c}{f}={v}" for c, f, v in FLAG_TABLE])
+def test_numeric_flag_is_parsed_or_refused_in_one_line(tmp_path, monkeypatch,
+                                                       capsys, command, flag,
+                                                       value):
+    """Only parsing and the declared rules are judged: every subcommand
+    runs a stub, and the other required flags get harmless values."""
+    parser = cli.build_parser()
+    ran = []
+    for sub in _subcommands(parser).values():
+        sub.set_defaults(func=lambda args: ran.append(args) or 0)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    argv = [command]
+    for action in _subcommands(parser)[command]._actions:
+        if action.required and flag not in action.option_strings:
+            argv += [action.option_strings[0],
+                     "3" if action.type else str(tmp_path / "file")]
+    capsys.readouterr()
+    rc = cli.main([*argv, f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, err
+    if rc == 0:
+        assert len(ran) == 1 and err == "", err
+    elif rc == 1:  # argparse's usage error, only for a non-integer
+        assert value in ("nan", "inf"), err
+        assert f"argument {flag}: invalid int value" in err, err
+    else:
+        assert rc == 2 and not ran, (rc, err)
+        assert err.startswith(f"dmin: data error: {flag} must be "), err
+        assert err.count("\n") == 1, err
+
+
+TINY_RUN = {"stage1": {"steps": 5, "batch_size": 4},
+            "stage2": {"episodes": 2, "C": 2, "K": 1, "L": 1},
+            "eval": {"episodes": 2, "queries_per_class": 1}}
+
+
+def _finite(values) -> bool:
+    return all(math.isfinite(float(v)) for v in values)
+
+
+@settings(max_examples=5, deadline=None)
+@given(classes=st.integers(4, 6), per_class=st.integers(7, 9),
+       dim=st.sampled_from([8, 12]), separation=st.floats(2.0, 8.0),
+       sigma=st.floats(0.5, 2.0), seed=st.integers(0, 2**64 - 1))
+def test_every_written_file_loads_back_finite(tmp_path_factory, classes,
+                                              per_class, dim, separation,
+                                              sigma, seed):
+    d = tmp_path_factory.mktemp("round_trip")
+    cfg = d / "cfg.json"
+    cfg.write_text(json.dumps(TINY_RUN), encoding="utf-8")
+    data, pre, meta = d / "d.jsonl", d / "pre.ckpt", d / "meta.ckpt"
+    report, vectors, table = d / "r.json", d / "v.csv", d / "t.csv"
+    for argv in (
+            ["synth", "--classes", classes, "--per-class", per_class,
+             "--dim", dim, "--separation", separation, "--sigma", sigma,
+             "--seed", seed, "--out", data],
+            ["pretrain", "--config", cfg, "--data", data, "--out", pre],
+            ["metatrain", "--config", cfg, "--model", pre, "--data", data,
+             "--out", meta],
+            ["eval", "--config", cfg, "--model", meta, "--data", data,
+             "--out", report],
+            ["separation", "--model", meta, "--data", data, "--way", "2",
+             "--shot", "1", "--out-csv", vectors],
+            ["ablate", "--config", cfg, "--data", data, "--out", table]):
+        assert cli.main([str(arg) for arg in argv]) == 0, argv
+    ds = load_jsonl_vectors(data)
+    assert (ds.num_classes, ds.num_items) == (classes, classes * per_class)
+    assert np.isfinite(np.stack(ds.payloads)).all()
+    for ckpt in (pre, meta):
+        assert all(np.isfinite(v).all()
+                   for v in load_checkpoint(ckpt).params.values())
+    rep = json.loads(report.read_text(encoding="utf-8"))
+    assert _finite([rep["mean_accuracy"], rep["std_accuracy"],
+                    *rep["per_episode"]])
+    with open(vectors, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 2 * 2 and all(_finite(r[2:]) for r in rows[1:])
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 6 and all(_finite(r[1:]) for r in rows[1:])
 
 
 def test_metatrain_may_rewrite_its_model_in_place(tmp_path, trained_path,

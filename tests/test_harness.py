@@ -16,7 +16,8 @@ from dmin.classifier import base_scores, loss_episode
 from dmin.encoder import EncoderConfig
 from dmin.episodes import (DataError, Dataset, Episode, EpisodeConfig,
                            gen_synthetic, sample_episode, split_base_novel)
-from dmin.harness import (ABLATIONS, EvalSettings, MetaTrainResult,
+from dmin.harness import (ABLATIONS, MAX_EVAL_EPISODES, EvalSettings,
+                          MetaTrainResult,
                           PipelineResult, RoutingPair, Stage1Config,
                           Stage2Config, TrainConfig, config_hash_hex,
                           episode_accuracy, episode_forward,
@@ -132,10 +133,21 @@ class TestTrainConfig:
                           ("stage2.L", {"stage2": Stage2Config(L=0)}),
                           ("seed", {"seed": -1}),
                           ("seed", {"seed": 2 ** 64}),
-                          ("num_base", {"num_base": 0})):
+                          ("num_base", {"num_base": 0}),
+                          ("eval.episodes", {"eval": EvalSettings(
+                              episodes=MAX_EVAL_EPISODES + 1)})):
             with pytest.raises(ValueError, match=key):
                 small_cfg(**over)
         assert small_cfg(seed=2 ** 64 - 1, num_base=1).num_base == 1
+        assert small_cfg(eval=EvalSettings(
+            episodes=MAX_EVAL_EPISODES)).eval.episodes == MAX_EVAL_EPISODES
+
+    def test_evaluate_refuses_episode_counts_out_of_range(self):
+        cfg = small_cfg()
+        model = init_model(model_config_from(cfg, 8), seed=0)
+        for episodes in (0, MAX_EVAL_EPISODES + 1):
+            with pytest.raises(ValueError, match="episodes must be in"):
+                evaluate(model, blob_dataset(), cfg, episodes=episodes)
 
     def test_config_hash_stable(self):
         cfg = small_cfg()
