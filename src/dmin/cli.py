@@ -399,8 +399,9 @@ def main(argv=None) -> int:
             v = _flag(args, flag)
             if v is not None and not test(v):
                 raise DataError(f"{flag} must be {must}, got {v!r}")
-        # every op checks its own result and raises NumericError, so
-        # numpy's floating-point warnings would only repeat that one line
+        # every op checks its own result and Adam each gradient, raising
+        # NumericError, so numpy's floating-point warnings would only
+        # repeat that one line
         with np.errstate(all="ignore"):
             return args.func(args)
     except SystemExit as err:  # argparse --help or a usage error

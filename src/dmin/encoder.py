@@ -5,10 +5,11 @@ each token with 64-bit FNV-1a into one of ``vocab_buckets`` count buckets,
 L2-normalizes the counts, and maps them through a learned projection
 followed by tanh.  A line's counts are kept sparse, as the ids of the
 buckets its tokens hit and their normalized weights (:func:`hash_counts`),
-and the projection step gathers only those columns
-(:func:`dmin.numerics.embed`), so an item and its gradient cost what its
-tokens cost, not the whole vocabulary.  The projection is the only
-trainable piece and participates in both training stages.
+and one :func:`dmin.numerics.embed` node gathers only those projection
+columns and applies the tanh, so an item and its gradient cost what its
+tokens cost, not the whole vocabulary, and an encoded line is one tape
+node.  The projection is the only trainable piece and participates in
+both training stages.
 
 :class:`EncoderConfig` also names the ``"precomputed"`` kind: datasets of
 externally computed vectors, which :meth:`dmin.model.Model.encode` passes
@@ -116,7 +117,7 @@ class FeatureHashEncoder:
 
     def encode(self, item: str) -> Tensor:
         ids, weights = hash_counts(item, self.config.vocab_buckets)
-        return nm.tanh(nm.embed(self.projection, ids, weights))
+        return nm.embed(self.projection, ids, weights)
 
 
 def init_encoder_arrays(cfg: EncoderConfig, rng: np.random.Generator) -> dict:

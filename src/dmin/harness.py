@@ -284,8 +284,11 @@ def episode_step(model: Model, episode: Episode, optimizer: Adam,
     loss = loss_episode(scores, labels)
     grads = nm.backward(tape, loss)
     named = {name: grads[t.node_id] for name, t in tensors.items()}
-    if freeze_tau:
-        named.pop("clf.log_tau", None)
+    if freeze_tau:  # Adam never sees tau's gradient, so it is scanned here
+        tau = named.pop("clf.log_tau", None)
+        if tau is not None and not np.isfinite(tau).all():
+            raise nm.NumericError(f"non-finite gradient for clf.log_tau at "
+                                  f"step {optimizer.t + 1}")
     optimizer.step(model.params, named)
     return loss.item()
 

@@ -271,10 +271,19 @@ class Adam:
     def step(self, params: dict, grads: dict) -> None:
         """One update of every parameter named in ``grads``, in place.
 
-        Raises :class:`NumericError` before any parameter or state moves
-        if a gradient has a nan or inf entry.
+        Before any parameter or state moves, raises :class:`ValueError`
+        if a gradient names no parameter or has a shape other than its
+        parameter's, and :class:`NumericError` if it has a nan or inf
+        entry.  That is the one finiteness scan of a training step's
+        gradients: :func:`dmin.numerics.backward` does not check them.
         """
         for name, g in grads.items():
+            p = params.get(name)
+            if p is None or g.shape != p.shape:
+                raise ValueError(
+                    f"gradient for {name} has shape {g.shape}, but "
+                    + ("there is no such parameter" if p is None
+                       else f"the parameter has shape {p.shape}"))
             # the sum is the cheap test (any nan or inf makes it
             # non-finite); a finite gradient may still overflow it
             if not math.isfinite(g.sum()) and not np.isfinite(g).all():

@@ -10,9 +10,9 @@ Conventions:
 - scalars are rank-0 and vectors rank-1.  :func:`linear`, :func:`squash`,
   :func:`softmax`, :func:`dot`, :func:`cosine` and :func:`pccs` act along
   the last axis and treat any leading axes as independent rows, so a
-  rank-1 input is simply a single row.  :func:`embed` is :func:`linear`
-  of one sparse constant row, given as the strictly increasing indices of
-  its nonzero columns and their values,
+  rank-1 input is simply a single row.  :func:`embed` is the tanh of
+  :func:`linear` of one sparse constant row, given as the strictly
+  increasing indices of its nonzero columns and their values,
 - one broadcasting rule, numpy's: the shapes of the two operands of
   :func:`add`, :func:`mul`, :func:`dot`, :func:`cosine` and :func:`pccs`
   broadcast, and so do the leading axes of :func:`route`'s (..., n, l,
@@ -29,8 +29,11 @@ Conventions:
 - every public operation validates that its result is finite and raises
   :class:`NumericError` otherwise (silent NaN/Inf propagation is a bug).
   :func:`route` checks its output only: its intermediates are bounded
-  (gates in [-1, 1], coupling in [0, 1], capsule norms below 1), and
-  :func:`backward` checks every leaf gradient,
+  (gates in [-1, 1], coupling in [0, 1], capsule norms below 1).
+  :func:`embed` checks its product before the tanh, which would map an
+  overflow to +-1.  :func:`backward` does not check the leaf gradients it
+  returns: their consumer scans each once, as ``Adam.step`` does before
+  any update,
 - :func:`route`, :func:`cross_entropy` and the public row ops share
   private forward/VJP pairs, so each formula is written once,
 - :func:`route`'s forward works at the shape each quantity has: the
@@ -202,6 +205,13 @@ def _result(op: str, value, parents: Sequence[Tensor],
             vjp: Callable[[np.ndarray], tuple] | None) -> Tensor:
     value = _as_f64(value)
     _ensure_finite(op, value)
+    return _record(op, value, parents, vjp)
+
+
+def _record(op: str, value: np.ndarray, parents: Sequence[Tensor],
+            vjp: Callable[[np.ndarray], tuple] | None) -> Tensor:
+    """:func:`_result` of a contiguous float64 ``value`` that its op has
+    already checked."""
     tape = None
     for p in parents:
         if p.tape is None:
@@ -303,15 +313,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def embed(w: Tensor, ids, vals) -> Tensor:
-    """Sparse matrix-vector product ``w[:, ids] @ vals``.
+    """``tanh(w[:, ids] @ vals)``: a sparse matrix-vector product and its
+    tanh, as one node.
 
-    Equal to ``linear(x, w)`` for the constant vector ``x`` that holds
-    ``vals`` at the columns ``ids`` and zeros elsewhere, at the cost of
-    ``len(ids)`` columns instead of all of them.  ``ids`` are strictly
+    Equal to ``tanh(linear(x, w))`` for the constant vector ``x`` that
+    holds ``vals`` at the columns ``ids`` and zeros elsewhere, at the cost
+    of ``len(ids)`` columns instead of all of them.  ``ids`` are strictly
     increasing column indices of the matrix ``w``; ``vals`` are plain
-    floats, one per index, never recorded.  The gradient of ``w`` is the
-    column block ``np.outer(g, vals)`` at ``ids``, which :func:`backward`
-    adds into those columns only.
+    floats, one per index, never recorded.  The product is checked before
+    the tanh, so an overflow that tanh would map to +-1 still raises
+    :class:`NumericError`.  The VJP is tanh's, ``g * (1 - y*y)`` of the
+    output ``y``, then the product's: the weight gradient is the column
+    block ``np.outer(g * (1 - y*y), vals)`` at ``ids``, which
+    :func:`backward` adds into those columns only.
     """
     ids = np.asarray(ids)
     vals = np.asarray(vals, dtype=np.float64)
@@ -323,9 +337,12 @@ def embed(w: Tensor, ids, vals) -> Tensor:
             f"embed: need a matrix and strictly increasing column indices "
             f"in [0, {w.shape[-1] if w.ndim else 0}) with one value each, "
             f"got w={w.shape}, ids={ids.tolist()}, vals={vals.shape}")
+    z = w.array.take(ids, axis=1) @ vals
+    _ensure_finite("embed", z)
+    y = np.tanh(z)
     # g[:, None] * vals is np.outer(g, vals), without its reshaping layers
-    return _result("embed", w.array.take(ids, axis=1) @ vals, (w,),
-                   lambda g: ((ids, g[:, None] * vals),))
+    return _record("embed", y, (w,),
+                   lambda g: ((ids, (g * (1.0 - y * y))[:, None] * vals),))
 
 
 def _row_order(rows, *leads):
@@ -723,7 +740,9 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
     are always smaller), so each adjoint entry sums its contributions in
     that order, column blocks included.  Returns a dict mapping each leaf's
     node id to the gradient of ``root`` with respect to that leaf; leaves
-    the root does not depend on get zero gradients.
+    the root does not depend on get zero gradients.  The gradients are not
+    checked for finiteness: their consumer scans them once, as
+    :meth:`dmin.model.Adam.step` does before it moves anything.
     """
     if root.tape is not tape or root.node_id is None:
         raise ValueError("backward: root is not recorded on this tape")
@@ -760,10 +779,6 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
         if node.op != "leaf":
             continue
         g = adjoints[k]
-        if g is None:
-            g = np.zeros_like(node.value)
-        else:
-            g = np.asarray(g, dtype=np.float64)
-            _ensure_finite("backward", g)
-        grads[k] = g
+        grads[k] = np.zeros_like(node.value) if g is None else \
+            np.asarray(g, dtype=np.float64)
     return grads

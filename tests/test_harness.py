@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmin import numerics as nm
+from dmin import harness, numerics as nm
 from dmin.classifier import base_scores, loss_episode
 from dmin.encoder import EncoderConfig
 from dmin.episodes import (DataError, Dataset, Episode, EpisodeConfig,
@@ -350,17 +350,18 @@ class TestPretrain:
         assert 0 < hits < ds.num_items  # neither count is trivial
         assert result.train_accuracy == hits / ds.num_items
 
-    def test_a_text_batch_records_at_most_90_tape_nodes(self, monkeypatch):
-        # 32 items of 2 nodes each (embed, tanh), 7 parameter leaves and
-        # one node each for tau, stacking, reshaping, cosine, tau * cosine
-        # and the loss: 77, where per-item scoring recorded 150
+    def test_a_text_batch_records_at_most_45_tape_nodes(self, monkeypatch):
+        # 32 items of one embed node each, 7 parameter leaves and one node
+        # each for tau, stacking, reshaping, cosine, tau * cosine and the
+        # loss: 45, where a separate tanh per item recorded 77 and
+        # per-item scoring 150
         sizes, real = [], nm.backward
         monkeypatch.setattr(nm, "backward", lambda tape, root: (
             sizes.append(len(tape)), real(tape, root))[1])
         cfg = TrainConfig(stage1=Stage1Config(steps=2, batch_size=32),
                           encoder=EncoderConfig())
         pretrain(_text_dataset(np.random.default_rng(8), 40), cfg)
-        assert len(sizes) == 2 and max(sizes) <= 90, sizes
+        assert len(sizes) == 2 and max(sizes) <= 45, sizes
 
     def test_a_c4_training_episode_records_at_most_256_tape_nodes(
             self, monkeypatch):
@@ -507,6 +508,61 @@ class TestMetaTrain:
         model.params["clf.log_tau"] = np.array(1000.0)  # exp overflows
         with pytest.raises(nm.NumericError):
             meta_train(model, ds, cfg)
+
+
+class TestNonFiniteGradient:
+    """``nm.backward`` returns its gradients unchecked, so a nan in one must
+    be refused by the training stage before any parameter or Adam state
+    moves: by ``Adam.step``, or, for the tau gradient that ``freeze_tau``
+    keeps from Adam, by ``episode_step``."""
+
+    @pytest.mark.parametrize("freeze_tau", [False, True])
+    @pytest.mark.parametrize("leaf", ["tau", "largest"])
+    @pytest.mark.parametrize("stage", ["pretrain", "meta_train"])
+    def test_raises_before_anything_moves(self, monkeypatch, stage, leaf,
+                                          freeze_tau):
+        if stage == "pretrain":  # text, through the embed node
+            ds = _text_dataset(np.random.default_rng(9), 30)
+            cfg = small_cfg(encoder=EncoderConfig(embed_dim=8,
+                                                  vocab_buckets=64),
+                            stage1=Stage1Config(steps=2, batch_size=8),
+                            freeze_tau=freeze_tau)
+        else:
+            ds = blob_dataset()
+            cfg = small_cfg(stage2=Stage2Config(episodes=2, C=3, K=1, L=2),
+                            freeze_tau=freeze_tau)
+        model = init_model(model_config_from(cfg, ds.num_classes), seed=3)
+        before = {k: v.copy() for k, v in model.params.items()}
+        made, real = [], nm.backward
+
+        class RecordedAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def poisoned(tape, root):
+            # tau is the one rank-0 leaf; else the leaf with most entries
+            grads = real(tape, root)
+            k = max((k for k, g in grads.items()
+                     if (g.ndim == 0) == (leaf == "tau")),
+                    key=lambda k: grads[k].size)
+            grads[k] = grads[k].copy()
+            grads[k].reshape(-1)[-1] = np.nan
+            return grads
+
+        monkeypatch.setattr(harness, "Adam", RecordedAdam)
+        monkeypatch.setattr(nm, "backward", poisoned)
+        name = "clf.log_tau" if leaf == "tau" else ".+"
+        with pytest.raises(nm.NumericError,
+                           match=f"non-finite gradient for {name} at step 1"):
+            if stage == "pretrain":
+                pretrain(ds, cfg, model=model)
+            else:
+                meta_train(model, ds, cfg)
+        assert len(made) == 1
+        assert made[0].t == 0 and not made[0].m and not made[0].v
+        for k, v in before.items():
+            npt.assert_array_equal(model.params[k], v)
 
 
 class TestAblations:

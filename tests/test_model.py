@@ -243,6 +243,38 @@ class TestAdam:
                 for k in want:
                     npt.assert_array_equal(got[k], want[k])
 
+    @pytest.mark.parametrize("name, bad, match", [
+        # broadcasting would spread a (1,) gradient over every entry, and
+        # a (3,) one over every row
+        ("b", np.ones(1), r"for b has shape \(1,\), but the parameter has "
+                          r"shape \(3,\)"),
+        ("w", np.ones(3), r"for w has shape \(3,\), but the parameter has "
+                          r"shape \(2, 3\)"),
+        ("c", np.ones(1), r"for c has shape \(1,\), but the parameter has "
+                          r"shape \(\)"),
+        ("nope", np.ones(3), r"for nope .* no such parameter"),
+    ])
+    def test_refuses_a_misshaped_or_unknown_gradient_before_anything_moves(
+            self, monkeypatch, name, bad, match):
+        for _ in _adam_pools(monkeypatch):
+            opt = Adam(lr=0.1)
+            params = {"big": np.ones(3 * BLOCK + 1), "b": np.ones(3),
+                      "w": np.ones((2, 3)), "c": np.ones(())}
+            good = {"big": np.full(3 * BLOCK + 1, 0.25), "b": np.ones(3),
+                    "w": np.ones((2, 3)), "c": np.array(0.5)}
+            opt.step(params, good)
+            before = ({k: v.copy() for k, v in params.items()},
+                      {k: v.copy() for k, v in opt.m.items()},
+                      {k: v.copy() for k, v in opt.v.items()})
+            # the large parameter comes before the bad gradient
+            with pytest.raises(ValueError, match=match):
+                opt.step(params, {**good, name: bad})
+            assert opt.t == 1 and "nope" not in params
+            for want, got in zip(before, (params, opt.m, opt.v)):
+                assert set(got) == set(want)
+                for k in want:
+                    npt.assert_array_equal(got[k], want[k])
+
     @staticmethod
     def _overflowing_tail():
         """A large parameter whose gradient overflows ``g * g`` only in

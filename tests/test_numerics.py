@@ -256,7 +256,9 @@ def test_embed_equals_linear_of_the_dense_row(rows, cols, uses, seed):
     row written out densely in the other: ``sparse`` reads ``w``,
     ``self_add`` reads ``add(w, w)`` and ``add_other`` reads ``add(w, u)``,
     whose VJP hands ``w`` and ``u`` one array.  ``dense`` is an ordinary
-    ``linear`` of ``w`` in both tapes."""
+    ``linear`` of ``w`` in both tapes.  The dense tape multiplies each
+    ``linear`` by the constant ``1 - y*y`` of the embed's own output
+    ``y``, so its adjoint is the one embed's tanh hands its product."""
     rng = np.random.default_rng(seed)
     w, u = rng.normal(size=(rows, cols)), rng.normal(size=(rows, cols))
     args = []
@@ -269,38 +271,52 @@ def test_embed_equals_linear_of_the_dense_row(rows, cols, uses, seed):
         args.append((ids, vals, dense, rng.normal(size=cols)))
     probe = rng.normal(size=len(uses) * rows)
 
-    def run(sparse):
+    def run(ys):
+        """The sparse tape when ``ys`` is None, else the dense one."""
         tape = nm.Tape()
         wt, ut = tape.leaf(w), tape.leaf(u)
-        outs = []
-        for use, (ids, vals, dense, x) in zip(uses, args):
+        outs, pres = [], []
+        for i, (use, (ids, vals, dense, x)) in enumerate(zip(uses, args)):
             if use == "dense":
                 outs.append(nm.linear(c(x), wt))
+                pres.append(outs[-1].array)
                 continue
             src = {"sparse": wt, "self_add": nm.add(wt, wt),
                    "add_other": nm.add(wt, ut)}[use]
-            outs.append(nm.embed(src, ids, vals) if sparse
-                        else nm.linear(c(dense), src))
+            if ys is None:
+                outs.append(nm.embed(src, ids, vals))
+                continue
+            pre = nm.linear(c(dense), src)
+            pres.append(pre.array)
+            outs.append(nm.mul(pre, c(1.0 - ys[i] * ys[i])))
         flat = nm.reshape(nm.stack_rows(outs), (len(uses) * rows,))
         grads = nm.backward(tape, nm.dot(flat, c(probe)))
-        return flat.array, grads[wt.node_id], grads[ut.node_id]
+        return [o.array for o in outs], pres, grads[wt.node_id], \
+            grads[ut.node_id]
 
-    (got, gw, gu), (want, dw, du) = run(True), run(False)
+    got, _, gw, gu = run(None)
+    _, want, dw, du = run(got)
     npt.assert_array_equal(gw, dw)
     npt.assert_array_equal(gu, du)
     srcs = {"dense": w, "sparse": w, "self_add": w + w, "add_other": w + u}
-    for i, (use, (ids, _, dense, _)) in enumerate(zip(uses, args)):
-        # each side rounds a sum of len(ids) products, in its own order
-        bound = (use != "dense") * max(len(ids), 1) * 2.0**-52 \
-            * (np.abs(srcs[use]) @ np.abs(dense))
-        part = slice(i * rows, (i + 1) * rows)
-        assert np.all(np.abs(got[part] - want[part]) <= bound)
+    for i, (use, (ids, vals, dense, _)) in enumerate(zip(uses, args)):
+        if use == "dense":
+            npt.assert_array_equal(got[i], want[i])
+            continue
+        # the product as embed forms it, then its tanh, bit for bit
+        npt.assert_array_equal(
+            got[i], np.tanh(srcs[use].take(ids, axis=1) @ vals))
+        # each side rounds a sum of len(ids) products, in its own order;
+        # tanh is 1-Lipschitz, and each side's tanh adds its own error
+        bound = max(len(ids), 1) * 2.0**-52 \
+            * (np.abs(srcs[use]) @ np.abs(dense)) + 2.0**-51
+        assert np.all(np.abs(got[i] - np.tanh(want[i])) <= bound)
 
 
 def test_embed_checks_its_arguments():
     w = c(np.arange(12.0).reshape(3, 4))
     npt.assert_array_equal(nm.embed(w, [1, 3], [2.0, -1.0]).array,
-                           [-1.0, 3.0, 7.0])
+                           np.tanh([-1.0, 3.0, 7.0]))
     npt.assert_array_equal(nm.embed(w, np.array([], int), []).array,
                            np.zeros(3))
     for ids, vals in (([1, 4], [1.0, 1.0]),  # out of range
@@ -314,6 +330,18 @@ def test_embed_checks_its_arguments():
             nm.embed(w, ids, vals)
     with pytest.raises(ValueError):
         nm.embed(c(np.ones(4)), [1], [1.0])
+
+
+@pytest.mark.parametrize("vals", [[1.0, 1.0], [-1.0, -1.0], [1.0, np.nan]])
+def test_embed_refuses_a_product_that_is_not_finite(vals):
+    # 1e308 + 1e308 overflows to +-inf, which tanh would turn into +-1;
+    # the leaf's own check overflows its sum too, before confirming
+    tape = nm.Tape()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = tape.leaf(np.array([[1e308, 1e308], [0.0, 0.0]]))
+        with pytest.raises(nm.NumericError, match="embed"):
+            nm.embed(w, [0, 1], vals)
+    assert len(tape) == 1  # nothing recorded
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +380,13 @@ def _op_cases(rng):
          lambda t: nm.linear(t["x"], t["w"], t["b"])),
         ("linear/rows", {"x": mat(n, d), "w": mat(m, d), "b": vec(m)},
          lambda t: nm.linear(t["x"], t["w"], t["b"])),
-        ("embed", {"w": mat(m, d)},
+        # scaled, like route's, so that tanh does not saturate
+        ("embed", {"w": 0.3 * mat(m, d)},
          lambda t, ids=np.sort(rng.choice(d, 2, replace=False)),
          vals=rng.normal(0.0, 1.0, 2): nm.embed(t["w"], ids, vals)),
         # the dense adjoint of linear reaches w first, so backward copies
         # it before adding embed's column block
-        ("embed/shared", {"x": vec(d), "w": mat(m, d)},
+        ("embed/shared", {"x": vec(d), "w": 0.3 * mat(m, d)},
          lambda t, ids=np.arange(0, d, 2),
          vals=rng.normal(0.0, 1.0, (d + 1) // 2):
          nm.add(nm.embed(t["w"], ids, vals), nm.linear(t["x"], t["w"]))),
