@@ -217,7 +217,7 @@ _pool = None
 
 def _worker_pool():
     """The one-thread pool that takes the second half of a large
-    parameter's blocks, made on first use; None when fewer than 2 CPUs
+    update's blocks, made on first use; None when fewer than 2 CPUs
     are usable by this process, where the two halves would only take
     turns and the thread's memory would buy nothing."""
     global _pool
@@ -252,12 +252,23 @@ def _in_errstate(err, call, fn, *args) -> None:
 class Adam:
     """Adam update rule; state is kept per parameter name.
 
-    A parameter larger than one block is updated in 32K-entry blocks that
-    stay in cache.  With 2 or more usable CPUs, one worker thread takes
-    the second half of its blocks while the caller updates the first
-    half; numpy releases the GIL inside each block's loops.  Every entry
-    gets the same operations in the same order either way, so the result
-    is bit-identical to a whole-array update on one thread.
+    ``m`` and ``v`` hold the first and second moments.  For a matrix
+    parameter, ``cols`` holds the sorted ids of the columns that have ever
+    had a nonzero gradient entry, and ``m`` and ``v`` are compact, of
+    shape (rows, live columns): a column's moments start at zero when it
+    first goes live.  A column that has never been live is skipped, and
+    that is exact: an entry whose gradient and moments are all +-0 keeps
+    zero moments, and its parameter moves by exactly 0.  A matrix with no
+    live column keeps no state; once every column is live, its moments
+    have the parameter's shape and it is updated in place.  Other
+    parameters are always updated whole.
+
+    An update larger than one block runs in 32K-entry blocks that stay
+    in cache.  With 2 or more usable CPUs, one worker thread takes the
+    second half of its blocks while the caller updates the first half;
+    numpy releases the GIL inside each block's loops.  Every entry gets
+    the same operations in the same order either way, so the result is
+    bit-identical to a whole-array update of every entry on one thread.
     """
 
     lr: float
@@ -267,6 +278,7 @@ class Adam:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    cols: dict = field(default_factory=dict)
 
     def step(self, params: dict, grads: dict) -> None:
         """One update of every parameter named in ``grads``, in place.
@@ -276,7 +288,11 @@ class Adam:
         parameter's, and :class:`NumericError` if it has a nan or inf
         entry.  That is the one finiteness scan of a training step's
         gradients: :func:`dmin.numerics.backward` does not check them.
+        A matrix with a column not yet live is scanned for its live
+        columns first, and only those are checked; a nan or inf entry is
+        nonzero, so its column is among them.
         """
+        updates = []
         for name, g in grads.items():
             p = params.get(name)
             if p is None or g.shape != p.shape:
@@ -284,40 +300,76 @@ class Adam:
                     f"gradient for {name} has shape {g.shape}, but "
                     + ("there is no such parameter" if p is None
                        else f"the parameter has shape {p.shape}"))
+            ids, live = None, self.cols.get(name)
+            if p.ndim == 2 and (live is None or len(live) < p.shape[1]):
+                hit = g.any(axis=0)
+                if live is not None:
+                    hit[live] = True
+                ids = np.flatnonzero(hit)
+                if not len(ids):  # never hit: nothing to check or move
+                    continue
+                if len(ids) < p.shape[1]:
+                    g = g.take(ids, axis=1)
             # the sum is the cheap test (any nan or inf makes it
             # non-finite); a finite gradient may still overflow it
             if not math.isfinite(g.sum()) and not np.isfinite(g).all():
                 raise nm.NumericError(
                     f"non-finite gradient for {name} at step {self.t + 1}")
+            updates.append((name, p, g, ids))
         self.t += 1
         c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
-        for name, g in grads.items():
-            p, m = params[name], self.m.get(name)
-            if m is None:
-                m = self.m[name] = np.zeros(p.shape)  # C-contiguous
+        for name, p, g, ids in updates:
+            if ids is not None:
+                m, v = self._moments(name, ids, p.shape[0])
+                if len(ids) < p.shape[1]:
+                    block = p.take(ids, axis=1)
+                    self._apply(block, m, v, g, c1, c2)
+                    p.put(ids + p.shape[1] * np.arange(p.shape[0])[:, None],
+                          block)
+                    continue
+            elif name not in self.m:
+                self.m[name] = np.zeros(p.shape)  # C-contiguous
                 self.v[name] = np.zeros(p.shape)
-            v = self.v[name]
-            if m.size <= _CHUNK or not p.flags.c_contiguous:
-                self._update(p, m, v, g, np.empty_like(m), np.empty_like(m),
-                             c1, c2)
-                continue
-            flat = (p.reshape(-1), m.reshape(-1), v.reshape(-1),
-                    g.reshape(-1))
-            pool = _worker_pool()
-            if pool is None:
-                self._blocks(flat, 0, p.size, c1, c2)
-                continue
-            # the caller takes the first half of the blocks (the larger
-            # one when their number is odd), the worker the rest; the
-            # step returns only after the worker is done
-            half = -(-p.size // (2 * _CHUNK)) * _CHUNK
-            rest = pool.submit(_in_errstate, np.geterr(), np.geterrcall(),
-                               self._blocks, flat, half, p.size, c1, c2)
-            try:
-                self._blocks(flat, 0, half, c1, c2)
-            finally:
-                rest.exception()  # waits for the worker, whatever happened
-            rest.result()
+            self._apply(p, self.m[name], self.v[name], g, c1, c2)
+
+    def _moments(self, name, ids, rows):
+        """The compact moments of a matrix at its live columns ``ids``, a
+        superset of the columns they held: zero for the new ones."""
+        live = self.cols.get(name)
+        if live is not None and len(live) == len(ids):
+            return self.m[name], self.v[name]
+        m, v = np.zeros((rows, len(ids))), np.zeros((rows, len(ids)))
+        if live is not None:
+            at = np.searchsorted(ids, live)
+            m[:, at], v[:, at] = self.m[name], self.v[name]
+        self.m[name], self.v[name], self.cols[name] = m, v, ids
+        return m, v
+
+    def _apply(self, p, m, v, g, c1, c2) -> None:
+        """:meth:`_update` of the C-contiguous moments ``m`` and ``v`` and
+        their parameter ``p`` by ``g``: whole when it fits one block or
+        ``p`` is not C-contiguous, else block by block, split with the
+        worker when there is one."""
+        if m.size <= _CHUNK or not p.flags.c_contiguous:
+            self._update(p, m, v, g, np.empty_like(m), np.empty_like(m),
+                         c1, c2)
+            return
+        flat = (p.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1))
+        pool = _worker_pool()
+        if pool is None:
+            self._blocks(flat, 0, p.size, c1, c2)
+            return
+        # the caller takes the first half of the blocks (the larger
+        # one when their number is odd), the worker the rest; the
+        # step returns only after the worker is done
+        half = -(-p.size // (2 * _CHUNK)) * _CHUNK
+        rest = pool.submit(_in_errstate, np.geterr(), np.geterrcall(),
+                           self._blocks, flat, half, p.size, c1, c2)
+        try:
+            self._blocks(flat, 0, half, c1, c2)
+        finally:
+            rest.exception()  # waits for the worker, whatever happened
+        rest.result()
 
     def _blocks(self, flat, lo, hi, c1, c2) -> None:
         """:meth:`_update` of entries ``lo:hi`` of the flat ``(p, m, v,

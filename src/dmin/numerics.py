@@ -750,8 +750,10 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
         raise ValueError(f"backward: root must be a scalar, got shape {root.shape}")
 
     adjoints: list[np.ndarray | None] = [None] * len(tape.nodes)
-    # 1 where adjoints[k] is an array allocated here, safe to write into
+    # 1 where adjoints[k] is a C-contiguous array allocated here, safe to
+    # write into; starts[k] holds the flat index of each of its rows
     owned = bytearray(len(tape.nodes))
+    starts = {}
     adjoints[root.node_id] = np.ones(())
     for k in range(root.node_id, -1, -1):
         g = adjoints[k]
@@ -768,11 +770,17 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
                         np.zeros(tape.nodes[pid].value.shape) if acc is None
                         else acc.copy())
                     owned[pid] = 1
-                acc[:, pg[0]] += pg[1]
+                    starts.setdefault(
+                        pid, acc.shape[1] * np.arange(len(acc))[:, None])
+                # through a flat index, which takes two thirds of the time
+                # of numpy's mixed slice-and-index path; the ids never
+                # repeat, so each entry gets one add
+                acc.reshape(-1)[pg[0] + starts[pid]] += pg[1]
             elif acc is None:
                 adjoints[pid] = np.asarray(pg, dtype=np.float64)
             else:
                 adjoints[pid] = acc + pg
+                owned[pid] = 0  # the sum need not be C-contiguous
 
     grads: dict[int, np.ndarray] = {}
     for k, node in enumerate(tape.nodes):

@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmin import harness, numerics as nm
+from dmin import harness, model as dmin_model, numerics as nm
 from dmin.classifier import base_scores, loss_episode
 from dmin.encoder import EncoderConfig
 from dmin.episodes import (DataError, Dataset, Episode, EpisodeConfig,
@@ -32,6 +32,7 @@ from dmin.routing import RoutingConfig
 from oracles import (assert_gradients_close, episode_reference,
                      finite_difference_gradients, prototype_predict)
 from test_acceptance import C4_CONFIG
+from test_model import _textbook_adam_step
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / \
     "c4_model.ckpt"
@@ -563,6 +564,54 @@ class TestNonFiniteGradient:
         assert made[0].t == 0 and not made[0].m and not made[0].v
         for k, v in before.items():
             npt.assert_array_equal(model.params[k], v)
+
+
+class TestLiveColumnAdam:
+    """Stage 1 through ``Adam``'s live-column update gives the bits of a
+    dense textbook Adam over every parameter."""
+
+    def test_pretrain_matches_a_dense_textbook_adam(self, monkeypatch):
+        # 1,000 words hash into about 640 of 1,024 buckets, so the
+        # projection's compact block grows past one 32K-entry block while
+        # some columns are never hit
+        rng = np.random.default_rng(12)
+        words = [f"t{i}" for i in range(1000)]
+        ds = Dataset(payloads=[" ".join(rng.choice(words, size=10))
+                               for _ in range(240)],
+                     labels=[k % 3 for k in range(240)],
+                     class_names=["a", "b", "c"])
+        cfg = small_cfg(dim=64,
+                        encoder=EncoderConfig(embed_dim=64,
+                                              vocab_buckets=1024),
+                        stage1=Stage1Config(steps=12, batch_size=32))
+        made = []
+
+        class RecordedAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        class TextbookAdam(Adam):
+            def step(self, params, grads):
+                _textbook_adam_step(self, params, grads)
+
+        digests = []
+        for adam in (RecordedAdam, TextbookAdam):
+            monkeypatch.setattr(harness, "Adam", adam)
+            model = init_model(model_config_from(cfg, 3), seed=4)
+            before = {k: v.copy() for k, v in model.params.items()}
+            pretrain(ds, cfg, model=model)
+            digests.append(model.param_digest())
+            for k in before:
+                moved = not np.array_equal(model.params[k].view(np.int64),
+                                           before[k].view(np.int64))
+                assert moved == k.startswith(("enc.", "clf.")), k
+        assert digests[0] == digests[1]
+        opt = made[0]
+        rows, live = opt.m["enc.projection"].shape
+        assert rows * live > dmin_model._CHUNK and live < 1024
+        assert not any(k.startswith(("dmm.", "qim.")) and k.endswith(".w")
+                       for k in opt.m)
 
 
 class TestAblations:

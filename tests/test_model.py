@@ -209,6 +209,111 @@ class TestAdam:
         if pool is not None:  # one split per large contiguous step
             assert pool.submitted == 4 * 25
 
+    def test_live_column_update_is_bit_identical_to_the_textbook_formula(
+            self, monkeypatch):
+        for pool in _adam_pools(monkeypatch):
+            self._check_live_column_bits(pool)
+
+    @staticmethod
+    def _live_column_grads(rng, steps):
+        """Gradients of four matrices whose columns go live at different
+        steps.  "wide" (8 x 4400): column 0 is never hit, column 1 holds
+        only -0.0, column 2 is first hit at step 8, columns 3-4199 at step
+        1 (a compact block of 33,576 entries, more than one block) and the
+        rest at random steps or never.  "small" (3 x 5) has every column
+        live from step 5; "wide_t" is a non-C-contiguous (6 x 40) matrix
+        with half its columns live; "zero" is never hit."""
+        first = {"wide": np.concatenate([[steps + 1, steps + 1, 8],
+                                         np.ones(4197, int),
+                                         rng.integers(2, 2 * steps, 200)]),
+                 "small": np.array([1, 3, 5, 3, 1]),
+                 "wide_t": np.where(np.arange(40) % 2, 1, steps + 1)}
+        for step in range(1, steps + 1):
+            grads = {"zero": np.zeros((4, 7))}
+            for name, hit in first.items():
+                # a column is hit on its first step, later at random
+                live = (hit == step) | ((hit < step)
+                                        & (rng.random(len(hit)) < 0.8))
+                g = rng.normal(0.0, 10.0 ** rng.integers(-6, 3),
+                               (len(live), {"wide": 8, "small": 3,
+                                            "wide_t": 6}[name])).T
+                g[rng.random(g.shape) < 0.1] = 0.0
+                g[:, ~live] = 0.0
+                if name == "wide":
+                    g[:, 1] = -0.0
+                grads[name] = g.copy("K") if name == "wide_t" else \
+                    np.ascontiguousarray(g)
+            yield grads
+
+    @staticmethod
+    def _check_live_column_bits(pool):
+        rng = np.random.default_rng(33)
+        start = {"wide": rng.normal(size=(8, 4400)),
+                 "small": rng.normal(size=(3, 5)),
+                 "wide_t": rng.normal(size=(40, 6)).T,
+                 "zero": rng.normal(size=(4, 7))}
+        got = {k: v.copy("K") for k, v in start.items()}
+        want = {k: v.copy("K") for k, v in start.items()}
+        assert not got["wide_t"].flags.c_contiguous
+        opt, ref = Adam(lr=0.01), Adam(lr=0.01)
+        steps, big_steps = 25, 0
+        for grads in TestAdam._live_column_grads(rng, steps):
+            opt.step(got, grads)
+            _textbook_adam_step(ref, want, grads)
+            big_steps += opt.m["wide"].size > BLOCK
+            for k in got:
+                npt.assert_array_equal(got[k].view(np.int64),
+                                       want[k].view(np.int64))
+                if k not in opt.m:  # a matrix never hit keeps no state
+                    assert k not in opt.cols and k not in opt.v
+                    assert not ref.m[k].view(np.int64).any()
+                    assert not ref.v[k].view(np.int64).any()
+                    continue
+                ids = opt.cols[k]
+                dead = np.setdiff1d(np.arange(got[k].shape[1]), ids)
+                for a, b in ((opt.m[k], ref.m[k]), (opt.v[k], ref.v[k])):
+                    assert a.shape == (got[k].shape[0], len(ids))
+                    npt.assert_array_equal(a.view(np.int64),
+                                           b[:, ids].view(np.int64))
+                    assert not b[:, dead].view(np.int64).any()  # +0.0
+        assert opt.t == ref.t == steps
+        assert list(opt.cols["small"]) == list(range(5))
+        assert opt.m["small"].shape == (3, 5)
+        assert 0 not in opt.cols["wide"] and 1 not in opt.cols["wide"]
+        assert 2 in opt.cols["wide"] and len(opt.cols["wide"]) < 4400
+        assert big_steps == steps
+        if pool is not None:  # one split per step of the compact block
+            assert pool.submitted == steps
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_in_a_never_live_column_moves_nothing(
+            self, monkeypatch, bad):
+        for _ in _adam_pools(monkeypatch):
+            opt = Adam(lr=0.1)
+            grad = np.zeros((8, 4400))
+            grad[:, 3:4200] = 0.5  # a compact block of more than one block
+            params = {"big": np.ones(3 * BLOCK + 1), "w": np.ones((8, 4400)),
+                      "late": np.ones((2, 3))}
+            good = {"big": np.full(3 * BLOCK + 1, 0.25), "w": grad}
+            opt.step(params, good)
+            before = ({k: v.copy() for k, v in params.items()},
+                      {k: v.copy() for k, v in opt.m.items()},
+                      {k: v.copy() for k, v in opt.v.items()},
+                      {k: v.copy() for k, v in opt.cols.items()})
+            poisoned = grad.copy()
+            poisoned[5, 4300] = bad  # column 4300 has never been live
+            # the large parameter and "late", whose columns would go live
+            # on this step, come before the bad gradient
+            with pytest.raises(nm.NumericError, match="for w at step 2"):
+                opt.step(params, {"big": good["big"],
+                                  "late": np.ones((2, 3)), "w": poisoned})
+            assert opt.t == 1
+            assert set(opt.cols) == {"w"}
+            for want, got in zip(before, (params, opt.m, opt.v, opt.cols)):
+                assert set(got) == set(want)
+                for k in want:
+                    npt.assert_array_equal(got[k], want[k])
+
     def test_finite_gradient_whose_sum_overflows_is_accepted(self):
         params = {"x": np.zeros(2)}
         with np.errstate(over="ignore"):  # g * g overflows in v
