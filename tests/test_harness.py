@@ -772,14 +772,21 @@ class TestEpisodeScores:
         message = r"vector payload has shape \(9,\), model expects \(8,\)"
         with pytest.raises(ValueError, match=message):
             evaluate(model, blob_dataset(dim=9), small_cfg(), episodes=1)
+        column = r"vector payload has shape \(8, 1\), model expects \(8,\)"
+        # the wrong payload last, first or in the middle; an (8, 1) one
+        # holds the right entries in the wrong shape
         for part in ("support", "queries"):
-            episode = sample_episode(ds, EpisodeConfig(way=3, shot=2,
-                                                       queries=2, seed=1), 0)
-            items = getattr(episode, part)
-            items[-1] = (items[-1][0], np.zeros(9))
-            for forward in (episode_scores, episode_forward):
-                with pytest.raises(ValueError, match=message):
-                    forward(model, model.tensors(), episode, frozenset())
+            for where, payload, refusal in ((-1, np.zeros(9), message),
+                                            (0, np.zeros(9), message),
+                                            (3, np.zeros(9), message),
+                                            (3, np.zeros((8, 1)), column)):
+                episode = sample_episode(ds, EpisodeConfig(
+                    way=3, shot=2, queries=2, seed=1), 0)
+                items = getattr(episode, part)
+                items[where] = (items[where][0], payload)
+                for forward in (episode_scores, episode_forward):
+                    with pytest.raises(ValueError, match=refusal):
+                        forward(model, model.tensors(), episode, frozenset())
 
     def test_evaluate_matches_the_per_pair_path_on_fixture_episodes(self):
         model = load_checkpoint(FIXTURE)

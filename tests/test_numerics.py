@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmin import numerics as nm
 from oracles import assert_gradients_close, finite_difference_gradients
@@ -720,6 +720,18 @@ ROUTE_LAYOUTS = {"batched": (("b",), ("b",)), "shared_memory": ((), ("b",)),
        inputs=st.sampled_from(["random", "zero", "constant_rows",
                                "zero_row"]),
        seed=st.integers(0, 2**32 - 1))
+# the pipeline's shapes, 2 capsules of 16: induction in 5-way 5-shot
+# evaluation (50 queries x 5 classes of 5 rows) and adaptation of its
+# 25 supports against 20 base rows, then both steps of a batched 5-way
+# 1-shot training episode (25 queries x 5 classes of 1 row, 5 supports)
+@example(n=5, l=2, d_v=16, r=2, b=50, k=5, layout="outer",
+         inputs="zero_row", seed=23)
+@example(n=20, l=2, d_v=16, r=2, b=25, k=1, layout="shared_memory",
+         inputs="random", seed=24)
+@example(n=1, l=2, d_v=16, r=3, b=25, k=5, layout="outer",
+         inputs="random", seed=25)
+@example(n=20, l=2, d_v=16, r=3, b=5, k=1, layout="shared_memory",
+         inputs="zero_row", seed=26)
 def test_each_pair_of_a_routed_batch_has_the_bits_it_has_alone(
         n, l, d_v, r, b, k, layout, inputs, seed):
     """Output and gradients of every pair of a batch against the pair
