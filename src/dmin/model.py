@@ -172,18 +172,10 @@ class Model:
 
     def encode_vectors(self, payloads) -> Tensor:
         """Vector payloads stacked to one (N, d) constant: :meth:`encode`
-        of each, stacked, without a Tensor per payload.  The stack's shape
-        is checked once; only a refusal looks at the payloads one by one,
-        to name the first of the wrong shape."""
-        try:
-            stack = np.stack(payloads)
-        except ValueError:  # payloads of different shapes, or none
-            stack = None
-        if stack is None or stack.shape[1:] != (self.config.embed_dim,):
-            for payload in payloads:
-                self._check_vector(payload)
-            stack = np.stack(payloads)  # numpy's refusal of no payload
-        return nm.constant(stack)
+        of each, stacked, without a Tensor per payload."""
+        for payload in payloads:
+            self._check_vector(payload)
+        return nm.constant(np.stack(payloads))
 
     def _check_vector(self, payload: np.ndarray) -> None:
         if payload.shape != (self.config.embed_dim,):

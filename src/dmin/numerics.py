@@ -43,14 +43,14 @@ Conventions:
   capsules per pair.  Its dots and its capsule mix contract the operands
   with the bits of a broadcast multiply and sum.  Round 1's coupling is
   the constant 1/l, a softmax of zero logits bit for bit,
-- a :func:`route` call of more than one pair against memories of n > 1
-  rows copies the per-pair operand of each row dot (the centred query,
-  the capsules, and in the VJP the capsules' gradient) to a contiguous
-  array of the batch's (..., n, l, d_v) row shape before it contracts.
-  einsum runs the same kernel over the same d_v products either way, so
-  no bit changes; it only skips the loop per output that it takes for an
-  operand broadcast along the row axis.  One pair, or one row, keeps the
-  broadcast operand, where the copy costs more than it saves,
+- a :func:`route` call of more than one pair copies the per-pair operand
+  of each row dot (the centred query, the capsules, and in the VJP the
+  capsules' gradient) to a contiguous array of the batch's (..., n, l,
+  d_v) row shape before it contracts.  einsum runs the same kernel over
+  the same d_v products either way, so no bit changes; it only skips the
+  loop per output that it takes for an operand broadcast along the row
+  axis.  A single pair dots its operand as it is: the copy would cost
+  more than it saves,
 - a result is recorded on a tape iff at least one input is recorded; mixing
   inputs from two different tapes is an error,
 - a VJP closes over arrays, never over Tensors: their tape link would make
@@ -363,29 +363,31 @@ def _row_order(rows, *leads):
             for s in leads]
 
 
-def _spread(v, shape):
-    """``v`` broadcast to the row shape ``shape`` of a :func:`route` batch,
-    as a contiguous copy: einsum dots rows with it by the same kernel over
-    the same products as with ``v`` itself, without the loop per output
-    that it takes for an operand broadcast along the row axis."""
-    full = np.empty(shape)
-    full[...] = v
-    return full
+def _rowsdot(mv, v):
+    """Dots of the rows of ``mv`` with ``v`` broadcast against them, as
+    :func:`route` takes them.  In a batch of pairs, ``v`` is first copied
+    to the broadcast shape: einsum then runs the same kernel over the same
+    products as with ``v`` itself, so no bit changes, without the loop per
+    output that it takes for an operand broadcast along the row axis.  A
+    single pair, (n, l, d) rows against a (1, l, d) ``v``, dots ``v`` as
+    it is: there the copy costs more than it saves."""
+    if mv.ndim > 3 or v.ndim > 3:
+        full = np.empty(np.broadcast(mv, v).shape)
+        full[...] = v
+        v = full
+    return _rowdot(mv, v)
 
 
-def _mix(wv, mv, ms, take, subscripts, full=None):
+def _mix(wv, mv, ms, take, subscripts):
     """Row mixture ``sum_i wv[i] * mv[i]`` as the einsum ``subscripts``
     contracts it, and its VJP, which takes the gradient with a row axis;
     ``ms`` holds ``mv``'s rows in the order that the flat index ``take``
-    (None: as given) puts ``wv``'s rows in, and the VJP dots ``mv`` with
-    the gradient :func:`_spread` to ``full`` if given.  The contraction
-    adds the products row by row, the bits of a multiply and a sum over
-    that axis."""
+    (None: as given) puts ``wv``'s rows in.  The contraction adds the
+    products row by row, the bits of a multiply and a sum over that axis."""
     ws = wv if take is None else \
         wv.reshape(len(take), -1).take(take, axis=0).reshape(wv.shape)
     return (_einsum(subscripts, ws, ms) + 0.0,
-            lambda g: (_rowdot(mv, g if full is None else _spread(g, full)),
-                       wv[..., None] * g))
+            lambda g: (_rowsdot(mv, g), wv[..., None] * g))
 
 
 def vecmat(w: Tensor, m: Tensor) -> Tensor:
@@ -573,7 +575,7 @@ def _row_norms(xv):
     return live, np.where(live, norms, 1.0)
 
 
-def _cosines(mv, qv, rows=None, centred=False, row_axis=False, full=None):
+def _cosines(mv, qv, rows=None, centred=False, row_axis=False):
     """Cosine of each row of ``mv`` with the matching row of ``qv`` and its
     VJP to (row, query) gradients, each summed over the axes its operand
     was broadcast along.
@@ -582,12 +584,11 @@ def _cosines(mv, qv, rows=None, centred=False, row_axis=False, full=None):
     mean-centred (Pearson): centring is a symmetric projection, so the VJP
     applies it unchanged to both gradients.  ``row_axis`` says that ``qv``
     is a (..., l, d) query against (..., n, l, d) rows, as in
-    :func:`route`: the dots contract each operand at its own shape, or
-    the query :func:`_spread` to ``full`` if given, and the query's norms
-    are taken at the query's shape.  The rows' gradient is then left at
-    the shape of the batch, for the caller to sum, and the query's is
-    summed over the row axis even when n is 1, which turns a -0.0 into
-    +0.0 exactly as the sum over n rows of a (l, d) query does.
+    :func:`route`: the dots take the query through :func:`_rowsdot`, and
+    the query's norms are taken at the query's shape.  The rows' gradient
+    is then left at the shape of the batch, for the caller to sum, and the
+    query's is summed over the row axis even when n is 1, which turns a
+    -0.0 into +0.0 exactly as the sum over n rows of a (l, d) query does.
     A pair with a dead row or query is 0 and gets zero gradient, so the
     divisor a dead one gets does not change a bit.
     """
@@ -596,8 +597,7 @@ def _cosines(mv, qv, rows=None, centred=False, row_axis=False, full=None):
     if row_axis:
         qrows, live_qr, safe_qr = qv[..., None, :, :], live_q[..., None, :], \
             safe_q[..., None, :]
-        dots = _einsum("...nld,...ld->...nl", mv, qv) if full is None \
-            else _rowdot(mv, _spread(qrows, full))
+        dots = _rowsdot(mv, qrows)
     else:
         dots, qrows, live_qr, safe_qr = _rowdot(mv, qv), qv, live_q, safe_q
     live = live_m & live_qr
@@ -699,10 +699,7 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
         own, take = _row_order(mv.reshape(*mshape[:-2], -1), mshape[:-3], lead)
         ms = mv.reshape(len(own), -1)[own].reshape(mshape)
     # per pair: (..., n, l) gates, logits and coupling, (..., l, d_v)
-    # capsules; the query keeps its own shape until round 2 moves it.
-    # Only many pairs of several rows gain from spreading per-pair dot
-    # operands to the batch's row shape
-    full = lead + mshape[-3:] if n > 1 and math.prod(lead) > 1 else None
+    # capsules; the query keeps its own shape until round 2 moves it
     logits = np.zeros(lead + (n, l))
     seen = {"coupling": [], "gates": []}
     steps = []
@@ -710,18 +707,17 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
     for it in range(iterations):
         last_gates, last_caps = gates, caps
         if it:
-            agree = _einsum("...nld,...ld->...nl", mv, caps) if full is None \
-                else _rowdot(mv, _spread(caps[..., None, :, :], full))
+            agree = _rowsdot(mv, caps[..., None, :, :])
             logits = logits + gates * agree
             qv = (qv + caps) * 0.5
             coupling, soft_vjp, _ = _softmax(logits)
         else:  # the softmax of zero logits, bit for bit
             coupling = np.full(logits.shape, 1.0 / l)
         corr, corr_vjp = _cosines(mc, _centre(qv), rows, centred=True,
-                                  row_axis=True, full=full)
+                                  row_axis=True)
         gates = np.tanh(corr)
         mixed, mix_vjp = _mix(coupling + gates, mv, ms, take,
-                              "...nl,...nld->...ld", full)
+                              "...nl,...nld->...ld")
         caps, squash_vjp = _squash(mixed)
         seen["coupling"].append(coupling)
         seen["gates"].append(gates)
