@@ -11,7 +11,8 @@ stack of inputs as one broadcast cosine node, so a pretraining batch or
 a full accuracy pass records one scoring node, not one per item;
 :func:`few_scores` likewise scores the (Q, d) stack of an episode's
 queries against their (Q, C, d) class vectors as one node, in training
-and in evaluation alike.
+and in evaluation alike, and evaluation scores a batch of E episodes'
+(E, Q, d) queries as one node too.
 
 Both losses are one :func:`dmin.numerics.cross_entropy` node over a
 score Tensor with one row per item or query; they differ only in the
@@ -84,24 +85,25 @@ def few_scores(clf: CosineClassifier, e_q: Tensor,
                class_vectors: Tensor) -> Tensor:
     """Scaled cosine of queries against per-episode class vectors.
 
-    ``e_q`` is one (d,) query, scored to (C,), or a (Q, d) stack, scored
-    to (Q, C) as one broadcast cosine node.  ``class_vectors`` is a (C, d)
-    matrix, which every query shares, or, for a stack, a (Q, C, d) stack
-    holding each query's own matrix.
+    ``e_q`` is one (d,) query, scored to (C,), or a (..., Q, d) stack,
+    scored to (..., Q, C) as one broadcast cosine node.  ``class_vectors``
+    is a (C, d) matrix, which every query shares, or, for a stack, a
+    (..., Q, C, d) stack of each query's own matrix, whose length-1 axes
+    broadcast: (E, 1, C, d) gives each episode's queries one matrix.
     """
     shape = class_vectors.shape
-    if e_q.ndim not in (1, 2) or len(shape) not in (2, e_q.ndim + 1) \
-            or shape[-1] != e_q.shape[-1] \
-            or shape[:-2] not in ((), e_q.shape[:-1]):
+    if e_q.ndim < 1 or len(shape) not in (2, e_q.ndim + 1) \
+            or shape[-1] != e_q.shape[-1] or not all(
+                c in (1, q) for c, q in zip(shape[:-2], e_q.shape[:-1])):
         raise ValueError(
             f"class vectors have shape {shape}, queries {e_q.shape}; "
-            f"need (C, d) or (Q, C, d) class vectors for (d,) or (Q, d) "
-            f"queries")
+            f"need (C, d) or (..., Q, C, d) class vectors for (d,) or "
+            f"(..., Q, d) queries")
     if shape[-2] < 2:
         raise ValueError(f"need at least 2 class vectors, got {shape[-2]}")
     _check_nonzero(e_q, "query vector")
-    if e_q.ndim == 2:  # (Q, 1, d) broadcasts against the class axis
-        e_q = nm.reshape(e_q, (e_q.shape[0], 1, e_q.shape[1]))
+    if e_q.ndim >= 2:  # (..., Q, 1, d) broadcasts against the class axis
+        e_q = nm.reshape(e_q, e_q.shape[:-1] + (1, e_q.shape[-1]))
     return nm.mul(clf.tau, nm.cosine(class_vectors, e_q))
 
 

@@ -18,16 +18,18 @@ supports and queries, score one (Q, C) Tensor with one
 episode's supports are one constant and its queries another, made
 without an encode per item (training's per-pair calls take views of
 their rows); text is encoded item by item and stacked.  They
-differ only in the two routing steps.  An evaluation episode makes 2
-routing calls: one adapts every support, and one induces every
-(query, class) vector.  Training routes each support and each
-(query, class) pair in its own call, and stacks the outputs, until the
-benchmark counts routed pairs instead of calls (ROADMAP item 1).
+differ only in the two routing steps.  Evaluation scores a batch of
+episodes at a time with an episode axis in front of every stack, and
+makes 2 routing calls per batch: one adapts every support, and one
+induces every (query, class) vector.  Training routes each support and
+each (query, class) pair in its own call, and stacks the outputs, until
+the benchmark counts routed pairs instead of calls (ROADMAP item 1).
 
-Evaluation is forward-only and runs its episodes one after another in
+Evaluation is forward-only and runs its batches one after another in
 the caller's thread, under the caller's numpy error state.  Every episode
-is regenerated from ``(seed, episode_index)``, so an episode's accuracy
-does not depend on how many episodes run or in what order.
+is regenerated from ``(seed, episode_index)`` and gets the same bits in
+any batch, so an episode's accuracy does not depend on how many episodes
+run or in what order.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ log = logging.getLogger(__name__)
 
 ABLATIONS = ("full", "no_dmm", "no_qim", "no_dmm+no_qim")
 MAX_EVAL_EPISODES = 1_000_000  # evaluate keeps one accuracy per episode
+# the bytes that the largest routed copy of an evaluation batch may take:
+# 1.25 MiB stays within a 2 MiB L2 cache
+EVAL_BATCH_BYTES = 5 * 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +197,38 @@ def _encode(model: Model, tensors: dict, payloads: list, rows: bool):
     return nm.stack_rows(items), items
 
 
-def _episode(model: Model, tensors: dict, episode: Episode,
+def _episode(model: Model, tensors: dict, episodes: list,
              flags: frozenset, per_pair: bool):
-    """The episode forward of :func:`episode_forward` (``per_pair``) and
-    :func:`episode_scores`, which differ only in the two routing steps."""
-    way, shots = len(episode.class_ids), len(episode.support)
-    counts = np.bincount([lab for lab, _ in episode.support],
-                         minlength=way)
-    if counts.min() != counts.max():
-        raise ValueError(f"an episode forward needs the same number of "
-                         f"shots in every class, got {counts.tolist()}")
+    """The scores and labels of :func:`episode_forward` (``per_pair``) and
+    of :func:`episode_scores`, which differ only in the two routing steps.
+    More than one episode, all of one shape and never ``per_pair``, puts
+    an episode axis in front of every stack, the (E, Q, C) scores and the
+    labels."""
+    lead = (len(episodes),) if len(episodes) > 1 else ()
+    one = (1,) * len(lead)  # an axis that an episode's queries share
+    way, shots = len(episodes[0].class_ids), len(episodes[0].support)
     shot = shots // way
-    # class-major (C, K) for induction; shot-major (K, C) for the mean,
-    # whose vecmat sums the leading axis
-    by_class = sorted(range(shots), key=lambda i: episode.support[i][0])
-    order = (np.reshape(by_class, (way, shot)).T.reshape(-1)
-             if "no_qim" in flags else by_class)
-    supports, rows = _encode(model, tensors,
-                             [episode.support[i][1] for i in order], per_pair)
-    q_stack, queries = _encode(model, tensors,
-                               [payload for _, payload in episode.queries],
-                               per_pair)
-    num_q, dim = q_stack.shape
+    support_items, query_items = [], []
+    for episode in episodes:
+        counts = np.bincount([lab for lab, _ in episode.support],
+                             minlength=way)
+        if counts.min() != counts.max():
+            raise ValueError(f"an episode forward needs the same number of "
+                             f"shots in every class, got {counts.tolist()}")
+        # class-major (C, K) for induction; shot-major (K, C) for the
+        # mean, whose vecmat sums the shot axis
+        by_class = sorted(range(shots), key=lambda i: episode.support[i][0])
+        order = (np.reshape(by_class, (way, shot)).T.reshape(-1)
+                 if "no_qim" in flags else by_class)
+        support_items += [episode.support[i][1] for i in order]
+        query_items += [payload for _, payload in episode.queries]
+    supports, rows = _encode(model, tensors, support_items, per_pair)
+    q_stack, queries = _encode(model, tensors, query_items, per_pair)
+    dim = q_stack.shape[-1]
+    num_q = q_stack.shape[0] // len(episodes)
+    if lead:
+        supports = nm.reshape(supports, lead + (shots, dim))
+        q_stack = nm.reshape(q_stack, lead + (num_q, dim))
     if "no_dmm" not in flags:  # routing step 1: each support alone, or all
         dmm = (model.dmm_params(tensors), model.config.dmm,
                tensors["clf.w_base"])
@@ -224,8 +239,9 @@ def _episode(model: Model, tensors: dict, episode: Episode,
             supports = dmm_adapt(*dmm, supports)
     if "no_qim" in flags:
         class_vectors = nm.vecmat(
-            nm.constant(np.full((shot, way), 1.0 / shot)),
-            nm.reshape(supports, (shot, way, dim)))
+            nm.constant(np.full(lead + (shot,) + one + (way,), 1.0 / shot)),
+            nm.reshape(supports, lead + (shot,) + one + (way, dim)),
+            batch=len(lead))
     else:  # routing step 2: induce each (query, class) pair alone, or all
         qim = (model.qim_params(tensors), model.config.qim)
         if per_pair:
@@ -236,10 +252,11 @@ def _episode(model: Model, tensors: dict, episode: Episode,
                 (num_q, way, dim))
         else:
             class_vectors = qim_induce(
-                *qim, nm.reshape(supports, (way, shot, dim)),
-                nm.reshape(q_stack, (num_q, 1, dim)))
-    scores = few_scores(model.classifier(tensors), q_stack, class_vectors)
-    return scores, [lab for lab, _ in episode.queries]
+                *qim, nm.reshape(supports, lead + one + (way, shot, dim)),
+                nm.reshape(q_stack, lead + (num_q, 1, dim)))
+    labels = [[lab for lab, _ in episode.queries] for episode in episodes]
+    return few_scores(model.classifier(tensors), q_stack, class_vectors), \
+        labels if lead else labels[0]
 
 
 def episode_forward(model: Model, tensors: dict, episode: Episode,
@@ -255,7 +272,7 @@ def episode_forward(model: Model, tensors: dict, episode: Episode,
     skips adaptation; ``no_qim`` takes each class's mean of adapted
     supports, which every query shares.
     """
-    return _episode(model, tensors, episode, flags, per_pair=True)
+    return _episode(model, tensors, [episode], flags, per_pair=True)
 
 
 def episode_scores(model: Model, tensors: dict, episode: Episode,
@@ -265,14 +282,22 @@ def episode_scores(model: Model, tensors: dict, episode: Episode,
     axis of the (C, K) adapted stacks.  Each pair gets the bits it gets
     when routed alone, but the transforms are matrix products over the
     stacks, so scores agree with :func:`episode_forward` to about 1e-13.
+
+    It is the one-episode case of :func:`evaluate`'s batched forward,
+    which stacks E episodes to (E, C*K, d) supports and (E, Q, 1, d)
+    queries against (E, 1, C, K, d) class stacks, to (E, Q, C) scores.
+    Each episode's slice has the bytes this gives it: routing gives each
+    pair its own bits, numpy's stacked matmul runs one episode's product
+    per slice, and ``vecmat(batch=1)`` orders each episode's shots alone.
     """
-    return _episode(model, tensors, episode, flags, per_pair=False)
+    return _episode(model, tensors, [episode], flags, per_pair=False)
 
 
-def episode_accuracy(scores: nm.Tensor, labels) -> float:
-    """Share of the rows of (Q, C) ``scores`` whose top class is the label."""
-    hits = np.count_nonzero(scores.array.argmax(axis=1) == labels)
-    return hits / len(labels)
+def episode_accuracy(scores: np.ndarray, labels) -> list:
+    """Per episode, the share of its queries whose top class is the label:
+    (E, Q, C) ``scores`` against (E, Q) ``labels``."""
+    hits = np.count_nonzero(scores.argmax(axis=-1) == labels, axis=-1)
+    return (hits / np.shape(labels)[-1]).tolist()
 
 
 def episode_step(model: Model, episode: Episode, optimizer: Adam,
@@ -398,7 +423,16 @@ def evaluate(model: Model, dataset: Dataset, cfg: TrainConfig, *,
              shot: int | None = None, queries: int | None = None,
              seed: int | None = None, ablation: str | None = None)\
         -> EvalReport:
-    """Forward-only accuracy over freshly sampled episodes."""
+    """Forward-only accuracy over freshly sampled episodes.
+
+    Episodes are scored in near-equal batches of consecutive indices by
+    :func:`episode_scores`' forward with an episode axis in front: one
+    DMM, one QIM and one :func:`few_scores` call per batch.  A batch holds
+    as many episodes as keep its largest routed copy, QIM's (E, Q, C, K,
+    d) or DMM's (E, C*K, base rows, d) float64 operand, within
+    ``EVAL_BATCH_BYTES``; a larger episode runs alone.  Each episode gets
+    the bytes it gets alone, so ``per_episode`` ignores the batching.
+    """
     episodes = cfg.eval.episodes if episodes is None else episodes
     way = cfg.stage2.C if way is None else way
     shot = cfg.stage2.K if shot is None else shot
@@ -411,12 +445,17 @@ def evaluate(model: Model, dataset: Dataset, cfg: TrainConfig, *,
              else replace(cfg, ablation=ablation).ablation_flags)
     ep_cfg = EpisodeConfig(way=way, shot=shot, queries=queries, seed=seed)
     tensors = model.tensors()  # constants: evaluation never mutates params
+    copy = 8 * way * shot * model.config.embed_dim * max(
+        way * queries, model.config.num_base_classes)  # float64 bytes
+    batches = -(-episodes // max(1, EVAL_BATCH_BYTES // copy))
+    bounds = [episodes * b // batches for b in range(batches + 1)]
     start = time.monotonic()
     accs = []
-    for index in range(episodes):
-        episode = sample_episode(dataset, ep_cfg, index)
-        accs.append(episode_accuracy(
-            *episode_scores(model, tensors, episode, flags)))
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = [sample_episode(dataset, ep_cfg, i) for i in range(lo, hi)]
+        scores, labels = _episode(model, tensors, batch, flags, False)
+        accs += episode_accuracy(scores.array.reshape(hi - lo, -1, way),
+                                 np.reshape(labels, (hi - lo, -1)))
     wall_ms = int((time.monotonic() - start) * 1000.0)
     mean = float(np.mean(accs))
     undefined = episodes < 2

@@ -390,7 +390,7 @@ def _mix(wv, mv, ms, take, subscripts):
             lambda g: (_rowsdot(mv, g), wv[..., None] * g))
 
 
-def vecmat(w: Tensor, m: Tensor) -> Tensor:
+def vecmat(w: Tensor, m: Tensor, batch: int = 0) -> Tensor:
     """Row mixture ``sum_i w[i, ...] * m[i, ...]`` over the leading axis.
 
     ``w`` has the shape of ``m`` without its last axis, so each weight
@@ -403,16 +403,23 @@ def vecmat(w: Tensor, m: Tensor) -> Tensor:
     add is exactly rounded and commutative, so the result equals
     ``math.fsum``.  The error of a longer sum is at most
     ``n * 2**-53 * sum(|products|)``.  ``+ 0.0`` turns a sum of negative
-    zeros into ``+0.0``.
+    zeros into ``+0.0``.  With ``batch=1`` the first axis is a batch axis
+    and the sum runs over the second: entry ``b`` of the result is
+    ``vecmat(w[b], m[b])`` bit for bit, its rows in their own order.
     """
-    if m.ndim < 2 or w.shape != m.shape[:-1]:
+    if batch not in (0, 1) or m.ndim < 2 + batch \
+            or w.shape != m.shape[:-1]:
         raise ValueError(f"vecmat: shape mismatch {w.shape} @ {m.shape}")
     wv, mv = w.array, m.array
-    take = None if len(mv) < 3 or not mv.size else _row_order(np.concatenate(
-        (mv.reshape(len(mv), -1), wv.reshape(len(mv), -1)), 1), ())[0]
-    out, vjp = _mix(wv, mv, mv if take is None else mv[take], take,
-                    "n...,n...k->...k")
-    return _result("vecmat", out, (w, m), vjp)
+    lead, n = mv.shape[:batch], mv.shape[batch]
+    take = None if n < 3 or not mv.size else _row_order(np.concatenate(
+        (mv.reshape(*lead, n, -1), wv.reshape(*lead, n, -1)), -1), lead)[0]
+    ms = mv if take is None else \
+        mv.reshape(len(take), -1)[take].reshape(mv.shape)
+    out, vjp = _mix(wv, mv, ms, take,
+                    "bn...,bn...k->b...k" if batch else "n...,n...k->...k")
+    return _result("vecmat", out, (w, m),
+                   (lambda g: vjp(g[:, None])) if batch else vjp)
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -133,6 +133,26 @@ class TestFewScores:
             few_scores(clf, nm.constant(np.zeros(4)),
                        nm.constant(np.ones((2, 4))))
 
+    def test_a_batch_of_episodes_scores_each_as_alone(self):
+        """(E, Q, d) queries against (E, Q, C, d) or (E, 1, C, d) class
+        vectors: each episode's slice has the bytes it has alone."""
+        rng = np.random.default_rng(12)
+        clf = make_clf(np.eye(2, 6))
+        queries = rng.normal(size=(3, 4, 6))
+        for own in (rng.normal(size=(3, 4, 5, 6)),
+                    rng.normal(size=(3, 1, 5, 6))):
+            got = few_scores(clf, nm.constant(queries),
+                             nm.constant(own)).array
+            assert got.shape == (3, 4, 5)
+            for e in range(3):
+                vecs = own[e] if own.shape[1] > 1 else own[e, 0]
+                want = few_scores(clf, nm.constant(queries[e]),
+                                  nm.constant(vecs)).array
+                assert got[e].tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="class vectors have shape"):
+            few_scores(clf, nm.constant(queries),
+                       nm.constant(rng.normal(size=(2, 4, 5, 6))))
+
 
 class TestLossSupervised:
     def test_uniform_scores_give_log_c(self):

@@ -896,8 +896,8 @@ def test_overflowing_training_is_one_line(tmp_path, pretrained_path,
          "--data", data_path, "--out", tmp_path / "m.ckpt"]))
 
 
-def test_overflowing_pooled_eval_is_one_line(tmp_path, pretrained_path,
-                                             data_path):
+def test_overflowing_eval_is_one_line(tmp_path, pretrained_path, data_path):
+    """The 4 episodes are one batch, so the overflow is raised inside it."""
     model = load_checkpoint(pretrained_path)
     w = model.params["dmm.w"].copy()
     w[:model.config.dmm.capsule_dim] *= 1e300  # capsule 0's rows

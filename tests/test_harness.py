@@ -938,6 +938,67 @@ class TestEvaluate:
                             r.std_accuracy)
 
 
+class TestBatchedEvaluation:
+    """``evaluate`` scores a batch of episodes in one forward; each
+    episode's slice of it has the bytes of that episode scored alone."""
+
+    @staticmethod
+    def episodes(ablation, text, shot):
+        cfg = small_cfg(ablation=ablation, encoder=EncoderConfig(
+            kind="feature_hash" if text else "precomputed", embed_dim=8,
+            vocab_buckets=32))
+        ds = (_text_dataset(np.random.default_rng(4), 60) if text
+              else blob_dataset(num_classes=6, per_class=10))
+        model = init_model(model_config_from(cfg, 4), seed=7)
+        ep_cfg = EpisodeConfig(way=3, shot=shot, queries=2, seed=11)
+        return model, [sample_episode(ds, ep_cfg, i) for i in range(4)], \
+            cfg.ablation_flags
+
+    # at shot 3 no_qim's mean and QIM's mix order 3 rows by their bytes
+    @pytest.mark.parametrize("shot", [1, 3])
+    @pytest.mark.parametrize("text", [False, True])
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_each_episode_of_a_batch_has_the_bytes_it_has_alone(
+            self, ablation, text, shot):
+        model, (episode, *others), flags = self.episodes(ablation, text,
+                                                         shot)
+        tensors = model.tensors()
+        alone = {id(e): episode_scores(model, tensors, e, flags)[0]
+                 .array.tobytes() for e in (episode, *others)}
+        # the same episode first, in the middle and last
+        for batch in ([episode, *others], [others[0], episode, *others[1:]],
+                      [*others, episode]):
+            got, labels = harness._episode(model, tensors, batch, flags,
+                                           False)
+            assert got.shape == (4, 6, 3)
+            assert labels == [[lab for lab, _ in e.queries] for e in batch]
+            for scores, e in zip(got.array, batch):
+                assert scores.tobytes() == alone[id(e)]
+
+    def test_a_batch_makes_one_routing_call_within_the_budget(
+            self, monkeypatch):
+        ds = blob_dataset()
+        cfg = small_cfg()  # 3-way 2-shot, 3 queries per class, d = 8
+        model = init_model(model_config_from(cfg, 8), seed=2)
+        induce, batches = harness.qim_induce, []
+
+        def counted(params, rc, supports, query):
+            batches.append(query.shape[0] if query.ndim == 4 else 1)
+            return induce(params, rc, supports, query)
+
+        monkeypatch.setattr(harness, "qim_induce", counted)
+        one_call = evaluate(model, ds, cfg, episodes=8)
+        assert batches == [8]
+        # an episode's largest routed copy: 9 queries x 3 x 2 x 8 float64s
+        copy = 8 * 9 * 3 * 2 * 8
+        for budget, sizes in ((3 * copy, [2, 3, 3]), (copy - 1, [1] * 8)):
+            batches.clear()
+            monkeypatch.setattr(harness, "EVAL_BATCH_BYTES", budget)
+            report = evaluate(model, ds, cfg, episodes=8)
+            assert batches == sizes
+            assert report.per_episode == one_call.per_episode
+
+
 class TestSeparation:
     def test_report_and_csv(self, tmp_path):
         ds = blob_dataset(num_classes=6, per_class=10, separation=5.0)

@@ -219,6 +219,34 @@ def test_vecmat_is_order_fixed_and_close_to_fsum(n, lead, d, values,
     assert np.all(np.abs(got.reshape(-1) - exact) <= bound)
 
 
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(1, 4), n=st.integers(1, 6), lead=st.integers(1, 3),
+       d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_batched_vecmat_gives_each_entry_its_own_bits(batch, n, lead, d,
+                                                      seed):
+    """Entry b of a ``batch=1`` vecmat, and its gradients, have the bytes
+    of ``vecmat(w[b], m[b])``: each entry adds its rows in its own order."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(batch, n, lead))
+    m = rng.normal(size=(batch, n, lead, d))
+    probe = rng.normal(size=(batch, lead, d))
+
+    def run(wa, ma, pa, **kwargs):
+        tape = nm.Tape()
+        wt, mt = tape.leaf(wa), tape.leaf(ma)
+        out = nm.vecmat(wt, mt, **kwargs)
+        grads = nm.backward(tape, nm.dot(nm.reshape(out, (out.array.size,)),
+                                         c(pa.reshape(-1))))
+        return out.array, grads[wt.node_id], grads[mt.node_id]
+
+    got = run(w, m, probe, batch=1)
+    for b in range(batch):
+        for x, want in zip(got, run(w[b], m[b], probe[b])):
+            assert x[b].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="vecmat: shape mismatch"):
+        nm.vecmat(c(w[0, :, 0]), c(m[0, :, 0]), batch=1)
+
+
 def test_cross_entropy_value_and_argument_checks():
     rng = np.random.default_rng(9)
     m = rng.normal(0.0, 4.0, (5, 3))
