@@ -24,7 +24,6 @@ import base64
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -211,42 +210,6 @@ def init_model(config: ModelConfig, seed: int = 0) -> Model:
 # (parameter, gradient, two moments, two scratch rows) take 1.5 MB
 _CHUNK = 1 << 15
 
-# the worker pool: None until first looked for, False with one usable CPU
-_pool = None
-
-
-def _worker_pool():
-    """The one-thread pool that takes the second half of a large
-    update's blocks, made on first use; None when fewer than 2 CPUs
-    are usable by this process, where the two halves would only take
-    turns and the thread's memory would buy nothing."""
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        cpus = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-        _pool = cpus >= 2 and ThreadPoolExecutor(
-            1, thread_name_prefix="dmin-adam")
-    return _pool or None
-
-
-def _drop_pool() -> None:
-    """A forked child has no worker thread: it makes its own pool."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _in_errstate(err, call, fn, *args) -> None:
-    """``fn(*args)`` under the submitting thread's numpy error handling:
-    a new thread starts from numpy's defaults."""
-    with np.errstate(call=call, **err):
-        fn(*args)
-
 
 @dataclass
 class Adam:
@@ -264,11 +227,9 @@ class Adam:
     parameters are always updated whole.
 
     An update larger than one block runs in 32K-entry blocks that stay
-    in cache.  With 2 or more usable CPUs, one worker thread takes the
-    second half of its blocks while the caller updates the first half;
-    numpy releases the GIL inside each block's loops.  Every entry gets
-    the same operations in the same order either way, so the result is
-    bit-identical to a whole-array update of every entry on one thread.
+    in cache, one after another on the caller's thread.  Every entry gets
+    the same operations in the same order, so the result is bit-identical
+    to a whole-array update of every entry.
     """
 
     lr: float
@@ -348,37 +309,16 @@ class Adam:
     def _apply(self, p, m, v, g, c1, c2) -> None:
         """:meth:`_update` of the C-contiguous moments ``m`` and ``v`` and
         their parameter ``p`` by ``g``: whole when it fits one block or
-        ``p`` is not C-contiguous, else block by block, split with the
-        worker when there is one."""
+        ``p`` is not C-contiguous, else one ``_CHUNK``-entry block at a
+        time, through one pair of scratch rows of its own."""
         if m.size <= _CHUNK or not p.flags.c_contiguous:
             self._update(p, m, v, g, np.empty_like(m), np.empty_like(m),
                          c1, c2)
             return
-        flat = (p.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1))
-        pool = _worker_pool()
-        if pool is None:
-            self._blocks(flat, 0, p.size, c1, c2)
-            return
-        # the caller takes the first half of the blocks (the larger
-        # one when their number is odd), the worker the rest; the
-        # step returns only after the worker is done
-        half = -(-p.size // (2 * _CHUNK)) * _CHUNK
-        rest = pool.submit(_in_errstate, np.geterr(), np.geterrcall(),
-                           self._blocks, flat, half, p.size, c1, c2)
-        try:
-            self._blocks(flat, 0, half, c1, c2)
-        finally:
-            rest.exception()  # waits for the worker, whatever happened
-        rest.result()
-
-    def _blocks(self, flat, lo, hi, c1, c2) -> None:
-        """:meth:`_update` of entries ``lo:hi`` of the flat ``(p, m, v,
-        g)``, one ``_CHUNK``-entry block at a time, through one pair of
-        scratch rows of its own."""
         scratch = np.empty((2, _CHUNK))
-        p, m, v, g = flat
-        for a in range(lo, hi, _CHUNK):
-            b = min(a + _CHUNK, hi)
+        p, m, v, g = p.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
+        for a in range(0, p.size, _CHUNK):
+            b = min(a + _CHUNK, p.size)
             self._update(p[a:b], m[a:b], v[a:b], g[a:b],
                          scratch[0, :b - a], scratch[1, :b - a], c1, c2)
 
