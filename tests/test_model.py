@@ -167,6 +167,37 @@ class TestAdam:
         assert opt.t == ref.t == 25
         assert type(got["tau"]) is np.ndarray and got["tau"].ndim == 0
 
+    def test_blocked_update_writes_through_a_contiguous_view(self):
+        # parameters that are C-contiguous views into larger buffers: the
+        # blocks must be views of them too, so every entry lands in the
+        # buffer and nothing outside the view moves
+        rng = np.random.default_rng(34)
+        bufs = {"vec": rng.normal(size=3 * BLOCK + 20),
+                "rows": rng.normal(size=(20, 4096))}
+        got_bufs = {k: b.copy() for k, b in bufs.items()}
+        got = {"vec": got_bufs["vec"][7:7 + 3 * BLOCK + 1],
+               "rows": got_bufs["rows"][2:18]}
+        want = {"vec": bufs["vec"][7:7 + 3 * BLOCK + 1].copy(),
+                "rows": bufs["rows"][2:18].copy()}
+        assert all(p.flags.c_contiguous and p.size > BLOCK
+                   and p.base is not None for p in got.values())
+        opt, ref = Adam(lr=0.01), Adam(lr=0.01)
+        for _ in range(3):
+            grads = {k: rng.normal(size=p.shape) for k, p in got.items()}
+            opt.step(got, grads)
+            _textbook_adam_step(ref, want, grads)
+        for k in got:
+            npt.assert_array_equal(got[k].view(np.int64),
+                                   want[k].view(np.int64))
+        npt.assert_array_equal(got_bufs["vec"][7:7 + 3 * BLOCK + 1],
+                               want["vec"])
+        npt.assert_array_equal(got_bufs["vec"][:7], bufs["vec"][:7])
+        npt.assert_array_equal(got_bufs["vec"][7 + 3 * BLOCK + 1:],
+                               bufs["vec"][7 + 3 * BLOCK + 1:])
+        npt.assert_array_equal(got_bufs["rows"][2:18], want["rows"])
+        npt.assert_array_equal(got_bufs["rows"][:2], bufs["rows"][:2])
+        npt.assert_array_equal(got_bufs["rows"][18:], bufs["rows"][18:])
+
     @staticmethod
     def _live_column_grads(rng, steps):
         """Gradients of four matrices whose columns go live at different
