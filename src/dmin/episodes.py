@@ -1,9 +1,11 @@
 """Datasets, base/novel splits, and C-way K-shot episode sampling.
 
 A :class:`Dataset` is an immutable list of labeled payloads (either raw
-text strings or fixed-length vectors) with dense integer class ids.
-Episodes draw C classes and K+L items per class without replacement;
-the order statistics come from a PCG64 generator seeded by
+text strings or fixed-length vectors) with dense integer class ids; a
+vector dataset keeps its vectors as one (N, d) array.  Episodes draw C
+classes and K+L items per class without replacement, and hold the
+dataset indices they drew, so a forward reads a batch's vectors with one
+``take``.  The order statistics come from a PCG64 generator seeded by
 ``SeedSequence([seed, episode_index])``, so any episode can be
 regenerated on its own, in any order, on any worker.
 
@@ -37,31 +39,46 @@ class DataError(ValueError):
 
 @dataclass
 class Dataset:
-    """Labeled payloads with dense class ids in [0, num_classes)."""
+    """Labeled payloads with dense class ids in [0, num_classes).
+
+    A vector dataset holds its vectors once, as the read-only (N, d)
+    float64 array ``vectors``, checked when the dataset is built: finite
+    floating-point rows of one shape, given as a list or as one array.
+    Its ``payloads`` are views of those rows.  ``by_class`` holds each
+    class's item indices in dataset order, as an int64 array.
+    """
 
     payloads: list
     labels: list
     class_names: list
-    by_class: dict = field(init=False, repr=False)
+    vectors: np.ndarray | None = field(init=False, repr=False, compare=False)
+    by_class: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.payloads) != len(self.labels):
             raise DataError(
                 f"{len(self.payloads)} payloads but {len(self.labels)} labels")
-        if not self.payloads:
+        if not len(self.payloads):
             raise DataError("dataset is empty")
-        self.labels = [int(c) for c in self.labels]
-        n_classes = len(self.class_names)
-        self.by_class = {c: [] for c in range(n_classes)}
-        for i, c in enumerate(self.labels):
-            if not 0 <= c < n_classes:
-                raise DataError(
-                    f"label {c} out of range for {n_classes} classes")
-            self.by_class[c].append(i)
-        for c, idx in self.by_class.items():
-            if not idx:
-                raise DataError(
-                    f"class {c} ({self.class_names[c]!r}) has no items")
+        self.vectors = None
+        if isinstance(self.payloads[0], np.ndarray):
+            self.vectors = _vector_rows(self.payloads)
+            self.payloads = list(self.vectors)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu":
+            labels = np.array([int(c) for c in self.labels])
+        self.labels, n_classes = labels.tolist(), len(self.class_names)
+        bad = labels[(labels < 0) | (labels >= n_classes)].tolist()
+        if bad:
+            raise DataError(
+                f"label {bad[0]} out of range for {n_classes} classes")
+        sizes = np.bincount(labels, minlength=n_classes)
+        empty = np.flatnonzero(sizes == 0).tolist()
+        if empty:
+            raise DataError(f"class {empty[0]} ({self.class_names[empty[0]]!r})"
+                            f" has no items")
+        self.by_class = dict(enumerate(np.split(
+            np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])))
 
     @property
     def num_classes(self) -> int:
@@ -74,12 +91,39 @@ class Dataset:
     @property
     def dim(self):
         """Vector dimension, or None for text payloads."""
-        first = self.payloads[0]
-        return len(first) if isinstance(first, np.ndarray) else None
+        return None if self.vectors is None else self.vectors.shape[1]
 
-    def eligible_classes(self, min_items: int) -> list:
-        return [c for c, idx in self.by_class.items()
-                if len(idx) >= min_items]
+    @property
+    def source(self):
+        """``vectors``, or the text payloads: what an index reads."""
+        return self.payloads if self.vectors is None else self.vectors
+
+    def eligible_classes(self, min_items: int) -> np.ndarray:
+        """Ids of the classes with at least ``min_items`` items, ascending."""
+        return np.flatnonzero([len(idx) >= min_items
+                               for idx in self.by_class.values()])
+
+
+def _vector_rows(payloads) -> np.ndarray:
+    """Vector payloads as a read-only (N, d) float64 array of their own; a
+    :class:`DataError` names the first way in which they are malformed."""
+    rows = payloads
+    if not isinstance(rows, np.ndarray):
+        shapes = sorted({np.shape(p) for p in payloads})  # text: ()
+        if len(shapes) > 1:
+            raise DataError(f"vector payloads have different shapes "
+                            f"{shapes[0]} and {shapes[1]}")
+        rows = np.stack(payloads)
+    if rows.dtype.kind != "f" or rows.ndim != 2 or not rows.shape[1]:
+        raise DataError(f"vector payloads must be floating-point arrays of "
+                        f"shape (d,), got {rows.dtype} of shape "
+                        f"{rows.shape[1:]}")
+    if not math.isfinite(rows.sum()) and not np.isfinite(rows).all():
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+        raise DataError(f"vector payload {bad} is not finite")
+    rows = np.array(rows, dtype=np.float64, order="C")
+    rows.flags.writeable = False  # so that the checks above stay true
+    return rows
 
 
 @dataclass(frozen=True)
@@ -101,15 +145,41 @@ class EpisodeConfig:
                              f"{self.seed}")
 
 
-@dataclass
 class Episode:
-    """One C-way K-shot task with episode-local labels in [0, C)."""
+    """One C-way K-shot task with episode-local labels in [0, C).
 
-    class_ids: tuple             # local label -> original class id
-    support: list                # C*K of (local_label, payload)
-    queries: list                # C*L of (local_label, payload)
-    support_indices: list        # dataset indices, aligned with support
-    query_indices: list
+    :func:`sample_episode` builds one from its dataset and ``picks``: row
+    c holds the dataset indices of local class c's K supports, then of its
+    L queries.  ``support`` and ``queries`` list (local label, payload)
+    items, made from the picks when first read; from then on they are the
+    episode's items, and a forward scores what they hold, edits included.
+    An episode can also be built from the two lists, with the dataset
+    indices that they came from or none.
+    """
+
+    def __init__(self, class_ids, support=None, queries=None,
+                 support_indices=(), query_indices=(), *, dataset=None,
+                 picks=None, shot=0):
+        self.class_ids, self.dataset = tuple(class_ids), dataset
+        self.picks, self.shot, self._lists = picks, shot, [support, queries]
+        self.support_indices, self.query_indices = (
+            list(support_indices), list(query_indices))
+
+    support = property(lambda self: self._items(0))
+    queries = property(lambda self: self._items(1))
+
+    def _items(self, part: int) -> list:
+        if self._lists[part] is None:
+            rows = self.picks[:, self.shot:] if part else \
+                self.picks[:, :self.shot]
+            self._lists[part] = [(local, self.dataset.payloads[i])
+                                 for local, row in enumerate(rows.tolist())
+                                 for i in row]
+        return self._lists[part]
+
+    def drawn(self):
+        """``picks`` while neither list has been read, else None."""
+        return self.picks if self._lists == [None, None] else None
 
 
 def episode_rng(seed: int, episode_index: int) -> np.random.Generator:
@@ -130,21 +200,13 @@ def sample_episode(dataset: Dataset, cfg: EpisodeConfig,
             f"need {cfg.way} classes with at least {need} items, dataset has "
             f"{len(eligible)}")
     rng = episode_rng(cfg.seed, episode_index)
-    classes = rng.choice(np.array(sorted(eligible)), size=cfg.way,
-                         replace=False)
-    support, queries, sup_idx, qry_idx = [], [], [], []
-    for local, c in enumerate(classes):
-        pool = dataset.by_class[int(c)]
-        picks = rng.choice(len(pool), size=need, replace=False)
-        for p in picks[:cfg.shot]:
-            sup_idx.append(pool[int(p)])
-            support.append((local, dataset.payloads[pool[int(p)]]))
-        for p in picks[cfg.shot:]:
-            qry_idx.append(pool[int(p)])
-            queries.append((local, dataset.payloads[pool[int(p)]]))
-    return Episode(class_ids=tuple(int(c) for c in classes), support=support,
-                   queries=queries, support_indices=sup_idx,
-                   query_indices=qry_idx)
+    classes = rng.choice(eligible, size=cfg.way, replace=False).tolist()
+    pools = [dataset.by_class[c] for c in classes]
+    picks = np.array([pool[rng.choice(len(pool), size=need, replace=False)]
+                      for pool in pools])
+    return Episode(classes, dataset=dataset, picks=picks, shot=cfg.shot,
+                   support_indices=picks[:, :cfg.shot].ravel().tolist(),
+                   query_indices=picks[:, cfg.shot:].ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +352,6 @@ def gen_synthetic(num_classes: int, per_class: int, dim: int,
         blocks = [centers[c] + rng.normal(0.0, noise_sigma,
                                           size=(per_class, dim))
                   for c in range(num_classes)]
-    # one pass over every row; payloads stay views of their class's block,
-    # so a class subset does not keep the other classes' rows alive
     rows = np.concatenate(blocks)
     if not np.isfinite(rows).all():
         raise DataError(
@@ -302,7 +362,7 @@ def gen_synthetic(num_classes: int, per_class: int, dim: int,
             f"separation {separation} and noise_sigma {noise_sigma} "
             f"give vectors of zero norm, which no cosine can score")
     names = [f"class_{c:02d}" for c in range(num_classes)]
-    return Dataset(payloads=[row for block in blocks for row in block],
+    return Dataset(payloads=rows,
                    labels=[c for c in range(num_classes)
                            for _ in range(per_class)],
                    class_names=names)
@@ -314,13 +374,14 @@ def subset_by_classes(dataset: Dataset, class_ids: Sequence[int]) -> Dataset:
     for c in keep:
         if not 0 <= c < dataset.num_classes:
             raise ValueError(f"class id {c} out of range")
-    remap = {c: i for i, c in enumerate(keep)}
-    payloads, labels = [], []
-    for i, c in enumerate(dataset.labels):
-        if c in remap:
-            payloads.append(dataset.payloads[i])
-            labels.append(remap[c])
-    return Dataset(payloads=payloads, labels=labels,
+    remap = np.full(dataset.num_classes, -1)
+    remap[keep] = np.arange(len(keep))
+    labels = remap[dataset.labels]
+    rows = np.flatnonzero(labels >= 0)
+    return Dataset(payloads=(dataset.vectors.take(rows, axis=0)
+                             if dataset.vectors is not None else
+                             [dataset.payloads[i] for i in rows.tolist()]),
+                   labels=labels[rows].tolist(),
                    class_names=[dataset.class_names[c] for c in keep])
 
 

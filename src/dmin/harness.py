@@ -14,11 +14,11 @@ combined they reduce to a prototypical mean-of-supports baseline.
 Training (:func:`episode_forward`) and evaluation
 (:func:`episode_scores`) share one episode forward: both stack the
 supports and queries, score one (Q, C) Tensor with one
-:func:`few_scores` call and hand it to :func:`loss_episode`.  A vector
-episode's supports are one constant and its queries another, made
-without an encode per item (training's per-pair calls take views of
-their rows); text is encoded item by item and stacked.  They
-differ only in the two routing steps.  Evaluation scores a batch of
+:func:`few_scores` call and hand it to :func:`loss_episode`.  An episode
+drawn from a vector dataset holds the indices of its items, and its
+supports and queries are two ``take``s from the dataset's (N, d) array
+(training's per-pair calls take views of their rows); text is encoded
+item by item and stacked.  They differ only in the two routing steps.  Evaluation scores a batch of
 episodes at a time with an episode axis in front of every stack, and
 makes 2 routing calls per batch: one adapts every support, and one
 induces every (query, class) vector.  Training routes each support and
@@ -185,16 +185,50 @@ def model_config_from(cfg: TrainConfig, num_base_classes: int) -> ModelConfig:
 # episode forward pass
 # ---------------------------------------------------------------------------
 
-def _encode(model: Model, tensors: dict, payloads: list, rows: bool):
-    """The payloads' sample vectors as one (N, d) Tensor and, if ``rows``,
-    as a list of N (d,) Tensors too.  Vector payloads make one constant,
-    whose rows are views of it; text payloads are encoded one by one and
-    stacked."""
-    if all(isinstance(p, np.ndarray) for p in payloads):
-        stack = model.encode_vectors(payloads)
-        return stack, [nm.constant(v) for v in stack.array] if rows else None
-    items = [model.encode(tensors, p) for p in payloads]
-    return nm.stack_rows(items), items
+def _encode(model: Model, tensors: dict, source, at: tuple,
+            rows: bool) -> list:
+    """For each index array in ``at``, the sample vectors of ``source``'s
+    items there: one (n, d) Tensor and, if ``rows``, a list of its n (d,)
+    Tensors too.  A dataset's (N, d) vectors make one constant per array,
+    whose rows are views of it; a list of payloads is encoded one by one
+    and stacked."""
+    if isinstance(source, np.ndarray):
+        # rows of a checked constant need no check of their own
+        return [(stack, [nm.Tensor(v) for v in stack.array] if rows
+                 else None) for stack in model.encode_vectors(source, *at)]
+    items = [[model.encode(tensors, source[i]) for i in index.tolist()]
+             for index in at]
+    return [(nm.stack_rows(part), part) for part in items]
+
+
+def _batch_items(episodes: list) -> tuple:
+    """A batch's payloads as one ``source`` and positions in it: the
+    (E, C, K) supports of each class in local-label order, the (E*Q,)
+    queries in episode order, and each episode's query labels.  Episodes
+    drawn from one dataset whose item lists are unread read that
+    dataset's vectors or text; any other batch lists its payloads."""
+    way = len(episodes[0].class_ids)
+    picks = [episode.drawn() for episode in episodes]
+    if all(p is not None and e.dataset is episodes[0].dataset
+           for p, e in zip(picks, episodes)):
+        shot, picks = episodes[0].shot, np.array(picks)
+        labels = [c for c in range(way) for _ in range(picks.shape[-1] - shot)]
+        return (episodes[0].dataset.source, picks[..., :shot],
+                picks[..., shot:].reshape(-1), [labels] * len(episodes))
+    source, supports, queries, labels = [], [], [], []
+    for episode in episodes:
+        support = episode.support
+        counts = np.bincount([lab for lab, _ in support], minlength=way)
+        if counts.min() != counts.max():
+            raise ValueError(f"an episode forward needs the same number of "
+                             f"shots in every class, got {counts.tolist()}")
+        by_class = sorted(range(len(support)), key=lambda i: support[i][0])
+        supports.append(len(source) + np.reshape(by_class, (way, -1)))
+        source += [payload for _, payload in support]
+        queries += range(len(source), len(source) + len(episode.queries))
+        source += [payload for _, payload in episode.queries]
+        labels.append([lab for lab, _ in episode.queries])
+    return source, np.stack(supports), np.array(queries, np.intp), labels
 
 
 def _episode(model: Model, tensors: dict, episodes: list,
@@ -203,27 +237,20 @@ def _episode(model: Model, tensors: dict, episodes: list,
     of :func:`episode_scores`, which differ only in the two routing steps.
     More than one episode, all of one shape and never ``per_pair``, puts
     an episode axis in front of every stack, the (E, Q, C) scores and the
-    labels."""
+    labels.  Drawn vector episodes take their supports and their queries
+    from their dataset's array with one ``take`` each, after one check of
+    its dimension (:meth:`Model.encode_vectors`)."""
     lead = (len(episodes),) if len(episodes) > 1 else ()
     one = (1,) * len(lead)  # an axis that an episode's queries share
-    way, shots = len(episodes[0].class_ids), len(episodes[0].support)
-    shot = shots // way
-    support_items, query_items = [], []
-    for episode in episodes:
-        counts = np.bincount([lab for lab, _ in episode.support],
-                             minlength=way)
-        if counts.min() != counts.max():
-            raise ValueError(f"an episode forward needs the same number of "
-                             f"shots in every class, got {counts.tolist()}")
-        # class-major (C, K) for induction; shot-major (K, C) for the
-        # mean, whose vecmat sums the shot axis
-        by_class = sorted(range(shots), key=lambda i: episode.support[i][0])
-        order = (np.reshape(by_class, (way, shot)).T.reshape(-1)
-                 if "no_qim" in flags else by_class)
-        support_items += [episode.support[i][1] for i in order]
-        query_items += [payload for _, payload in episode.queries]
-    supports, rows = _encode(model, tensors, support_items, per_pair)
-    q_stack, queries = _encode(model, tensors, query_items, per_pair)
+    source, at, query_at, labels = _batch_items(episodes)
+    way, shot = at.shape[1:]
+    shots = way * shot
+    # class-major (C, K) for induction; shot-major (K, C) for the mean,
+    # whose vecmat sums the shot axis
+    if "no_qim" in flags:
+        at = at.swapaxes(1, 2)
+    (supports, rows), (q_stack, queries) = _encode(
+        model, tensors, source, (at.reshape(-1), query_at), per_pair)
     dim = q_stack.shape[-1]
     num_q = q_stack.shape[0] // len(episodes)
     if lead:
@@ -254,7 +281,6 @@ def _episode(model: Model, tensors: dict, episodes: list,
             class_vectors = qim_induce(
                 *qim, nm.reshape(supports, lead + one + (way, shot, dim)),
                 nm.reshape(q_stack, lead + (num_q, 1, dim)))
-    labels = [[lab for lab, _ in episode.queries] for episode in episodes]
     return few_scores(model.classifier(tensors), q_stack, class_vectors), \
         labels if lead else labels[0]
 
@@ -355,8 +381,7 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
         tensors = model.tensors(tape)
         clf = model.classifier(tensors)
         scores = base_scores(clf, _encode(
-            model, tensors, [base_dataset.payloads[int(i)] for i in batch],
-            False)[0])
+            model, tensors, base_dataset.source, (batch,), False)[0][0])
         loss = loss_supervised(scores,
                                [base_dataset.labels[int(i)] for i in batch])
         grads = nm.backward(tape, loss)
@@ -371,8 +396,9 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
 
 def _train_accuracy(model: Model, dataset: Dataset) -> float:
     tensors = model.tensors()
-    scores = base_scores(model.classifier(tensors),
-                         _encode(model, tensors, dataset.payloads, False)[0])
+    scores = base_scores(model.classifier(tensors), _encode(
+        model, tensors, dataset.source, (np.arange(dataset.num_items),),
+        False)[0][0])
     hits = np.count_nonzero(scores.array.argmax(axis=1) == dataset.labels)
     return hits / dataset.num_items
 
@@ -499,9 +525,9 @@ def separation_report(model: Model, dataset: Dataset, *, way: int = 10,
     ep_cfg = EpisodeConfig(way=way, shot=shot, queries=1, seed=seed)
     episode = sample_episode(dataset, ep_cfg, 0)
     tensors = model.tensors()
-    labels = [lab for lab, _ in episode.support]
-    before = _encode(model, tensors,
-                     [payload for _, payload in episode.support], False)[0]
+    source, at, _, _ = _batch_items([episode])
+    labels = np.repeat(np.arange(way), shot).tolist()
+    before = _encode(model, tensors, source, (at.reshape(-1),), False)[0][0]
     after = dmm_adapt(model.dmm_params(tensors), model.config.dmm,
                       tensors["clf.w_base"], before).array
     before = before.array

@@ -169,12 +169,13 @@ class Model:
                                  tensors["enc.projection"])
         return enc.encode(payload)
 
-    def encode_vectors(self, payloads) -> Tensor:
-        """Vector payloads stacked to one (N, d) constant: :meth:`encode`
-        of each, stacked, without a Tensor per payload."""
-        for payload in payloads:
-            self._check_vector(payload)
-        return nm.constant(np.stack(payloads))
+    def encode_vectors(self, vectors: np.ndarray, *at) -> list:
+        """Sample vectors of a dataset's (N, d) ``vectors``, which the
+        dataset checked: for each index array in ``at``, the rows there as
+        one constant, as :meth:`encode` of each would give them stacked.
+        The dimension is checked once."""
+        self._check_vector(vectors[0])
+        return [Tensor(vectors.take(index, axis=0)) for index in at]
 
     def _check_vector(self, payload: np.ndarray) -> None:
         if payload.shape != (self.config.embed_dim,):

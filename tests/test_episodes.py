@@ -310,3 +310,31 @@ class TestDatasetValidation:
     def test_rejects_out_of_range_label(self):
         with pytest.raises(DataError):
             Dataset(payloads=["x"], labels=[2], class_names=["a"])
+
+    # each malformed vector set is refused with one line, which the CLI
+    # prints before exiting 2
+    @pytest.mark.parametrize("payloads, message", [
+        ([np.zeros(3), np.ones(4)], r"different shapes \(3,\) and \(4,\)"),
+        ([np.ones(3), np.array([1.0, np.nan, 2.0])],
+         "vector payload 1 is not finite"),
+        ([np.arange(3), np.arange(3) + 1], "floating-point.*got int64"),
+        ([np.ones((1, 3)), np.ones((1, 3))], r"of shape \(1, 3\)"),
+        ([np.ones(3), "text"], r"different shapes \(\) and \(3,\)"),
+    ], ids=["ragged", "nan", "integer", "row_matrix", "text"])
+    def test_refuses_malformed_vectors(self, payloads, message):
+        with pytest.raises(DataError, match=message) as err:
+            Dataset(payloads=payloads, labels=[0, 1], class_names=["a", "b"])
+        assert "\n" not in str(err.value)
+
+    def test_vectors_are_held_once_and_read_only(self):
+        rows = [np.full(4, float(i)) for i in range(6)]
+        ds = Dataset(payloads=rows, labels=[0, 1] * 3, class_names=["a", "b"])
+        assert ds.vectors.shape == (6, 4) and ds.dim == 4
+        assert ds.vectors.flags.c_contiguous and not ds.vectors.flags.writeable
+        assert all(p.base is ds.vectors for p in ds.payloads)
+        rows[0][0] = 7.0  # the dataset keeps a copy of its own
+        assert ds.payloads[0][0] == 0.0
+        npt.assert_array_equal(ds.by_class[1], [1, 3, 5])
+        sub = subset_by_classes(ds, [1])
+        npt.assert_array_equal(sub.vectors, ds.vectors[[1, 3, 5]])
+        assert all(p.base is sub.vectors for p in sub.payloads)

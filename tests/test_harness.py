@@ -788,6 +788,24 @@ class TestEpisodeScores:
                     with pytest.raises(ValueError, match=refusal):
                         forward(model, model.tensors(), episode, frozenset())
 
+    def test_an_episode_whose_lists_were_read_scores_the_same_bytes(self):
+        """Reading ``support`` makes the lists the episode's items, which
+        the forward then reads in place of the dataset's array."""
+        ds = blob_dataset()
+        model = init_model(model_config_from(small_cfg(), ds.num_classes),
+                           seed=3)
+        tensors = model.tensors()
+        ep_cfg = EpisodeConfig(way=3, shot=2, queries=3, seed=1)
+        for flags in map(frozenset, ([], ["no_dmm"], ["no_qim"])):
+            for forward in (episode_scores, episode_forward):
+                fresh, read = (sample_episode(ds, ep_cfg, 4) for _ in "ab")
+                assert read.support and read.drawn() is None
+                assert fresh.drawn() is not None
+                (a, la), (b, lb) = (forward(model, tensors, e, flags)
+                                    for e in (fresh, read))
+                assert la == lb == [lab for lab, _ in read.queries]
+                assert a.array.tobytes() == b.array.tobytes()
+
     def test_evaluate_matches_the_per_pair_path_on_fixture_episodes(self):
         model = load_checkpoint(FIXTURE)
         _, novel = split_base_novel(gen_synthetic(30, 50, 32, 6.0, 1.0,
