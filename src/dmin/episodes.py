@@ -73,10 +73,9 @@ class Dataset:
             raise DataError(
                 f"label {bad[0]} out of range for {n_classes} classes")
         sizes = np.bincount(labels, minlength=n_classes)
-        empty = np.flatnonzero(sizes == 0).tolist()
-        if empty:
-            raise DataError(f"class {empty[0]} ({self.class_names[empty[0]]!r})"
-                            f" has no items")
+        for c in np.flatnonzero(sizes == 0).tolist()[:1]:
+            raise DataError(
+                f"class {c} ({self.class_names[c]!r}) has no items")
         self.by_class = dict(enumerate(np.split(
             np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])))
 

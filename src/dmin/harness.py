@@ -18,12 +18,13 @@ supports and queries, score one (Q, C) Tensor with one
 drawn from a vector dataset holds the indices of its items, and its
 supports and queries are two ``take``s from the dataset's (N, d) array
 (training's per-pair calls take views of their rows); text is encoded
-item by item and stacked.  They differ only in the two routing steps.  Evaluation scores a batch of
-episodes at a time with an episode axis in front of every stack, and
-makes 2 routing calls per batch: one adapts every support, and one
-induces every (query, class) vector.  Training routes each support and
-each (query, class) pair in its own call, and stacks the outputs, until
-the benchmark counts routed pairs instead of calls (ROADMAP item 1).
+item by item and stacked.  They differ only in the two routing steps.
+Evaluation scores a batch of episodes at a time with an episode axis in
+front of every stack, and makes 2 routing calls per batch: one adapts
+every support, and one induces every (query, class) vector.  Training
+routes each support and each (query, class) pair in its own call, and
+stacks the outputs, until the benchmark counts routed pairs instead of
+calls (ROADMAP item 1).
 
 Evaluation is forward-only and runs its batches one after another in
 the caller's thread, under the caller's numpy error state.  Every episode
