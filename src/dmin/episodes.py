@@ -53,6 +53,8 @@ class Dataset:
     class_names: list
     vectors: np.ndarray | None = field(init=False, repr=False, compare=False)
     by_class: dict = field(init=False, repr=False, compare=False)
+    _eligible: dict = field(init=False, repr=False, compare=False,
+                            default_factory=dict)
 
     def __post_init__(self):
         if len(self.payloads) != len(self.labels):
@@ -98,9 +100,15 @@ class Dataset:
         return self.payloads if self.vectors is None else self.vectors
 
     def eligible_classes(self, min_items: int) -> np.ndarray:
-        """Ids of the classes with at least ``min_items`` items, ascending."""
-        return np.flatnonzero([len(idx) >= min_items
-                               for idx in self.by_class.values()])
+        """Ids of the classes with at least ``min_items`` items, ascending,
+        as a read-only array kept per ``min_items``: every episode drawn
+        from the dataset asks for it."""
+        if min_items not in self._eligible:
+            ids = np.flatnonzero([len(idx) >= min_items
+                                  for idx in self.by_class.values()])
+            ids.flags.writeable = False
+            self._eligible[min_items] = ids
+        return self._eligible[min_items]
 
 
 def _vector_rows(payloads) -> np.ndarray:
@@ -149,7 +157,8 @@ class Episode:
 
     :func:`sample_episode` builds one from its dataset and ``picks``: row
     c holds the dataset indices of local class c's K supports, then of its
-    L queries.  ``support`` and ``queries`` list (local label, payload)
+    L queries, and ``support_indices`` and ``query_indices`` read them in
+    that order.  ``support`` and ``queries`` list (local label, payload)
     items, made from the picks when first read; from then on they are the
     episode's items, and a forward scores what they hold, edits included.
     An episode can also be built from the two lists, with the dataset
@@ -161,19 +170,26 @@ class Episode:
                  picks=None, shot=0):
         self.class_ids, self.dataset = tuple(class_ids), dataset
         self.picks, self.shot, self._lists = picks, shot, [support, queries]
-        self.support_indices, self.query_indices = (
-            list(support_indices), list(query_indices))
+        self._given = [list(support_indices), list(query_indices)]
 
     support = property(lambda self: self._items(0))
     queries = property(lambda self: self._items(1))
+    support_indices = property(lambda self: self._indices(0))
+    query_indices = property(lambda self: self._indices(1))
+
+    def _part(self, part: int) -> np.ndarray:
+        return self.picks[:, self.shot:] if part else self.picks[:, :self.shot]
+
+    def _indices(self, part: int) -> list:
+        return (self._given[part] if self.picks is None
+                else self._part(part).ravel().tolist())
 
     def _items(self, part: int) -> list:
         if self._lists[part] is None:
-            rows = self.picks[:, self.shot:] if part else \
-                self.picks[:, :self.shot]
-            self._lists[part] = [(local, self.dataset.payloads[i])
-                                 for local, row in enumerate(rows.tolist())
-                                 for i in row]
+            self._lists[part] = [
+                (local, self.dataset.payloads[i])
+                for local, row in enumerate(self._part(part).tolist())
+                for i in row]
         return self._lists[part]
 
     def drawn(self):
@@ -203,9 +219,7 @@ def sample_episode(dataset: Dataset, cfg: EpisodeConfig,
     pools = [dataset.by_class[c] for c in classes]
     picks = np.array([pool[rng.choice(len(pool), size=need, replace=False)]
                       for pool in pools])
-    return Episode(classes, dataset=dataset, picks=picks, shot=cfg.shot,
-                   support_indices=picks[:, :cfg.shot].ravel().tolist(),
-                   query_indices=picks[:, cfg.shot:].ravel().tolist())
+    return Episode(classes, dataset=dataset, picks=picks, shot=cfg.shot)
 
 
 # ---------------------------------------------------------------------------
