@@ -208,13 +208,13 @@ def _batch_items(episodes: list) -> tuple:
     queries in episode order, and each episode's query labels.  Episodes
     drawn from one dataset whose item lists are unread read that
     dataset's vectors or text; any other batch lists its payloads."""
-    way = len(episodes[0].class_ids)
+    way, first = len(episodes[0].class_ids), episodes[0]
     picks = [episode.drawn() for episode in episodes]
-    if all(p is not None and e.dataset is episodes[0].dataset
-           for p, e in zip(picks, episodes)):
-        shot, picks = episodes[0].shot, np.array(picks)
+    if all(p is not None and e.dataset is first.dataset
+           and e.shot == first.shot for p, e in zip(picks, episodes)):
+        shot, picks = first.shot, np.array(picks)
         labels = [c for c in range(way) for _ in range(picks.shape[-1] - shot)]
-        return (episodes[0].dataset.source, picks[..., :shot],
+        return (first.dataset.source, picks[..., :shot],
                 picks[..., shot:].reshape(-1), [labels] * len(episodes))
     source, supports, queries, labels = [], [], [], []
     for episode in episodes:
