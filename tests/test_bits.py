@@ -1,11 +1,14 @@
 """Digests of results that later changes must reproduce bit for bit.
 
 Each test recomputes one result from fixed inputs and compares the sha256
-of its bytes.  Evaluation scores pass through stacked matrix products, so
-CI runs this file on one BLAS thread as well as on its default.
+of its bytes.  Evaluation scores and training steps pass through matrix
+products, so CI runs these tests on one BLAS thread as well as on its
+default.
 """
 
 import hashlib
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +16,15 @@ import pytest
 
 from dmin.episodes import (Dataset, EpisodeConfig, gen_synthetic,
                            sample_episode, split_base_novel)
-from dmin.harness import episode_scores
+from dmin.harness import episode_scores, meta_train
 from dmin.model import load_checkpoint
 
-FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / \
-    "c4_model.ckpt"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+
+FIXTURE = BENCH / "fixture" / "c4_model.ckpt"
 EPISODES = 30
 
 
@@ -73,3 +80,26 @@ def test_episode_draws(data, cfg, indices, items):
             by_item.update(payload.tobytes() if dataset.dim
                            else payload.encode())
     assert (by_index.hexdigest(), by_item.hexdigest()) == (indices, items)
+
+
+def test_stage1_text_parameters():
+    """``param_digest`` after the ``pretrain_text`` benchmark workload's
+    set-up with seed 3 and its calls with seeds 0, 1 and 2: 60 steps of
+    stage 1 on text, through the hash encoder and Adam's live columns."""
+    work = workloads.PretrainText()
+    state = work.setup(3)
+    for seed in range(3):
+        work.call(state, seed)
+    assert state["model"].param_digest() == \
+        "59bc931de7ff488c275d1ae7045932ed16d1f3a46b6e2f24fcc577518b026284"
+
+
+def test_fixture_meta_training_parameters():
+    """``param_digest`` after 5 ``meta_train`` episodes at 5-way 1-shot
+    from the fixture checkpoint on its novel split."""
+    model = load_checkpoint(FIXTURE)
+    cfg = workloads.C4_CONFIG
+    meta_train(model, _novel(),
+               replace(cfg, stage2=replace(cfg.stage2, episodes=5)))
+    assert model.param_digest() == \
+        "0fe5bddb843cf16991f392757028ab4762606b194d68e68fe0f4d5663b358611"
