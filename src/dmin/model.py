@@ -23,7 +23,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -134,15 +133,23 @@ def config_from_dict(cls, raw, key: str = ""):
 
 @dataclass
 class Model:
+    """A model's config and its parameters.
+
+    Every parameter is finite.  Its writers check what they write:
+    :func:`init_model`, :func:`load_checkpoint` and :meth:`Adam.step`, and
+    :meth:`tensors` relies on that instead of scanning each parameter
+    again.  Code that assigns ``model.params[...]`` directly must keep it
+    finite too.
+    """
+
     config: ModelConfig
     params: dict  # name -> np.ndarray, float64
     meta: dict = field(default_factory=dict)  # e.g. which stages have run
 
     def tensors(self, tape: nm.Tape | None = None) -> dict:
-        """All parameters as Tensors: tape leaves when training, else constants."""
-        if tape is None:
-            return {k: nm.constant(v) for k, v in self.params.items()}
-        return {k: tape.leaf(v) for k, v in self.params.items()}
+        """All parameters as Tensors: tape leaves when training, else
+        constants, made without a finiteness scan."""
+        return nm._prechecked(self.params, tape)
 
     def classifier(self, tensors: dict) -> CosineClassifier:
         return CosineClassifier(w_base=tensors["clf.w_base"],
@@ -199,8 +206,12 @@ def init_model(config: ModelConfig, seed: int = 0) -> Model:
                                              config.embed_dim, rng))]
     parts += [(prefix, init_routing_arrays(rc, rng, identity_blocks=True))
               for prefix, rc in config.routing_owners.items()]
-    return Model(config=config, params={
-        prefix + k: v for prefix, arrays in parts for k, v in arrays.items()})
+    params = {prefix + k: v for prefix, arrays in parts
+              for k, v in arrays.items()}
+    for name, arr in params.items():
+        if not nm._finite(arr):
+            raise nm.NumericError(f"init_model: initial {name} is not finite")
+    return Model(config=config, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +236,9 @@ class Adam:
     zero moments, and its parameter moves by exactly 0.  A matrix with no
     live column keeps no state; once every column is live, its moments
     have the parameter's shape and it is updated in place.  Other
-    parameters are always updated whole.
+    parameters are updated whole, from the first step whose gradient has
+    a nonzero entry: until then they keep no state, exact for the same
+    reason.
 
     An update larger than one block runs in 32K-entry blocks that stay
     in cache, one after another on the caller's thread.  Every entry gets
@@ -253,6 +266,13 @@ class Adam:
         A matrix with a column not yet live is scanned for its live
         columns first, and only those are checked; a nan or inf entry is
         nonzero, so its column is among them.
+
+        Every entry it moves is checked after the move, and it raises
+        :class:`NumericError` naming the first parameter left with a nan
+        or inf entry.  That refusal comes after the whole step: every
+        parameter, moment and ``t`` then holds it, and the model is not
+        fit to use.  This is the one check of a parameter between steps:
+        :meth:`Model.tensors` does not scan them again.
         """
         updates = []
         for name, g in grads.items():
@@ -272,27 +292,34 @@ class Adam:
                     continue
                 if len(ids) < p.shape[1]:
                     g = g.take(ids, axis=1)
-            # the sum is the cheap test (any nan or inf makes it
-            # non-finite); a finite gradient may still overflow it
-            if not math.isfinite(g.sum()) and not np.isfinite(g).all():
+            elif name not in self.m and not g.any():
+                continue  # no state and not hit: nothing to check or move
+            if not nm._finite(g):
                 raise nm.NumericError(
                     f"non-finite gradient for {name} at step {self.t + 1}")
             updates.append((name, p, g, ids))
         self.t += 1
         c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        bad = None
         for name, p, g, ids in updates:
             if ids is not None:
                 m, v = self._moments(name, ids, p.shape[0])
-                if len(ids) < p.shape[1]:
-                    block = p.take(ids, axis=1)
-                    self._apply(block, m, v, g, c1, c2)
-                    p.put(ids + p.shape[1] * np.arange(p.shape[0])[:, None],
-                          block)
-                    continue
             elif name not in self.m:
                 self.m[name] = np.zeros(p.shape)  # C-contiguous
                 self.v[name] = np.zeros(p.shape)
-            self._apply(p, self.m[name], self.v[name], g, c1, c2)
+            if ids is not None and len(ids) < p.shape[1]:
+                block = p.take(ids, axis=1)
+                finite = self._apply(block, m, v, g, c1, c2)
+                p.put(ids + p.shape[1] * np.arange(p.shape[0])[:, None],
+                      block)
+            else:
+                finite = self._apply(p, self.m[name], self.v[name], g, c1,
+                                     c2)
+            if not finite and bad is None:
+                bad = name
+        if bad is not None:
+            raise nm.NumericError(
+                f"step {self.t} left a non-finite entry in {bad}")
 
     def _moments(self, name, ids, rows):
         """The compact moments of a matrix at its live columns ``ids``, a
@@ -307,21 +334,26 @@ class Adam:
         self.m[name], self.v[name], self.cols[name] = m, v, ids
         return m, v
 
-    def _apply(self, p, m, v, g, c1, c2) -> None:
+    def _apply(self, p, m, v, g, c1, c2) -> bool:
         """:meth:`_update` of the C-contiguous moments ``m`` and ``v`` and
         their parameter ``p`` by ``g``: whole when it fits one block or
         ``p`` is not C-contiguous, else one ``_CHUNK``-entry block at a
-        time, through one pair of scratch rows of its own."""
+        time, through one pair of scratch rows of its own.  Returns
+        whether ``p`` is finite after it, scanning each block while it is
+        in cache."""
         if m.size <= _CHUNK or not p.flags.c_contiguous:
             self._update(p, m, v, g, np.empty_like(m), np.empty_like(m),
                          c1, c2)
-            return
+            return nm._finite(p)
         scratch = np.empty((2, _CHUNK))
         p, m, v, g = p.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
+        finite = True
         for a in range(0, p.size, _CHUNK):
             b = min(a + _CHUNK, p.size)
             self._update(p[a:b], m[a:b], v[a:b], g[a:b],
                          scratch[0, :b - a], scratch[1, :b - a], c1, c2)
+            finite = nm._finite(p[a:b]) and finite
+        return finite
 
     def _update(self, p, m, v, g, s, u, c1, c2) -> None:
         """m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
@@ -439,6 +471,9 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(
                 f"{path}: array {name!r} has {arr.size} values, shape "
                 f"{shape} needs {int(np.prod(shape, dtype=np.int64))}")
+        if not nm._finite(arr):
+            raise CheckpointError(
+                f"{path}: array {name!r} has a non-finite entry")
         params[name] = arr.reshape(shape).astype(np.float64)
     _check_shapes(config, params, path)
     for name, keys, _ in _capsule_split(config):

@@ -34,6 +34,13 @@ Conventions:
   overflow to +-1.  :func:`backward` does not check the leaf gradients it
   returns: their consumer scans each once, as ``Adam.step`` does before
   any update,
+- the rule behind these checks: a value is checked where it is written,
+  and nowhere else.  An op checks its result, a gradient's consumer the
+  gradient, and :meth:`Tape.leaf` and :func:`constant` an array from
+  outside.  A model parameter is checked by its writers alone:
+  ``init_model``, ``load_checkpoint`` and ``Adam.step``, which checks
+  the entries it moved.  So ``Model.tensors`` makes the parameters
+  leaves or constants through :func:`_prechecked`, without a scan,
 - :func:`route`, :func:`cross_entropy` and the public row ops share
   private forward/VJP pairs, so each formula is written once,
 - :func:`route`'s forward works at the shape each quantity has: the
@@ -46,11 +53,11 @@ Conventions:
 - a :func:`route` call of more than one pair copies the per-pair operand
   of each row dot (the centred query, the capsules, and in the VJP the
   capsules' gradient) to a contiguous array of the batch's (..., n, l,
-  d_v) row shape before it contracts.  einsum runs the same kernel over
-  the same d_v products either way, so no bit changes; it only skips the
-  loop per output that it takes for an operand broadcast along the row
-  axis.  A single pair dots its operand as it is: the copy would cost
-  more than it saves,
+  d_v) row shape before it contracts, unless it already is one.  einsum
+  runs the same kernel over the same d_v products either way, so no bit
+  changes; it only skips the loop per output that it takes for an
+  operand broadcast along the row axis.  A single pair dots its operand
+  as it is: the copy would cost more than it saves,
 - a result is recorded on a tape iff at least one input is recorded; mixing
   inputs from two different tapes is an error,
 - a VJP closes over arrays, never over Tensors: their tape link would make
@@ -201,10 +208,32 @@ def constant(array) -> Tensor:
     return Tensor(value)
 
 
+def _prechecked(arrays: dict, tape: Tape | None = None) -> dict:
+    """Each of ``arrays`` as :meth:`Tape.leaf` of ``tape`` would make it,
+    or as :func:`constant` without a tape, but with no finiteness scan:
+    for arrays that their writer has checked, a model's parameters."""
+    if tape is None:
+        return {k: Tensor(_as_f64(v)) for k, v in arrays.items()}
+    nodes, made = tape.nodes, {}
+    for k, v in arrays.items():
+        value = _as_f64(v)
+        nodes.append(_Node("leaf", (), value, None))
+        made[k] = Tensor(value, tape, len(nodes) - 1)
+    return made
+
+
+def _finite(value: np.ndarray) -> bool:
+    """Whether every entry of ``value`` is finite, as :func:`_ensure_finite`
+    tests it."""
+    return math.isfinite(_add(value, axis=None)) or \
+        bool(np.isfinite(value).all())
+
+
 def _ensure_finite(op: str, value: np.ndarray) -> None:
     # Summing is far cheaper than isfinite().all() and any nan/inf entry
     # makes the sum non-finite.  A finite array can still overflow in the
-    # sum, so confirm with the exact check before raising.
+    # sum, so confirm with the exact check before raising.  Every op runs
+    # this, so it does not call _finite.
     if not math.isfinite(_add(value, axis=None)) \
             and not np.isfinite(value).all():
         raise NumericError(f"{op}: non-finite result")
@@ -366,15 +395,18 @@ def _row_order(rows, *leads):
 def _rowsdot(mv, v):
     """Dots of the rows of ``mv`` with ``v`` broadcast against them, as
     :func:`route` takes them.  In a batch of pairs, ``v`` is first copied
-    to the broadcast shape: einsum then runs the same kernel over the same
-    products as with ``v`` itself, so no bit changes, without the loop per
-    output that it takes for an operand broadcast along the row axis.  A
-    single pair, (n, l, d) rows against a (1, l, d) ``v``, dots ``v`` as
-    it is: there the copy costs more than it saves."""
+    to the broadcast shape, unless it is already a C-contiguous array of
+    that shape (one row, n = 1): einsum then runs the same kernel over the
+    same products as with ``v`` itself, so no bit changes, without the
+    loop per output that it takes for an operand broadcast along the row
+    axis.  A single pair, (n, l, d) rows against a (1, l, d) ``v``, dots
+    ``v`` as it is: there the copy costs more than it saves."""
     if mv.ndim > 3 or v.ndim > 3:
-        full = np.empty(np.broadcast(mv, v).shape)
-        full[...] = v
-        v = full
+        shape = np.broadcast(mv, v).shape
+        if v.shape != shape or not v.flags.c_contiguous:
+            full = np.empty(shape)
+            full[...] = v
+            v = full
     return _rowdot(mv, v)
 
 

@@ -896,6 +896,24 @@ def test_overflowing_training_is_one_line(tmp_path, pretrained_path,
          "--data", data_path, "--out", tmp_path / "m.ckpt"]))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_nonfinite_checkpoint_is_one_line_data_error(tmp_path, trained_path,
+                                                     data_path, bad):
+    """A checkpoint is checked where it is read, so the bad array is named
+    before any episode runs."""
+    model = load_checkpoint(trained_path)
+    model.params["clf.w_base"][2, 3] = float(bad)
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(model, ckpt)
+    proc = _run_cli(_eval_args(ckpt, data_path, tmp_path / "r.json",
+                               episodes=1, way=3, shot=1, queries=2))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == \
+        f"dmin: data error: {ckpt}: array 'clf.w_base' has a non-finite " \
+        f"entry\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_overflowing_eval_is_one_line(tmp_path, pretrained_path, data_path):
     """The 4 episodes are one batch, so the overflow is raised inside it."""
     model = load_checkpoint(pretrained_path)

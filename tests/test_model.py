@@ -69,6 +69,40 @@ class TestModelInit:
         leaves = m.tensors(tape)
         assert all(t.tape is tape for t in leaves.values())
 
+    def test_tensors_are_contiguous_float64_and_unscanned(self):
+        # a parameter assigned as a strided view or as another dtype
+        # still becomes a C-contiguous float64 leaf; a non-finite one,
+        # which its writers would have refused, is not scanned again
+        m = init_model(small_config(), seed=1)
+        w = m.params["clf.w_base"]
+        m.params["clf.w_base"] = np.asfortranarray(w)
+        m.params["clf.log_tau"] = np.float32(0.5)
+        m.params["dmm.b"] = np.full(m.params["dmm.b"].shape, np.nan)
+        for tape in (None, nm.Tape()):
+            made = m.tensors(tape)
+            for k, t in made.items():
+                assert t.array.dtype == np.float64, k
+                assert t.array.ndim == 0 or t.array.flags.c_contiguous, k
+            npt.assert_array_equal(made["clf.w_base"].array, w)
+            assert made["clf.log_tau"].array.shape == ()
+            assert np.isnan(made["dmm.b"].array).all()
+        assert [n.op for n in tape.nodes] == ["leaf"] * len(m.params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_nonfinite_initial_array(self, monkeypatch, bad):
+        real = dmin_model.init_classifier_arrays
+
+        def poisoned(*args):
+            arrays = real(*args)
+            arrays["w_base"][1, 2] = bad
+            return arrays
+
+        monkeypatch.setattr(dmin_model, "init_classifier_arrays", poisoned)
+        with pytest.raises(nm.NumericError,
+                           match="init_model: initial clf.w_base is not "
+                                 "finite"):
+            init_model(small_config(), seed=0)
+
     def test_encode_vector_payload(self):
         m = init_model(small_config(), seed=1)
         v = np.arange(8.0)
@@ -294,6 +328,71 @@ class TestAdam:
             assert set(got) == set(want)
             for k in want:
                 npt.assert_array_equal(got[k], want[k])
+
+    @pytest.mark.parametrize("where", ["vector", "scalar", "block",
+                                       "matrix"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_refuses_to_leave_a_nonfinite_parameter(self, where, sign):
+        # p = 1.7e308 moved by about lr = 1e308 overflows to inf; "block"
+        # is updated in blocks, the bad entry in its second, and "matrix"
+        # through its compact block of live columns
+        params = {"vector": np.zeros(3), "scalar": np.zeros(()),
+                  "block": np.zeros(2 * BLOCK + 5),
+                  "matrix": np.zeros((4, 10)), "after": np.zeros(2)}
+        grads = {k: np.ones(p.shape) for k, p in params.items()}
+        grads["matrix"][:, ::2] = 0.0
+        at = {"vector": 1, "scalar": (), "block": BLOCK + 3,
+              "matrix": (2, 5)}[where]
+        params[where][at] = 1.7e308 * sign
+        grads[where][at] = -sign
+        opt = Adam(lr=1e308)
+        # the moved entries overflow, and their sum may be inf - inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                nm.NumericError,
+                match=f"^step 1 left a non-finite entry in {where}$"):
+            opt.step(params, grads)
+        # the refusal comes after the whole step
+        assert params[where][at] == np.inf * sign
+        assert opt.t == 1 and set(opt.m) == set(params)
+        assert (params["after"] < -9e307).all()
+        assert (params["matrix"][:, ::2] == 0.0).all()
+        assert opt.m["matrix"].shape == (4, 5)
+
+    def test_stateless_vector_and_scalar_skip_all_zero_gradients(self):
+        # "b", "tau" and "neg" see only zero gradients (of -0.0 in "neg")
+        # for 4 steps and keep no state; from step 5 they must hold the
+        # bits of a dense update that kept +0.0 moments all along, also
+        # through a later all-zero gradient
+        rng = np.random.default_rng(35)
+        start = {"b": rng.normal(size=6), "tau": np.array(rng.normal()),
+                 "neg": np.array([-0.0, 0.5, -2.0])}
+        got = {k: v.copy() for k, v in start.items()}
+        want = {k: v.copy() for k, v in start.items()}
+        opt, ref = Adam(lr=0.01), Adam(lr=0.01)
+        for step in range(1, 13):
+            grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 3),
+                                   v.shape) for k, v in start.items()}
+            for g in grads.values():
+                if step > 5:
+                    g[rng.random(g.shape) < 0.3] = 0.0
+            if step <= 4 or step == 9:
+                grads = {k: np.zeros(v.shape) for k, v in start.items()}
+                grads["neg"] = np.full(3, -0.0)
+            opt.step(got, grads)
+            _textbook_adam_step(ref, want, grads)
+            if step <= 4:
+                assert not opt.m and not opt.v
+            else:
+                assert set(opt.m) == set(opt.v) == set(start)
+            for k in start:
+                npt.assert_array_equal(got[k].view(np.int64),
+                                       want[k].view(np.int64))
+                if k in opt.m:
+                    for a, b in ((opt.m[k], ref.m[k]), (opt.v[k], ref.v[k])):
+                        npt.assert_array_equal(a.view(np.int64),
+                                               b.view(np.int64))
+        assert opt.t == ref.t == 12
+        assert got["tau"].ndim == 0
 
     def test_finite_gradient_whose_sum_overflows_is_accepted(self):
         params = {"x": np.zeros(2)}
@@ -564,6 +663,18 @@ class TestCheckpoint:
         p = tmp_path / "again.ckpt"
         save_checkpoint(model, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == record["sha256"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_is_refused_naming_the_array(self, tmp_path,
+                                                         bad):
+        m = init_model(small_config(), seed=11)
+        m.params["dmm.w"][5, 1] = bad  # capsule 1's rows: dmm.w_1 on disk
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(m, p)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(p)
+        assert str(err.value) == \
+            f"{p}: array 'dmm.w_1' has a non-finite entry"
 
     def test_param_digest_tracks_changes(self):
         m = init_model(small_config(), seed=10)
