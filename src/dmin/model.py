@@ -304,17 +304,18 @@ class Adam:
         for name, p, g, ids in updates:
             if ids is not None:
                 m, v = self._moments(name, ids, p.shape[0])
-            elif name not in self.m:
-                self.m[name] = np.zeros(p.shape)  # C-contiguous
-                self.v[name] = np.zeros(p.shape)
+            else:
+                if name not in self.m:
+                    self.m[name] = np.zeros(p.shape)  # C-contiguous
+                    self.v[name] = np.zeros(p.shape)
+                m, v = self.m[name], self.v[name]
             if ids is not None and len(ids) < p.shape[1]:
                 block = p.take(ids, axis=1)
                 finite = self._apply(block, m, v, g, c1, c2)
                 p.put(ids + p.shape[1] * np.arange(p.shape[0])[:, None],
                       block)
             else:
-                finite = self._apply(p, self.m[name], self.v[name], g, c1,
-                                     c2)
+                finite = self._apply(p, m, v, g, c1, c2)
             if not finite and bad is None:
                 bad = name
         if bad is not None:

@@ -197,6 +197,9 @@ class Tape:
         """Record ``array`` as a differentiable leaf and return its Tensor."""
         value = _as_f64(array)
         _ensure_finite("leaf", value)
+        return self._leaf(value)
+
+    def _leaf(self, value: np.ndarray) -> Tensor:
         self.nodes.append(_Node("leaf", (), value, None))
         return Tensor(value, self, len(self.nodes) - 1)
 
@@ -214,12 +217,7 @@ def _prechecked(arrays: dict, tape: Tape | None = None) -> dict:
     for arrays that their writer has checked, a model's parameters."""
     if tape is None:
         return {k: Tensor(_as_f64(v)) for k, v in arrays.items()}
-    nodes, made = tape.nodes, {}
-    for k, v in arrays.items():
-        value = _as_f64(v)
-        nodes.append(_Node("leaf", (), value, None))
-        made[k] = Tensor(value, tape, len(nodes) - 1)
-    return made
+    return {k: tape._leaf(_as_f64(v)) for k, v in arrays.items()}
 
 
 def _finite(value: np.ndarray) -> bool:
