@@ -14,10 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dmin.encoder import EncoderConfig
 from dmin.episodes import (Dataset, EpisodeConfig, gen_synthetic,
                            sample_episode, split_base_novel)
-from dmin.harness import episode_scores, meta_train
-from dmin.model import load_checkpoint
+from dmin.harness import (Stage2Config, TrainConfig, episode_scores,
+                          meta_train, model_config_from)
+from dmin.model import init_model, load_checkpoint
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -40,6 +42,17 @@ def _text():
                              for c in range(8) for i in range(12)],
                    labels=[c for c in range(8) for _ in range(12)],
                    class_names=names)
+
+
+# stage 2 on _text(): 4-way 2-shot episodes at 3 queries, through a
+# 16 x 256 hash encoder
+TEXT_CONFIG = TrainConfig(
+    stage2=Stage2Config(episodes=4, learning_rate=1e-3, C=4, K=2, L=3),
+    encoder=EncoderConfig(embed_dim=16, vocab_buckets=256), seed=11)
+
+
+def _text_model():
+    return init_model(model_config_from(TEXT_CONFIG, 8), seed=5)
 
 
 def test_fixture_evaluation_scores():
@@ -80,6 +93,28 @@ def test_episode_draws(data, cfg, indices, items):
             by_item.update(payload.tobytes() if dataset.dim
                            else payload.encode())
     assert (by_index.hexdigest(), by_item.hexdigest()) == (indices, items)
+
+
+def test_text_evaluation_scores():
+    """``episode_scores`` of a fresh feature-hash model on 30 text
+    episodes at 4-way 2-shot: every line through the hash encoder."""
+    model, text = _text_model(), _text()
+    tensors, digest = model.tensors(), hashlib.sha256()
+    for index in range(EPISODES):
+        episode = sample_episode(text, EpisodeConfig(4, 2, 3, 11), index)
+        scores, _ = episode_scores(model, tensors, episode, frozenset())
+        digest.update(scores.array.tobytes())
+    assert digest.hexdigest() == \
+        "db9aac048710b8183e1852d25de89ce7e6237117f3e826fee4e33a8250679274"
+
+
+def test_text_meta_training_parameters():
+    """``param_digest`` after 4 ``meta_train`` episodes on text from a
+    fresh feature-hash model: the projection's gradient reaches stage 2."""
+    model = _text_model()
+    meta_train(model, _text(), TEXT_CONFIG)
+    assert model.param_digest() == \
+        "c62a44e0f293232477013608415bbf413a0ec37bf1d08f0a3d2b45205cac622b"
 
 
 def test_stage1_text_parameters():
