@@ -16,7 +16,7 @@ The most common entry points are re-exported here.
 """
 
 from .classifier import CosineClassifier, base_scores, few_scores
-from .encoder import EncoderConfig, FeatureHashEncoder
+from .encoder import EncoderConfig
 from .episodes import (DataError, Dataset, EpisodeConfig, gen_synthetic,
                        load_jsonl_vectors, load_tsv, sample_episode,
                        split_base_novel)
@@ -40,7 +40,6 @@ __all__ = [
     "EpisodeConfig",
     "EvalReport",
     "EvalSettings",
-    "FeatureHashEncoder",
     "Model",
     "ModelConfig",
     "NumericError",

@@ -1,19 +1,19 @@
-"""The text encoder and the encoder configuration.
+"""The text encoder's hashing and the encoder configuration.
 
-:class:`FeatureHashEncoder` lowercases text, splits on whitespace, hashes
-each token with 64-bit FNV-1a into one of ``vocab_buckets`` count buckets,
-L2-normalizes the counts, and maps them through a learned projection
-followed by tanh.  A line's counts are kept sparse, as the ids of the
-buckets its tokens hit and their normalized weights (:func:`hash_counts`),
-and one :func:`dmin.numerics.embed` node gathers only those projection
-columns and applies the tanh, so an item and its gradient cost what its
-tokens cost, not the whole vocabulary, and an encoded line is one tape
-node.  The projection is the only trainable piece and participates in
-both training stages.
+The ``"feature_hash"`` encoder lowercases text, splits on whitespace,
+hashes each token with 64-bit FNV-1a into one of ``vocab_buckets`` count
+buckets, L2-normalizes the counts, and maps them through a learned
+projection followed by tanh.  A line's counts are kept sparse, as the ids
+of the buckets its tokens hit and their normalized weights
+(:func:`hash_counts`), and :meth:`dmin.model.Model.encode` makes one
+``embed`` node that gathers only those projection columns and applies the
+tanh, so an item and its gradient cost what its tokens cost, not the
+whole vocabulary, and an encoded line is one tape node.  The projection
+is the only trainable piece and participates in both training stages.
 
 :class:`EncoderConfig` also names the ``"precomputed"`` kind: datasets of
 externally computed vectors, which :meth:`dmin.model.Model.encode` passes
-through unchanged, so that kind has no encoder object and no parameters.
+through unchanged, so that kind has no parameters.
 
 Hashing is plain arithmetic on documented constants, so bucket
 assignment is identical across runs and platforms.  Bounded memos of
@@ -27,9 +27,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import numerics as nm
-from .numerics import Tensor
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -75,11 +72,13 @@ class EncoderConfig:
 def hash_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
     """A line's L2-normalized token counts over hash buckets, sparse.
 
-    Returns ``(ids, weights)``: the strictly increasing ids of the buckets
-    the line's tokens hit, and the normalized counts at those ids, the
+    Returns ``(ids, weights)``: the strictly increasing int64 ids, in
+    ``[0, buckets)``, of the buckets the line's tokens hit, and the
+    normalized counts at those ids, one positive finite float64 each: the
     nonzero entries of the dense count vector divided by its norm, bit
     for bit.  Both arrays are read-only and shared by every call on the
-    same line.
+    same line.  :meth:`dmin.model.Model.encode` relies on these
+    guarantees and embeds them without checking them again.
     """
     if not isinstance(text, str) or not text.strip():
         raise ValueError("text must be a non-empty string")
@@ -99,25 +98,6 @@ def _line_weights(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
     weights = counts / np.sqrt(float(counts @ counts))
     ids.flags.writeable = weights.flags.writeable = False
     return ids, weights
-
-
-@dataclass
-class FeatureHashEncoder:
-    """Trainable text encoder: hashed counts -> projection columns -> tanh."""
-
-    config: EncoderConfig
-    projection: Tensor  # (embed_dim, vocab_buckets)
-
-    def __post_init__(self):
-        expected = (self.config.embed_dim, self.config.vocab_buckets)
-        if self.projection.array.shape != expected:
-            raise ValueError(
-                f"projection has shape {self.projection.array.shape}, "
-                f"expected {expected}")
-
-    def encode(self, item: str) -> Tensor:
-        ids, weights = hash_counts(item, self.config.vocab_buckets)
-        return nm.embed(self.projection, ids, weights)
 
 
 def init_encoder_arrays(cfg: EncoderConfig, rng: np.random.Generator) -> dict:

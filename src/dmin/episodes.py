@@ -44,8 +44,9 @@ class Dataset:
     A vector dataset holds its vectors once, as the read-only (N, d)
     float64 array ``vectors``, checked when the dataset is built: finite
     floating-point rows of one shape, given as a list or as one array.
-    Its ``payloads`` are views of those rows.  ``by_class`` holds each
-    class's item indices in dataset order, as an int64 array.
+    Its ``payloads`` are views of those rows.  A text dataset's payloads
+    are non-blank strings.  ``by_class`` holds each class's item indices
+    in dataset order, as an int64 array.
     """
 
     payloads: list
@@ -66,6 +67,12 @@ class Dataset:
         if isinstance(self.payloads[0], np.ndarray):
             self.vectors = _vector_rows(self.payloads)
             self.payloads = list(self.vectors)
+        else:
+            for i, p in enumerate(self.payloads):
+                if not isinstance(p, str) or not p.strip():
+                    raise DataError(f"text payload {i} is " + (
+                        "blank" if isinstance(p, str)
+                        else f"of type {type(p).__name__}, not str"))
         labels = np.asarray(self.labels)
         if labels.dtype.kind not in "iu":
             labels = np.array([int(c) for c in self.labels])

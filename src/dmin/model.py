@@ -28,9 +28,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import numerics as nm
+from . import encoder, numerics as nm
 from .classifier import CosineClassifier, init_classifier_arrays
-from .encoder import EncoderConfig, FeatureHashEncoder, init_encoder_arrays
+from .encoder import EncoderConfig, init_encoder_arrays
 from .episodes import _F64_MAX, DataError
 from .numerics import Tensor
 from .routing import RoutingConfig, RoutingParams, init_routing_arrays
@@ -164,17 +164,21 @@ class Model:
 
     def encode(self, tensors: dict, payload) -> Tensor:
         """Sample vector for one payload: text through the hash encoder,
-        precomputed vectors passed straight through."""
+        precomputed vectors passed straight through.  A line is checked
+        in :func:`dmin.encoder.hash_counts`, which guarantees its bucket
+        ids and weights, and the projection by its writers, so the line
+        is embedded without re-checking either."""
         if isinstance(payload, np.ndarray):
             self._check_vector(payload)
             return nm.constant(payload)
-        if self.config.encoder.kind != "feature_hash":
+        cfg = self.config.encoder
+        if cfg.kind != "feature_hash":
             raise ValueError(
                 f"text payloads need a feature_hash encoder, model was "
-                f"built with {self.config.encoder.kind!r}")
-        enc = FeatureHashEncoder(self.config.encoder,
-                                 tensors["enc.projection"])
-        return enc.encode(payload)
+                f"built with {cfg.kind!r}")
+        # looked up on its module, where a tracer may wrap it
+        ids, weights = encoder.hash_counts(payload, cfg.vocab_buckets)
+        return nm._embed(tensors["enc.projection"], ids, weights)
 
     def encode_vectors(self, vectors: np.ndarray, *at) -> list:
         """Sample vectors of a dataset's (N, d) ``vectors``, which the

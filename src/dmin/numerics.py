@@ -36,11 +36,14 @@ Conventions:
   any update,
 - the rule behind these checks: a value is checked where it is written,
   and nowhere else.  An op checks its result, a gradient's consumer the
-  gradient, and :meth:`Tape.leaf` and :func:`constant` an array from
-  outside.  A model parameter is checked by its writers alone:
-  ``init_model``, ``load_checkpoint`` and ``Adam.step``, which checks
-  the entries it moved.  So ``Model.tensors`` makes the parameters
-  leaves or constants through :func:`_prechecked`, without a scan,
+  gradient, and :meth:`Tape.leaf`, :func:`constant` and :func:`embed`
+  their arguments from outside.  A model parameter is checked by its
+  writers alone: ``init_model``, ``load_checkpoint`` and ``Adam.step``,
+  which checks the entries it moved.  So ``Model.tensors`` makes the
+  parameters leaves or constants through :func:`_prechecked`, without a
+  scan.  A hashed line's bucket ids and weights are made valid by their
+  writer, ``encoder.hash_counts``, so the text encoder embeds them
+  through :func:`_embed`, without :func:`embed`'s argument checks,
 - :func:`route`, :func:`cross_entropy` and the public row ops share
   private forward/VJP pairs, so each formula is written once,
 - :func:`route`'s forward works at the shape each quantity has: the
@@ -373,6 +376,14 @@ def embed(w: Tensor, ids, vals) -> Tensor:
             f"embed: need a matrix and strictly increasing column indices "
             f"in [0, {w.shape[-1] if w.ndim else 0}) with one value each, "
             f"got w={w.shape}, ids={ids.tolist()}, vals={vals.shape}")
+    return _embed(w, ids, vals)
+
+
+def _embed(w: Tensor, ids: np.ndarray, vals: np.ndarray) -> Tensor:
+    """:func:`embed` without its argument checks, for ``ids`` and ``vals``
+    that their writer guarantees, as :func:`dmin.encoder.hash_counts`
+    does, and a matrix whose shape its writer checked.  The product's
+    finiteness check stays."""
     z = w.array.take(ids, axis=1) @ vals
     _ensure_finite("embed", z)
     y = np.tanh(z)

@@ -4,9 +4,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
-from dmin.encoder import (EncoderConfig, FeatureHashEncoder, fnv1a64,
-                          hash_counts, init_encoder_arrays, token_bucket)
+from dmin.encoder import (EncoderConfig, fnv1a64, hash_counts,
+                          init_encoder_arrays, token_bucket)
+from dmin.model import (CheckpointError, ModelConfig, init_model,
+                        load_checkpoint, save_checkpoint)
+from dmin.routing import RoutingConfig
 from oracles import fnv1a64_reference, hash_encode_reference
+
+
+def text_model(d, buckets):
+    """A feature-hash model of embedding size ``d`` over ``buckets``."""
+    rc = RoutingConfig.for_pipeline(d, capsule_count=2)
+    return init_model(ModelConfig(
+        embed_dim=d, num_base_classes=2, encoder=EncoderConfig(
+            embed_dim=d, vocab_buckets=buckets), dmm=rc, qim=rc))
+
+
+def encode(proj, text):
+    """``Model.encode`` of ``text`` with the (d, buckets) projection Tensor
+    ``proj``."""
+    return text_model(*proj.shape).encode({"enc.projection": proj}, text)
 
 
 class TestHash:
@@ -72,44 +89,39 @@ class TestHash:
 
 class TestFeatureHashEncoder:
     def make(self, seed=7, V=8, d=4):
-        cfg = EncoderConfig(kind="feature_hash", embed_dim=d, vocab_buckets=V)
         proj = np.random.default_rng(seed).normal(size=(d, V))
-        return cfg, proj, FeatureHashEncoder(cfg, nm.constant(proj))
+        return proj, nm.constant(proj)
 
     def test_fixture_matches_oracle(self):
-        cfg, proj, enc = self.make(seed=7, V=8, d=4)
-        got = enc.encode("a b a").array
+        proj, w = self.make(seed=7, V=8, d=4)
+        got = encode(w, "a b a").array
         want = hash_encode_reference("a b a", 8, proj)
         npt.assert_allclose(got, want, atol=1e-14, rtol=0)
 
     def test_deterministic(self):
-        _, _, enc = self.make()
-        npt.assert_array_equal(enc.encode("same text here").array,
-                               enc.encode("same text here").array)
+        _, w = self.make()
+        npt.assert_array_equal(encode(w, "same text here").array,
+                               encode(w, "same text here").array)
 
     def test_zero_projection_gives_zero_vector(self):
-        cfg = EncoderConfig(embed_dim=4, vocab_buckets=8)
-        enc = FeatureHashEncoder(cfg, nm.constant(np.zeros((4, 8))))
-        npt.assert_array_equal(enc.encode("anything at all").array, np.zeros(4))
+        npt.assert_array_equal(
+            encode(nm.constant(np.zeros((4, 8))), "anything at all").array,
+            np.zeros(4))
 
     def test_output_in_tanh_range(self):
         rng = np.random.default_rng(12)
-        cfg = EncoderConfig(embed_dim=6, vocab_buckets=32)
-        enc = FeatureHashEncoder(
-            cfg, nm.constant(rng.normal(0.0, 3.0, (6, 32))))
+        w = nm.constant(rng.normal(0.0, 3.0, (6, 32)))
         words = ["alpha", "beta", "gamma", "delta", "epsilon"]
         for _ in range(50):
             text = " ".join(rng.choice(words, size=rng.integers(1, 10)))
-            out = enc.encode(text).array
+            out = encode(w, text).array
             assert out.shape == (6,)
             assert np.all(out > -1.0) and np.all(out < 1.0)
 
     def test_projection_gradient_flows(self):
-        cfg = EncoderConfig(embed_dim=4, vocab_buckets=8)
         tape = nm.Tape()
         proj = tape.leaf(np.random.default_rng(3).normal(size=(4, 8)))
-        enc = FeatureHashEncoder(cfg, proj)
-        out = enc.encode("a b a")
+        out = encode(proj, "a b a")
         grads = nm.backward(tape, nm.dot(out, out))
         g = grads[proj.node_id]
         assert g.shape == (4, 8)
@@ -119,20 +131,18 @@ class TestFeatureHashEncoder:
         cfg = EncoderConfig()
         proj = np.random.default_rng(4).normal(
             0.0, 0.5, (cfg.embed_dim, cfg.vocab_buckets))
-        enc = FeatureHashEncoder(cfg, nm.constant(proj))
         for text in ("the striker curled the free kick",
                      "Thunderstorms expected after noon", "a a a b"):
-            npt.assert_allclose(enc.encode(text).array,
+            npt.assert_allclose(encode(nm.constant(proj), text).array,
                                 hash_encode_reference(text, 4096, proj),
                                 atol=1e-14, rtol=0)
 
     def test_taped_encode_records_one_embed_node(self):
-        cfg = EncoderConfig(embed_dim=6, vocab_buckets=64)
         rng = np.random.default_rng(5)
         tape = nm.Tape()
         proj = tape.leaf(rng.normal(size=(6, 64)))
         text = "one two two three three three four"
-        out = FeatureHashEncoder(cfg, proj).encode(text)
+        out = encode(proj, text)
         assert [node.op for node in tape.nodes] == ["leaf", "embed"]
         probe = rng.normal(size=6)
         grad = nm.backward(tape, nm.dot(out, nm.constant(probe)))[proj.node_id]
@@ -144,10 +154,67 @@ class TestFeatureHashEncoder:
         counts[ids] = weights
         npt.assert_array_equal(grad, np.outer(g, counts))
 
-    def test_shape_validation(self):
-        cfg = EncoderConfig(embed_dim=4, vocab_buckets=8)
-        with pytest.raises(ValueError):
-            FeatureHashEncoder(cfg, nm.constant(np.zeros((4, 9))))
+    def test_shape_validation(self, tmp_path):
+        # the projection is checked where it is written, not per line
+        m = text_model(4, 8)
+        m.params["enc.projection"] = np.zeros((4, 9))
+        save_checkpoint(m, tmp_path / "m.ckpt")
+        with pytest.raises(CheckpointError, match=r"parameter "
+                           r"'enc.projection' has shape \(4, 9\), config "
+                           r"requires \(4, 8\)"):
+            load_checkpoint(tmp_path / "m.ckpt")
+
+    @pytest.mark.parametrize("edge", ["repeat", "first", "last"])
+    def test_core_gives_embeds_bits_on_hashed_lines(self, edge):
+        """``Model.encode``'s unchecked core gives ``embed``'s value and
+        VJP column block bit for bit on :func:`hash_counts` output: a
+        repeated token, and tokens in the first and the last bucket."""
+        words = [f"w{i}" for i in range(2000)]
+        first = next(t for t in words if token_bucket(t, 64) == 0)
+        last = next(t for t in words if token_bucket(t, 64) == 63)
+        text = {"repeat": "to be or not to be", "first": f"{first} x",
+                "last": f"y {last} {last}"}[edge]
+        ids, weights = hash_counts(text, 64)
+        assert {"first": ids[0] == 0, "last": ids[-1] == 63,
+                "repeat": weights.max() > weights.min()}[edge]
+        rng = np.random.default_rng(8)
+        proj, probe = rng.normal(size=(6, 64)), rng.normal(size=6)
+        results = []
+        for op in (nm.embed, nm._embed, None):
+            tape = nm.Tape()
+            w = tape.leaf(proj)
+            out = (encode(w, text) if op is None else op(w, ids, weights))
+            block = out.tape.nodes[out.node_id].vjp(probe)[0]
+            results.append((out.array.tobytes(), block[0].tobytes(),
+                            block[1].tobytes()))
+        assert results[0] == results[1] == results[2]
+
+
+class TestEncodeRefusals:
+    """``Model.encode`` keeps its refusals on the unchecked core."""
+
+    def test_blank_line(self):
+        m = text_model(4, 8)
+        for bad in ("", "  \t"):
+            with pytest.raises(ValueError,
+                               match="^text must be a non-empty string$"):
+                m.encode(m.tensors(), bad)
+
+    def test_text_on_a_precomputed_model(self):
+        rc = RoutingConfig.for_pipeline(4, capsule_count=2)
+        m = init_model(ModelConfig(
+            embed_dim=4, num_base_classes=2, encoder=EncoderConfig(
+                kind="precomputed", embed_dim=4), dmm=rc, qim=rc))
+        with pytest.raises(ValueError, match="^text payloads need a "
+                           "feature_hash encoder, model was built with "
+                           "'precomputed'$"):
+            m.encode(m.tensors(), "a line")
+
+    def test_vector_of_the_wrong_dimension(self):
+        m = text_model(4, 8)
+        with pytest.raises(ValueError, match=r"^vector payload has shape "
+                           r"\(5,\), model expects \(4,\)$"):
+            m.encode(m.tensors(), np.ones(5))
 
 
 class TestConfig:

@@ -326,6 +326,18 @@ class TestDatasetValidation:
             Dataset(payloads=payloads, labels=[0, 1], class_names=["a", "b"])
         assert "\n" not in str(err.value)
 
+    # a text dataset holds non-blank strings only: a vector among them
+    # would reach Model.encode and pass through as an embedding
+    @pytest.mark.parametrize("payloads, message", [
+        (["a b", np.zeros(3)], "^text payload 1 is of type ndarray, not str$"),
+        (["a b", 3], "^text payload 1 is of type int, not str$"),
+        (["a b", "   "], "^text payload 1 is blank$"),
+        ([3, "a b"], "^text payload 0 is of type int, not str$"),
+    ], ids=["vector", "int", "blank", "int_first"])
+    def test_refuses_malformed_text(self, payloads, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(payloads=payloads, labels=[0, 1], class_names=["x", "y"])
+
     def test_vectors_are_held_once_and_read_only(self):
         rows = [np.full(4, float(i)) for i in range(6)]
         ds = Dataset(payloads=rows, labels=[0, 1] * 3, class_names=["a", "b"])
