@@ -12,12 +12,13 @@ from dmin.routing import RoutingConfig
 from oracles import fnv1a64_reference, hash_encode_reference
 
 
-def text_model(d, buckets):
-    """A feature-hash model of embedding size ``d`` over ``buckets``."""
+def text_model(d, buckets, kind="feature_hash"):
+    """A model of embedding size ``d`` whose encoder is ``kind``, hashing
+    over ``buckets``."""
     rc = RoutingConfig.for_pipeline(d, capsule_count=2)
     return init_model(ModelConfig(
         embed_dim=d, num_base_classes=2, encoder=EncoderConfig(
-            embed_dim=d, vocab_buckets=buckets), dmm=rc, qim=rc))
+            kind=kind, embed_dim=d, vocab_buckets=buckets), dmm=rc, qim=rc))
 
 
 def encode(proj, text):
@@ -201,10 +202,7 @@ class TestEncodeRefusals:
                 m.encode(m.tensors(), bad)
 
     def test_text_on_a_precomputed_model(self):
-        rc = RoutingConfig.for_pipeline(4, capsule_count=2)
-        m = init_model(ModelConfig(
-            embed_dim=4, num_base_classes=2, encoder=EncoderConfig(
-                kind="precomputed", embed_dim=4), dmm=rc, qim=rc))
+        m = text_model(4, 8, kind="precomputed")
         with pytest.raises(ValueError, match="^text payloads need a "
                            "feature_hash encoder, model was built with "
                            "'precomputed'$"):
