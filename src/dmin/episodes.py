@@ -3,9 +3,10 @@
 A :class:`Dataset` is an immutable list of labeled payloads (either raw
 text strings or fixed-length vectors) with dense integer class ids; a
 vector dataset keeps its vectors as one (N, d) array.  Episodes draw C
-classes and K+L items per class without replacement, and hold the
-dataset indices they drew, so a forward reads a batch's vectors with one
-``take``.  The order statistics come from a PCG64 generator seeded by
+classes and K+L items per class without replacement, and hold their
+positions in the dataset's vectors or text, so a forward reads a
+batch's vectors with one ``take``.  The order statistics come from a
+PCG64 generator seeded by
 ``SeedSequence([seed, episode_index])``, so any episode can be
 regenerated on its own, in any order, on any worker.
 
@@ -17,6 +18,7 @@ File formats:
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -162,46 +164,64 @@ class EpisodeConfig:
 class Episode:
     """One C-way K-shot task with episode-local labels in [0, C).
 
-    :func:`sample_episode` builds one from its dataset and ``picks``: row
-    c holds the dataset indices of local class c's K supports, then of its
-    L queries, and ``support_indices`` and ``query_indices`` read them in
-    that order.  ``support`` and ``queries`` list (local label, payload)
-    items, made from the picks when first read; from then on they are the
-    episode's items, and a forward scores what they hold, edits included.
-    An episode can also be built from the two lists, with the dataset
-    indices that they came from or none.
+    Its items are positions in one ``source``, read-only (N, d) vectors or
+    a list of text lines: row c of the (C, K) ``support_at`` holds local
+    class c's supports, and the (Q,) ``query_at`` the queries, whose
+    labels are ``labels``.  :func:`sample_episode` draws them from a
+    dataset, :meth:`from_items` builds them from (label, payload) lists.
+    ``support`` and ``queries`` list (label, payload) items, and
+    ``support_indices`` and ``query_indices`` the positions, made anew on
+    each read, so no edit of one reaches a forward.
     """
 
-    def __init__(self, class_ids, support=None, queries=None,
-                 support_indices=(), query_indices=(), *, dataset=None,
-                 picks=None, shot=0):
-        self.class_ids, self.dataset = tuple(class_ids), dataset
-        self.picks, self.shot, self._lists = picks, shot, [support, queries]
-        self._given = [list(support_indices), list(query_indices)]
+    def __init__(self, class_ids, source, support_at, query_at, labels):
+        self.class_ids, self.source = tuple(class_ids), source
+        self.support_at, self.query_at, self.labels = (support_at, query_at,
+                                                       labels)
 
-    support = property(lambda self: self._items(0))
-    queries = property(lambda self: self._items(1))
-    support_indices = property(lambda self: self._indices(0))
-    query_indices = property(lambda self: self._indices(1))
+    @classmethod
+    def from_items(cls, class_ids, support, queries) -> "Episode":
+        """An episode of the (local label, payload) items ``support`` and
+        ``queries``, refused with a one-line :class:`ValueError` unless
+        every label is in [0, C), every class has the same number of
+        supports, at least one, and there is a query.  Vector payloads
+        become one checked read-only array (:func:`_vector_rows`); text
+        stays a list."""
+        way, parts = len(class_ids), (list(support), list(queries))
+        labels = np.array([lab for part in parts for lab, _ in part],
+                          np.int64)
+        bad, shots = labels[(labels < 0) | (labels >= way)], len(parts[0])
+        if len(bad):
+            raise ValueError(f"label {bad[0]} out of range for {way} classes")
+        if shots == len(labels):
+            raise ValueError("an episode needs at least one query")
+        counts = np.bincount(labels[:shots], minlength=way)
+        if not counts.min():
+            raise ValueError(f"class {counts.argmin()} has no support")
+        if counts.min() != counts.max():
+            raise ValueError(f"an episode needs the same number of shots "
+                             f"in every class, got {counts.tolist()}")
+        source = [payload for part in parts for _, payload in part]
+        if isinstance(source[0], np.ndarray):
+            source = _vector_rows(source)
+        return cls(class_ids, source,
+                   np.argsort(labels[:shots], kind="stable").reshape(way, -1),
+                   np.arange(shots, len(source)),
+                   tuple(labels[shots:].tolist()))
 
-    def _part(self, part: int) -> np.ndarray:
-        return self.picks[:, self.shot:] if part else self.picks[:, :self.shot]
+    support_indices = property(lambda self: self.support_at.ravel().tolist())
+    query_indices = property(lambda self: self.query_at.tolist())
+    support = property(lambda self: [
+        (c, self.source[i]) for c, row in enumerate(self.support_at.tolist())
+        for i in row])
+    queries = property(lambda self: [
+        (c, self.source[i]) for c, i in zip(self.labels, self.query_indices)])
 
-    def _indices(self, part: int) -> list:
-        return (self._given[part] if self.picks is None
-                else self._part(part).ravel().tolist())
 
-    def _items(self, part: int) -> list:
-        if self._lists[part] is None:
-            self._lists[part] = [
-                (local, self.dataset.payloads[i])
-                for local, row in enumerate(self._part(part).tolist())
-                for i in row]
-        return self._lists[part]
-
-    def drawn(self):
-        """``picks`` while neither list has been read, else None."""
-        return self.picks if self._lists == [None, None] else None
+@functools.lru_cache(maxsize=16)
+def _query_labels(way: int, queries: int) -> tuple:
+    """A drawn episode's query labels, one tuple per (way, queries)."""
+    return tuple(c for c in range(way) for _ in range(queries))
 
 
 def episode_rng(seed: int, episode_index: int) -> np.random.Generator:
@@ -226,7 +246,9 @@ def sample_episode(dataset: Dataset, cfg: EpisodeConfig,
     pools = [dataset.by_class[c] for c in classes]
     picks = np.array([pool[rng.choice(len(pool), size=need, replace=False)]
                       for pool in pools])
-    return Episode(classes, dataset=dataset, picks=picks, shot=cfg.shot)
+    return Episode(classes, dataset.source, picks[:, :cfg.shot],
+                   picks[:, cfg.shot:].reshape(-1),
+                   _query_labels(cfg.way, cfg.queries))
 
 
 # ---------------------------------------------------------------------------

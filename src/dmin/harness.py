@@ -15,10 +15,10 @@ Training (:func:`episode_forward`) and evaluation
 (:func:`episode_scores`) share one episode forward: both stack the
 supports and queries, score one (Q, C) Tensor with one
 :func:`few_scores` call and hand it to :func:`loss_episode`.  An episode
-drawn from a vector dataset holds the indices of its items, and its
-supports and queries are two ``take``s from the dataset's (N, d) array
+holds the positions of its items in one source, and a vector episode's
+supports and queries are two ``take``s from that (N, d) array
 (training's per-pair calls take views of their rows); text is encoded
-item by item and stacked.  They differ only in the two routing steps.
+line by line and stacked.  They differ only in the two routing steps.
 Evaluation scores a batch of episodes at a time with an episode axis in
 front of every stack, and makes 2 routing calls per batch: one adapts
 every support, and one induces every (query, class) vector.  Training
@@ -190,9 +190,9 @@ def _encode(model: Model, tensors: dict, source, at: tuple,
             rows: bool) -> list:
     """For each index array in ``at``, the sample vectors of ``source``'s
     items there: one (n, d) Tensor and, if ``rows``, a list of its n (d,)
-    Tensors too.  A dataset's (N, d) vectors make one constant per array,
-    whose rows are views of it; a list of payloads is encoded one by one
-    and stacked."""
+    Tensors too.  A source of (N, d) vectors makes one constant per array,
+    whose rows are views of it; a list of text lines is encoded line by
+    line and stacked."""
     if isinstance(source, np.ndarray):
         # rows of a checked constant need no check of their own
         return [(stack, [nm.Tensor(v) for v in stack.array] if rows
@@ -203,33 +203,16 @@ def _encode(model: Model, tensors: dict, source, at: tuple,
 
 
 def _batch_items(episodes: list) -> tuple:
-    """A batch's payloads as one ``source`` and positions in it: the
-    (E, C, K) supports of each class in local-label order, the (E*Q,)
-    queries in episode order, and each episode's query labels.  Episodes
-    drawn from one dataset whose item lists are unread read that
-    dataset's vectors or text; any other batch lists its payloads."""
-    way, first = len(episodes[0].class_ids), episodes[0]
-    picks = [episode.drawn() for episode in episodes]
-    if all(p is not None and e.dataset is first.dataset
-           and e.shot == first.shot for p, e in zip(picks, episodes)):
-        shot, picks = first.shot, np.array(picks)
-        labels = [c for c in range(way) for _ in range(picks.shape[-1] - shot)]
-        return (first.dataset.source, picks[..., :shot],
-                picks[..., shot:].reshape(-1), [labels] * len(episodes))
-    source, supports, queries, labels = [], [], [], []
-    for episode in episodes:
-        support = episode.support
-        counts = np.bincount([lab for lab, _ in support], minlength=way)
-        if counts.min() != counts.max():
-            raise ValueError(f"an episode forward needs the same number of "
-                             f"shots in every class, got {counts.tolist()}")
-        by_class = sorted(range(len(support)), key=lambda i: support[i][0])
-        supports.append(len(source) + np.reshape(by_class, (way, -1)))
-        source += [payload for _, payload in support]
-        queries += range(len(source), len(source) + len(episode.queries))
-        source += [payload for _, payload in episode.queries]
-        labels.append([lab for lab, _ in episode.queries])
-    return source, np.stack(supports), np.array(queries, np.intp), labels
+    """A batch's items as positions in the one ``source`` its episodes
+    share: the (E, C, K) supports of each class in local-label order, the
+    (E*Q,) queries in episode order, and each episode's query labels.  A
+    batch whose episodes read different sources is refused."""
+    source = episodes[0].source
+    if any(episode.source is not source for episode in episodes):
+        raise ValueError("the episodes of a batch must share one source")
+    return (source, np.stack([episode.support_at for episode in episodes]),
+            np.concatenate([episode.query_at for episode in episodes]),
+            [list(episode.labels) for episode in episodes])
 
 
 def _episode(model: Model, tensors: dict, episodes: list,
@@ -238,9 +221,9 @@ def _episode(model: Model, tensors: dict, episodes: list,
     of :func:`episode_scores`, which differ only in the two routing steps.
     More than one episode, all of one shape and never ``per_pair``, puts
     an episode axis in front of every stack, the (E, Q, C) scores and the
-    labels.  Drawn vector episodes take their supports and their queries
-    from their dataset's array with one ``take`` each, after one check of
-    its dimension (:meth:`Model.encode_vectors`)."""
+    labels.  Vector episodes take their supports and queries from their
+    source's array with one ``take`` each, after one check of its
+    dimension (:meth:`Model.encode_vectors`)."""
     lead = (len(episodes),) if len(episodes) > 1 else ()
     one = (1,) * len(lead)  # an axis that an episode's queries share
     source, at, query_at, labels = _batch_items(episodes)
@@ -292,7 +275,7 @@ def episode_forward(model: Model, tensors: dict, episode: Episode,
     query labels; training's forward pass.
 
     The supports are stacked by class, which needs the same number of
-    shots in every class (``sample_episode`` always draws that).  One
+    shots in every class (:meth:`Episode.from_items` refuses others).  One
     :func:`dmm_adapt` call per support and one :func:`qim_induce` call per
     (query, class) pair, stacked to (Q, C, d) class vectors, because the
     benchmark pins these per-pair calls (ROADMAP items 1-2).  ``no_dmm``
@@ -526,9 +509,9 @@ def separation_report(model: Model, dataset: Dataset, *, way: int = 10,
     ep_cfg = EpisodeConfig(way=way, shot=shot, queries=1, seed=seed)
     episode = sample_episode(dataset, ep_cfg, 0)
     tensors = model.tensors()
-    source, at, _, _ = _batch_items([episode])
     labels = np.repeat(np.arange(way), shot).tolist()
-    before = _encode(model, tensors, source, (at.reshape(-1),), False)[0][0]
+    before = _encode(model, tensors, episode.source,
+                     (episode.support_at.reshape(-1),), False)[0][0]
     after = dmm_adapt(model.dmm_params(tensors), model.config.dmm,
                       tensors["clf.w_base"], before).array
     before = before.array

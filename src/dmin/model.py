@@ -162,37 +162,29 @@ class Model:
         p = "qim." if "qim." in self.config.routing_owners else "dmm."
         return RoutingParams(w=tensors[p + "w"], b=tensors[p + "b"])
 
-    def encode(self, tensors: dict, payload) -> Tensor:
-        """Sample vector for one payload: text through the hash encoder,
-        precomputed vectors passed straight through.  A line is checked
-        in :func:`dmin.encoder.hash_counts`, which guarantees its bucket
-        ids and weights, and the projection by its writers, so the line
-        is embedded without re-checking either."""
-        if isinstance(payload, np.ndarray):
-            self._check_vector(payload)
-            return nm.constant(payload)
+    def encode(self, tensors: dict, text: str) -> Tensor:
+        """Sample vector for one line of text, through the hash encoder.
+        A line is checked in :func:`dmin.encoder.hash_counts`, which
+        guarantees its bucket ids and weights, and the projection by its
+        writers, so the line is embedded without re-checking either."""
         cfg = self.config.encoder
         if cfg.kind != "feature_hash":
             raise ValueError(
                 f"text payloads need a feature_hash encoder, model was "
                 f"built with {cfg.kind!r}")
         # looked up on its module, where a tracer may wrap it
-        ids, weights = encoder.hash_counts(payload, cfg.vocab_buckets)
+        ids, weights = encoder.hash_counts(text, cfg.vocab_buckets)
         return nm._embed(tensors["enc.projection"], ids, weights)
 
     def encode_vectors(self, vectors: np.ndarray, *at) -> list:
-        """Sample vectors of a dataset's (N, d) ``vectors``, which the
-        dataset checked: for each index array in ``at``, the rows there as
-        one constant, as :meth:`encode` of each would give them stacked.
-        The dimension is checked once."""
-        self._check_vector(vectors[0])
-        return [Tensor(vectors.take(index, axis=0)) for index in at]
-
-    def _check_vector(self, payload: np.ndarray) -> None:
-        if payload.shape != (self.config.embed_dim,):
+        """Sample vectors of the checked (N, d) ``vectors`` of a dataset or
+        an episode: for each index array in ``at``, the rows there as one
+        constant.  The dimension is checked once."""
+        if vectors.shape[1:] != (self.config.embed_dim,):
             raise ValueError(
-                f"vector payload has shape {payload.shape}, model "
+                f"vector payload has shape {vectors.shape[1:]}, model "
                 f"expects ({self.config.embed_dim},)")
+        return [Tensor(vectors.take(index, axis=0)) for index in at]
 
     def param_digest(self) -> str:
         """sha256 of the parameters in the checkpoint layout."""
@@ -421,11 +413,15 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _checksum(body: dict) -> str:
+    """sha256 of a checkpoint body's canonical JSON, less its checksum."""
+    rest = {k: v for k, v in body.items() if k != "checksum"}
+    return hashlib.sha256(_canonical(rest).encode()).hexdigest()
+
+
 def save_checkpoint(model: Model, path) -> None:
     body = _manifest(model)
-    body["checksum"] = hashlib.sha256(
-        _canonical({k: body[k] for k in body if k != "checksum"})
-        .encode()).hexdigest()
+    body["checksum"] = _checksum(body)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_canonical(body))
         fh.write("\n")
@@ -444,9 +440,7 @@ def load_checkpoint(path) -> Model:
             f"{path}: format version {body['format_version']} not supported "
             f"(this build reads version {CHECKPOINT_VERSION})")
     recorded = body.get("checksum")
-    actual = hashlib.sha256(
-        _canonical({k: body[k] for k in body if k != "checksum"})
-        .encode()).hexdigest()
+    actual = _checksum(body)
     if recorded != actual:
         raise CheckpointError(
             f"{path}: checksum mismatch (file corrupt): recorded "

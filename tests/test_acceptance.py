@@ -91,11 +91,10 @@ def test_criterion_2_full_chain_gradient_check(capsys):
         k = int(rng.integers(2, 5))
         return " ".join(rng.choice(words, size=k, replace=False))
 
-    episode = Episode(
+    episode = Episode.from_items(
         class_ids=(0, 1, 2),
         support=[(c, text()) for c in range(3) for _ in range(2)],
-        queries=[(c, text()) for c in range(3)],
-        support_indices=[], query_indices=[])
+        queries=[(c, text()) for c in range(3)])
 
     def loss_value() -> float:
         tensors = model.tensors()

@@ -192,7 +192,8 @@ class TestFeatureHashEncoder:
 
 
 class TestEncodeRefusals:
-    """``Model.encode`` keeps its refusals on the unchecked core."""
+    """``Model.encode`` keeps its refusals on the unchecked core, and
+    ``Model.encode_vectors`` its refusal of a wrong dimension."""
 
     def test_blank_line(self):
         m = text_model(4, 8)
@@ -212,7 +213,7 @@ class TestEncodeRefusals:
         m = text_model(4, 8)
         with pytest.raises(ValueError, match=r"^vector payload has shape "
                            r"\(5,\), model expects \(4,\)$"):
-            m.encode(m.tensors(), np.ones(5))
+            m.encode_vectors(np.ones((2, 5)), [0])
 
 
 class TestConfig:

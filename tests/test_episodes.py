@@ -99,6 +99,84 @@ class TestSampling:
             sample_episode(toy_dataset(), EpisodeConfig(), -1)
 
 
+class TestFromItems:
+    """``Episode.from_items`` refuses a malformed episode when it is
+    built, with one line, and holds its items in a source of its own."""
+
+    @staticmethod
+    def items(labels, dim=4):
+        return [(lab, np.full(dim, 1.0 + k)) for k, lab in enumerate(labels)]
+
+    @pytest.mark.parametrize("support, queries, message", [
+        # 12 supports labelled 0-3 in a 3-class episode
+        ([0, 1, 2, 3] * 3, [0, 1, 2], "^label 3 out of range for 3 classes$"),
+        ([0, 1, 2], [0, 3], "^label 3 out of range for 3 classes$"),
+        ([0, 1, 2], [-1, 0], "^label -1 out of range for 3 classes$"),
+        ([0, -1, 2], [0], "^label -1 out of range for 3 classes$"),
+        ([0, 1, 0, 1], [0, 1], "^class 2 has no support$"),
+        ([], [0, 1], "^class 0 has no support$"),
+        ([0, 1, 2], [], "^an episode needs at least one query$"),
+        ([0, 1, 2, 2], [0], r"^an episode needs the same number of shots "
+                            r"in every class, got \[1, 1, 2\]$"),
+    ])
+    def test_a_malformed_episode_is_refused(self, support, queries,
+                                            message):
+        for text in (False, True):
+            make = ((lambda labs: [(lab, f"w{lab}") for lab in labs])
+                    if text else self.items)
+            with pytest.raises(ValueError, match=message):
+                Episode.from_items((7, 8, 9), make(support), make(queries))
+
+    def test_supports_are_held_by_class(self):
+        support, queries = self.items([1, 0, 2, 0, 1, 2]), self.items([2, 0])
+        ep = Episode.from_items((5, 3, 4), support, queries)
+        assert ep.class_ids == (5, 3, 4)
+        assert ep.support_at.tolist() == [[1, 3], [0, 4], [2, 5]]
+        assert ep.support_indices == [1, 3, 0, 4, 2, 5]
+        assert ep.query_indices == [6, 7] and ep.labels == (2, 0)
+        assert [lab for lab, _ in ep.support] == [0, 0, 1, 1, 2, 2]
+        assert [p[0] for _, p in ep.support] == [2.0, 4.0, 1.0, 5.0, 3.0,
+                                                 6.0]
+        assert [(lab, p[0]) for lab, p in ep.queries] == [(2, 1.0), (0, 2.0)]
+        assert isinstance(ep.source, np.ndarray)
+        assert ep.source.shape == (8, 4) and not ep.source.flags.writeable
+        text = Episode.from_items((0, 1), [(1, "b"), (0, "a")], [(0, "c")])
+        assert text.source == ["b", "a", "c"]
+        assert text.support == [(0, "a"), (1, "b")]
+
+    def test_vector_payloads_are_checked_as_a_dataset_checks_them(self):
+        for bad, message in ((np.zeros(5), "different shapes"),
+                             (np.zeros((4, 1)), "different shapes"),
+                             (np.array([1.0, np.nan, 0.0, 0.0]),
+                              "vector payload 2 is not finite")):
+            support = self.items([0, 1])
+            with pytest.raises(DataError, match=message):
+                Episode.from_items((0, 1), support, [(1, bad)])
+
+    def test_returned_lists_are_made_on_each_read(self):
+        ds = toy_dataset()
+        drawn = sample_episode(ds, EpisodeConfig(way=3, shot=2, queries=2), 1)
+        built = Episode.from_items(drawn.class_ids, drawn.support,
+                                   drawn.queries)
+        for ep in (drawn, built):
+            want = [ep.support, ep.queries, ep.support_indices,
+                    ep.query_indices]
+            support, queries = ep.support, ep.queries
+            support.pop()
+            queries[0] = (2, np.zeros(6))
+            ep.support_indices.append(0)
+            got = [ep.support, ep.queries, ep.support_indices,
+                   ep.query_indices]
+            assert len(got[0]) == 6 and len(got[1]) == 6
+            assert all(a[0] == b[0] and np.array_equal(a[1], b[1])
+                       for a, b in zip(got[0] + got[1], want[0] + want[1]))
+            assert got[2:] == want[2:]
+            for prop in ("support", "queries", "support_indices",
+                         "query_indices"):
+                with pytest.raises(AttributeError):
+                    setattr(ep, prop, [])
+
+
 class TestTsv:
     def test_two_line_file(self, tmp_path):
         p = tmp_path / "d.tsv"

@@ -305,9 +305,9 @@ class TestPretrain:
         tensors = model.tensors()
         clf = model.classifier(tensors)
         from dmin.classifier import loss_supervised
-        losses = [loss_supervised(
-            base_scores(clf, model.encode(tensors, p)), lab).item()
-            for p, lab in zip(ds.payloads[:20], ds.labels[:20])]
+        losses = [loss_supervised(base_scores(
+            clf, model.encode_vectors(ds.vectors, [i])[0]), [lab]).item()
+            for i, lab in enumerate(ds.labels[:20])]
         npt.assert_allclose(losses, math.log(5.0), atol=1e-12)
 
     def test_step0_loss_near_log_c_for_random_init(self):
@@ -687,12 +687,11 @@ def _drawn_case(C, K, L, dmm_caps, qim_caps, dmm_iters, qim_iters, share,
     counts = (rng.integers(0, L + 1, C) if uneven
               else np.full(C, L))
     counts[0] = max(counts[0], 1)
-    episode = Episode(
+    episode = Episode.from_items(
         class_ids=tuple(range(C)),
         support=[(c, item(c)) for c in range(C) for _ in range(K)],
         queries=[(c, item(c)) for c in range(C)
-                 for _ in range(counts[c])],
-        support_indices=[], query_indices=[])
+                 for _ in range(counts[c])])
     return model, episode, cfg.ablation_flags
 
 
@@ -756,14 +755,11 @@ class TestEpisodeScores:
 
     def test_unequal_shots_are_refused(self):
         ds = blob_dataset()
-        model = init_model(model_config_from(small_cfg(), ds.num_classes),
-                           seed=3)
         episode = sample_episode(ds, EpisodeConfig(way=3, shot=2, queries=1,
                                                    seed=1), 0)
-        episode.support.pop()
-        for forward in (episode_scores, episode_forward):
-            with pytest.raises(ValueError, match="same number of shots"):
-                forward(model, model.tensors(), episode, frozenset())
+        with pytest.raises(ValueError, match="same number of shots"):
+            Episode.from_items(episode.class_ids, episode.support[:-1],
+                               episode.queries)
 
     def test_a_vector_of_the_wrong_dimension_is_refused(self):
         ds = blob_dataset()
@@ -772,39 +768,84 @@ class TestEpisodeScores:
         message = r"vector payload has shape \(9,\), model expects \(8,\)"
         with pytest.raises(ValueError, match=message):
             evaluate(model, blob_dataset(dim=9), small_cfg(), episodes=1)
-        column = r"vector payload has shape \(8, 1\), model expects \(8,\)"
-        # the wrong payload last, first or in the middle; an (8, 1) one
-        # holds the right entries in the wrong shape
-        for part in ("support", "queries"):
-            for where, payload, refusal in ((-1, np.zeros(9), message),
-                                            (0, np.zeros(9), message),
-                                            (3, np.zeros(9), message),
-                                            (3, np.zeros((8, 1)), column)):
-                episode = sample_episode(ds, EpisodeConfig(
-                    way=3, shot=2, queries=2, seed=1), 0)
-                items = getattr(episode, part)
-                items[where] = (items[where][0], payload)
-                for forward in (episode_scores, episode_forward):
-                    with pytest.raises(ValueError, match=refusal):
-                        forward(model, model.tensors(), episode, frozenset())
+        ep_cfg = EpisodeConfig(way=3, shot=2, queries=2, seed=1)
+        nine = sample_episode(blob_dataset(dim=9), ep_cfg, 0)
+        nine = Episode.from_items(nine.class_ids, nine.support, nine.queries)
+        for forward in (episode_scores, episode_forward):
+            with pytest.raises(ValueError, match=message):
+                forward(model, model.tensors(), nine, frozenset())
+        # a wrong row last, first or in the middle; an (8, 1) one holds
+        # the right entries in the wrong shape
+        for part in (0, 1):
+            for where, payload in ((-1, np.zeros(9)), (0, np.zeros(9)),
+                                   (3, np.zeros(9)), (3, np.zeros((8, 1)))):
+                episode = sample_episode(ds, ep_cfg, 0)
+                items = [episode.support, episode.queries]
+                items[part][where] = (items[part][where][0], payload)
+                with pytest.raises(DataError,
+                                   match="vector payloads have different "
+                                         "shapes"):
+                    Episode.from_items(episode.class_ids, *items)
 
-    def test_an_episode_whose_lists_were_read_scores_the_same_bytes(self):
-        """Reading ``support`` makes the lists the episode's items, which
-        the forward then reads in place of the dataset's array."""
+    @pytest.mark.parametrize("text", [False, True])
+    def test_an_episode_built_from_drawn_items_scores_the_same_bytes(
+            self, text):
+        """An episode that :meth:`Episode.from_items` builds from a drawn
+        episode's items holds them in a source of its own, and every
+        forward scores it to the drawn episode's bytes."""
+        ds = (_text_dataset(np.random.default_rng(4), 60) if text
+              else blob_dataset(num_classes=6, per_class=10))
+        ep_cfg = EpisodeConfig(way=3, shot=2, queries=3, seed=1)
+        cfg = small_cfg(encoder=EncoderConfig(
+            kind="feature_hash" if text else "precomputed", embed_dim=8,
+            vocab_buckets=32))
+        model = init_model(model_config_from(cfg, 4), seed=3)
+        tensors = model.tensors()
+        for index in range(3):
+            drawn = sample_episode(ds, ep_cfg, index)
+            built = Episode.from_items(drawn.class_ids, drawn.support,
+                                       drawn.queries)
+            assert built.source is not drawn.source
+            assert built.support_indices == list(range(6))
+            for ablation in ABLATIONS:
+                flags = frozenset(ablation.split("+")) - {"full"}
+                for forward in (episode_scores, episode_forward):
+                    (a, la), (b, lb) = (forward(model, tensors, e, flags)
+                                        for e in (drawn, built))
+                    assert la == lb == [lab for lab, _ in drawn.queries]
+                    assert a.array.tobytes() == b.array.tobytes()
+
+    def test_edits_of_the_returned_lists_change_no_score(self):
         ds = blob_dataset()
         model = init_model(model_config_from(small_cfg(), ds.num_classes),
                            seed=3)
         tensors = model.tensors()
-        ep_cfg = EpisodeConfig(way=3, shot=2, queries=3, seed=1)
-        for flags in map(frozenset, ([], ["no_dmm"], ["no_qim"])):
+        ep_cfg = EpisodeConfig(way=3, shot=2, queries=2, seed=1)
+        drawn = sample_episode(ds, ep_cfg, 2)
+        built = Episode.from_items(drawn.class_ids, drawn.support,
+                                   drawn.queries)
+        for episode in (drawn, built):
             for forward in (episode_scores, episode_forward):
-                fresh, read = (sample_episode(ds, ep_cfg, 4) for _ in "ab")
-                assert read.support and read.drawn() is None
-                assert fresh.drawn() is not None
-                (a, la), (b, lb) = (forward(model, tensors, e, flags)
-                                    for e in (fresh, read))
-                assert la == lb == [lab for lab, _ in read.queries]
-                assert a.array.tobytes() == b.array.tobytes()
+                before = forward(model, tensors, episode, frozenset())
+                episode.support.pop()
+                episode.queries[0] = (1, np.zeros(8))
+                after = forward(model, tensors, episode, frozenset())
+                assert before[1] == after[1]
+                assert (before[0].array.tobytes()
+                        == after[0].array.tobytes())
+
+    def test_a_batch_of_two_sources_is_refused(self):
+        ds = blob_dataset()
+        model = init_model(model_config_from(small_cfg(), ds.num_classes),
+                           seed=3)
+        drawn = sample_episode(ds, EpisodeConfig(way=3, shot=2, queries=2,
+                                                 seed=1), 0)
+        built = Episode.from_items(drawn.class_ids, drawn.support,
+                                   drawn.queries)
+        with pytest.raises(ValueError, match="^the episodes of a batch must "
+                                             "share one source$"):
+            harness._episode(model, model.tensors(), [drawn, built],
+                             frozenset(), False)
 
     def test_evaluate_matches_the_per_pair_path_on_fixture_episodes(self):
         model = load_checkpoint(FIXTURE)

@@ -105,10 +105,12 @@ class TestModelInit:
 
     def test_encode_vector_payload(self):
         m = init_model(small_config(), seed=1)
-        v = np.arange(8.0)
-        npt.assert_array_equal(m.encode(m.tensors(), v).array, v)
+        v = np.arange(24.0).reshape(3, 8)
+        rows, first = m.encode_vectors(v, np.array([2, 0]), [0])
+        npt.assert_array_equal(rows.array, v[[2, 0]])
+        npt.assert_array_equal(first.array, v[:1])
         with pytest.raises(ValueError):
-            m.encode(m.tensors(), np.arange(5.0))
+            m.encode_vectors(np.ones((3, 5)), [0])
 
     def test_encode_text_payload(self):
         m = init_model(small_config(kind="feature_hash"), seed=1)
