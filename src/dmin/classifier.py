@@ -50,10 +50,6 @@ class CosineClassifier:
         self.tau = nm.exp(self.log_tau)
 
     @property
-    def num_base_classes(self) -> int:
-        return self.w_base.array.shape[0]
-
-    @property
     def embed_dim(self) -> int:
         return self.w_base.array.shape[1]
 

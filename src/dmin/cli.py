@@ -30,7 +30,7 @@ from .harness import (ABLATION_SHOTS, ABLATIONS, MAX_EVAL_EPISODES,
                       TrainConfig, evaluate, meta_train, model_config_from,
                       pipeline_split, pretrain, run_ablation_suite,
                       separation_report, train_config_from_dict)
-from .model import CheckpointError, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .routing import PIPELINE_CAPSULES
 
 EXIT_OK = 0
@@ -406,13 +406,10 @@ def main(argv=None) -> int:
             return args.func(args)
     except SystemExit as err:  # argparse --help or a usage error
         return err.code if isinstance(err.code, int) else EXIT_USAGE
-    except (DataError, CheckpointError) as err:
-        print(f"dmin: data error: {err}", file=sys.stderr)
-        return EXIT_DATA
     except nm.NumericError as err:
         print(f"dmin: numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:
+    except ValueError as err:  # DataError and CheckpointError included
         print(f"dmin: data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except OSError as err:

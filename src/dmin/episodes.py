@@ -1,12 +1,11 @@
 """Datasets, base/novel splits, and C-way K-shot episode sampling.
 
-A :class:`Dataset` is an immutable list of labeled payloads (either raw
-text strings or fixed-length vectors) with dense integer class ids; a
-vector dataset keeps its vectors as one (N, d) array.  Episodes draw C
-classes and K+L items per class without replacement, and hold their
-positions in the dataset's vectors or text, so a forward reads a
-batch's vectors with one ``take``.  The order statistics come from a
-PCG64 generator seeded by
+A :class:`Dataset` holds each labeled payload once, with dense integer
+class ids: a vector dataset's payloads are one read-only (N, d) array,
+a text dataset's a list of strings.  Episodes draw C classes and K+L
+items per class without replacement, and hold their positions in the
+dataset's payloads, so a forward reads a batch's vectors with one
+``take``.  The order statistics come from a PCG64 generator seeded by
 ``SeedSequence([seed, episode_index])``, so any episode can be
 regenerated on its own, in any order, on any worker.
 
@@ -22,6 +21,7 @@ import functools
 import json
 import logging
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -43,21 +43,20 @@ class DataError(ValueError):
 class Dataset:
     """Labeled payloads with dense class ids in [0, num_classes).
 
-    A vector dataset holds its vectors once, as the read-only (N, d)
-    float64 array ``vectors``, checked when the dataset is built: finite
-    floating-point rows of one shape, given as a list or as one array.
-    Its ``payloads`` are views of those rows.  A text dataset's payloads
-    are non-blank strings.  ``by_class`` holds each class's item indices
-    in dataset order, as an int64 array.
+    A vector dataset's ``payloads`` are one read-only (N, d) float64
+    array, checked when the dataset is built: finite floating-point rows
+    of one shape, given as a list or as one array.  A text dataset's
+    payloads are a list of non-blank strings.  ``labels`` is a list of
+    ints, refused unless each is an integer in range (:func:`_label_ids`).
+    ``class_sizes`` holds each class's item count and ``by_class`` its
+    item indices in dataset order, as int64 arrays.
     """
 
-    payloads: list
+    payloads: list | np.ndarray
     labels: list
     class_names: list
-    vectors: np.ndarray | None = field(init=False, repr=False, compare=False)
+    class_sizes: np.ndarray = field(init=False, repr=False, compare=False)
     by_class: dict = field(init=False, repr=False, compare=False)
-    _eligible: dict = field(init=False, repr=False, compare=False,
-                            default_factory=dict)
 
     def __post_init__(self):
         if len(self.payloads) != len(self.labels):
@@ -65,30 +64,24 @@ class Dataset:
                 f"{len(self.payloads)} payloads but {len(self.labels)} labels")
         if not len(self.payloads):
             raise DataError("dataset is empty")
-        self.vectors = None
         if isinstance(self.payloads[0], np.ndarray):
-            self.vectors = _vector_rows(self.payloads)
-            self.payloads = list(self.vectors)
+            self.payloads = _vector_rows(self.payloads)
         else:
             for i, p in enumerate(self.payloads):
                 if not isinstance(p, str) or not p.strip():
                     raise DataError(f"text payload {i} is " + (
                         "blank" if isinstance(p, str)
                         else f"of type {type(p).__name__}, not str"))
-        labels = np.asarray(self.labels)
-        if labels.dtype.kind not in "iu":
-            labels = np.array([int(c) for c in self.labels])
-        self.labels, n_classes = labels.tolist(), len(self.class_names)
-        bad = labels[(labels < 0) | (labels >= n_classes)].tolist()
-        if bad:
-            raise DataError(
-                f"label {bad[0]} out of range for {n_classes} classes")
-        sizes = np.bincount(labels, minlength=n_classes)
-        for c in np.flatnonzero(sizes == 0).tolist()[:1]:
+        n_classes = len(self.class_names)
+        labels = _label_ids(self.labels, n_classes, DataError)
+        self.labels = labels.tolist()
+        self.class_sizes = np.bincount(labels, minlength=n_classes)
+        for c in np.flatnonzero(self.class_sizes == 0).tolist()[:1]:
             raise DataError(
                 f"class {c} ({self.class_names[c]!r}) has no items")
         self.by_class = dict(enumerate(np.split(
-            np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])))
+            np.argsort(labels, kind="stable"),
+            np.cumsum(self.class_sizes)[:-1])))
 
     @property
     def num_classes(self) -> int:
@@ -101,23 +94,36 @@ class Dataset:
     @property
     def dim(self):
         """Vector dimension, or None for text payloads."""
-        return None if self.vectors is None else self.vectors.shape[1]
-
-    @property
-    def source(self):
-        """``vectors``, or the text payloads: what an index reads."""
-        return self.payloads if self.vectors is None else self.vectors
+        return (self.payloads.shape[1]
+                if isinstance(self.payloads, np.ndarray) else None)
 
     def eligible_classes(self, min_items: int) -> np.ndarray:
-        """Ids of the classes with at least ``min_items`` items, ascending,
-        as a read-only array kept per ``min_items``: every episode drawn
-        from the dataset asks for it."""
-        if min_items not in self._eligible:
-            ids = np.flatnonzero([len(idx) >= min_items
-                                  for idx in self.by_class.values()])
-            ids.flags.writeable = False
-            self._eligible[min_items] = ids
-        return self._eligible[min_items]
+        """Ids of the classes with at least ``min_items`` items, ascending."""
+        return (self.class_sizes >= min_items).nonzero()[0]
+
+
+def _label_ids(labels, num_classes: int, error=ValueError) -> np.ndarray:
+    """``labels`` as an int64 array in [0, num_classes).  The first label
+    that is not an integer (a bool is not one) or is out of range is
+    refused with a one-line ``error``."""
+    ids = np.asarray(labels)
+    if (ids.dtype.kind not in "iu" or ids.ndim != 1
+            or not isinstance(labels, np.ndarray)
+            and not {bool, np.bool_}.isdisjoint(map(type, labels))):
+        # numpy reads a float label or a bool as a number: check each one
+        items = (labels.tolist() if isinstance(labels, np.ndarray)
+                 else list(labels))
+        for x in items:
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise error(f"label {x!r} is not an integer")
+            if not 0 <= x < num_classes:
+                raise error(f"label {x} out of range for {num_classes} "
+                            f"classes")
+        return np.array(items, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= num_classes)].tolist()
+    if bad:
+        raise error(f"label {bad[0]} out of range for {num_classes} classes")
+    return ids.astype(np.int64, copy=False)
 
 
 def _vector_rows(payloads) -> np.ndarray:
@@ -165,10 +171,11 @@ class Episode:
     """One C-way K-shot task with episode-local labels in [0, C).
 
     Its items are positions in one ``source``, read-only (N, d) vectors or
-    a list of text lines: row c of the (C, K) ``support_at`` holds local
-    class c's supports, and the (Q,) ``query_at`` the queries, whose
-    labels are ``labels``.  :func:`sample_episode` draws them from a
-    dataset, :meth:`from_items` builds them from (label, payload) lists.
+    a list of text lines (a dataset's ``payloads``, or those it was built
+    from): row c of the (C, K) ``support_at`` holds local class c's
+    supports, and the (Q,) ``query_at`` the queries, whose labels are
+    ``labels``.  :func:`sample_episode` draws them from a dataset,
+    :meth:`from_items` builds them from (label, payload) lists.
     ``support`` and ``queries`` list (label, payload) items, and
     ``support_indices`` and ``query_indices`` the positions, made anew on
     each read, so no edit of one reaches a forward.
@@ -183,16 +190,13 @@ class Episode:
     def from_items(cls, class_ids, support, queries) -> "Episode":
         """An episode of the (local label, payload) items ``support`` and
         ``queries``, refused with a one-line :class:`ValueError` unless
-        every label is in [0, C), every class has the same number of
-        supports, at least one, and there is a query.  Vector payloads
+        every label is an integer in [0, C), every class has the same
+        number of supports, at least one, and there is a query.  Vector payloads
         become one checked read-only array (:func:`_vector_rows`); text
         stays a list."""
         way, parts = len(class_ids), (list(support), list(queries))
-        labels = np.array([lab for part in parts for lab, _ in part],
-                          np.int64)
-        bad, shots = labels[(labels < 0) | (labels >= way)], len(parts[0])
-        if len(bad):
-            raise ValueError(f"label {bad[0]} out of range for {way} classes")
+        labels = _label_ids([lab for part in parts for lab, _ in part], way)
+        shots = len(parts[0])
         if shots == len(labels):
             raise ValueError("an episode needs at least one query")
         counts = np.bincount(labels[:shots], minlength=way)
@@ -246,7 +250,7 @@ def sample_episode(dataset: Dataset, cfg: EpisodeConfig,
     pools = [dataset.by_class[c] for c in classes]
     picks = np.array([pool[rng.choice(len(pool), size=need, replace=False)]
                       for pool in pools])
-    return Episode(classes, dataset.source, picks[:, :cfg.shot],
+    return Episode(classes, dataset.payloads, picks[:, :cfg.shot],
                    picks[:, cfg.shot:].reshape(-1),
                    _query_labels(cfg.way, cfg.queries))
 
@@ -405,8 +409,7 @@ def gen_synthetic(num_classes: int, per_class: int, dim: int,
             f"give vectors of zero norm, which no cosine can score")
     names = [f"class_{c:02d}" for c in range(num_classes)]
     return Dataset(payloads=rows,
-                   labels=[c for c in range(num_classes)
-                           for _ in range(per_class)],
+                   labels=np.repeat(np.arange(num_classes), per_class),
                    class_names=names)
 
 
@@ -420,10 +423,10 @@ def subset_by_classes(dataset: Dataset, class_ids: Sequence[int]) -> Dataset:
     remap[keep] = np.arange(len(keep))
     labels = remap[dataset.labels]
     rows = np.flatnonzero(labels >= 0)
-    return Dataset(payloads=(dataset.vectors.take(rows, axis=0)
-                             if dataset.vectors is not None else
+    return Dataset(payloads=(dataset.payloads.take(rows, axis=0)
+                             if dataset.dim is not None else
                              [dataset.payloads[i] for i in rows.tolist()]),
-                   labels=labels[rows].tolist(),
+                   labels=labels[rows],
                    class_names=[dataset.class_names[c] for c in keep])
 
 

@@ -365,7 +365,7 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
         tensors = model.tensors(tape)
         clf = model.classifier(tensors)
         scores = base_scores(clf, _encode(
-            model, tensors, base_dataset.source, (batch,), False)[0][0])
+            model, tensors, base_dataset.payloads, (batch,), False)[0][0])
         loss = loss_supervised(scores,
                                [base_dataset.labels[int(i)] for i in batch])
         grads = nm.backward(tape, loss)
@@ -381,7 +381,7 @@ def pretrain(base_dataset: Dataset, cfg: TrainConfig,
 def _train_accuracy(model: Model, dataset: Dataset) -> float:
     tensors = model.tensors()
     scores = base_scores(model.classifier(tensors), _encode(
-        model, tensors, dataset.source, (np.arange(dataset.num_items),),
+        model, tensors, dataset.payloads, (np.arange(dataset.num_items),),
         False)[0][0])
     hits = np.count_nonzero(scores.array.argmax(axis=1) == dataset.labels)
     return hits / dataset.num_items

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -20,6 +21,16 @@ def normalize_dot_oracle(w, e, tau):
     e = np.asarray(e, dtype=float)
     wn = w / np.linalg.norm(w, axis=1, keepdims=True)
     return tau * (wn @ (e / np.linalg.norm(e)))
+
+
+def test_classifier_refuses_arrays_of_the_wrong_rank():
+    with pytest.raises(ValueError,
+                       match=r"^w_base must be rank-2, got shape \(4,\)$"):
+        CosineClassifier(nm.constant(np.ones(4)), nm.constant(np.array(0.0)))
+    with pytest.raises(ValueError,
+                       match=r"^log_tau must be a scalar, got shape \(1,\)$"):
+        CosineClassifier(nm.constant(np.ones((2, 4))),
+                         nm.constant(np.zeros(1)))
 
 
 class TestBaseScores:
@@ -203,6 +214,14 @@ class TestLossEpisode:
         scores, labels = nm.constant(np.eye(3) * 60.0), [0, 1, 2]
         assert loss_episode(scores, labels).item() == pytest.approx(0.0,
                                                                     abs=1e-15)
+
+    @pytest.mark.parametrize("shape, labels", [
+        ((3, 2), [0, 1]), ((2, 2), [0, 1, 1]), ((2,), [0, 1])])
+    def test_scores_and_labels_must_agree(self, shape, labels):
+        with pytest.raises(ValueError, match=(
+                rf"^scores of shape {re.escape(str(shape))} but "
+                rf"{len(labels)} labels$")):
+            loss_episode(nm.constant(np.zeros(shape)), labels)
 
     def test_uniform_predictions_give_log_c(self):
         scores = nm.constant(np.zeros((10, 5)))

@@ -220,6 +220,20 @@ def test_separation_writes_csv(tmp_path, trained_path, data_path):
     assert len(lines) == 1 + 2 * 3 * 2  # header + before/after x way x shot
 
 
+def test_separation_on_one_class_is_data_error(tmp_path, trained_path,
+                                               data_path, capsys):
+    one = tmp_path / "one.jsonl"
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    one.write_text(_jsonl_one_class(None, lines), encoding="utf-8")
+    out = tmp_path / "vectors.csv"
+    capsys.readouterr()
+    rc = cli.main(["separation", "--model", str(trained_path),
+                   "--data", str(one), "--out-csv", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "dmin: data error: separation report needs at least 2 classes\n")
+
+
 def test_ablate_writes_five_row_table(tmp_path, data_path):
     cfg = {"stage1": {"steps": 10, "batch_size": 8},
            "stage2": {"episodes": 2, "C": 3, "K": 1, "L": 2},
@@ -375,6 +389,14 @@ def _ckpt_with_shape(shape):
     return make
 
 
+def _ckpt_with_param(name, entry):
+    """The checkpoint with array entry ``name`` set to ``entry``."""
+    def make(body, lines):
+        return _resealed(
+            {**body, "params": {**body["params"], name: entry}})
+    return make
+
+
 def _ckpt_config_with(dotted, value):
     """The checkpoint with config field ``dotted`` set to ``value``."""
     def make(body, lines):
@@ -415,6 +437,15 @@ def _jsonl_dim(dim):
     return make
 
 
+def _jsonl_without(key):
+    """The data file with ``key`` dropped from its third record."""
+    def make(body, lines):
+        record = json.loads(lines[2])
+        del record[key]
+        return "\n".join([*lines[:2], json.dumps(record), *lines[3:]]) + "\n"
+    return make
+
+
 def _jsonl_one_class(body, lines):
     """The data file cut to the records of its first record's label."""
     label = json.loads(lines[0])["label"]
@@ -439,6 +470,8 @@ EVAL = ["eval", "--model", BAD, "--data", DATA, "--episodes", "1",
         "--out", OUT]
 EVAL_CONFIG = ["eval", "--config", BAD, "--model", MODEL, "--data", DATA,
                "--episodes", "1", "--out", OUT]
+EVAL_DATA = ["eval", "--model", MODEL, "--data", BAD, "--episodes", "1",
+             "--out", OUT]
 PRETRAIN_CONFIG = ["pretrain", "--config", BAD, "--data", DATA, "--out", OUT]
 METATRAIN_CONFIG = ["metatrain", "--config", BAD, "--model", MODEL,
                     "--data", DATA, "--out", OUT]
@@ -456,7 +489,8 @@ TINY_ABLATION = {"stage1": {"steps": 1, "batch_size": 4},
 # (case, file suffix, file maker, argv, substrings stderr must hold besides
 # the file's name: the dotted key of a bad config or checkpoint field)
 MALFORMED = [
-    ("ckpt_no_config", ".ckpt", _ckpt_without("config"), EVAL, ["config"]),
+    ("ckpt_no_config", ".ckpt", _ckpt_without("config"), EVAL,
+     ["config must be an object"]),
     ("ckpt_no_params", ".ckpt", _ckpt_without("params"), EVAL, ["'params'"]),
     ("ckpt_params_not_object", ".ckpt", _ckpt_with("params", "x"), EVAL,
      ["'params'"]),
@@ -465,6 +499,16 @@ MALFORMED = [
       "--shot", "1", "--out-csv", OUT], ["'meta'"]),
     ("ckpt_float_shape", ".ckpt", _ckpt_with_shape([1.0]), EVAL,
      ["'clf.log_tau'"]),
+    ("ckpt_not_an_object", ".ckpt", _text("[1, 2]"), EVAL,
+     ["not a checkpoint file"]),
+    ("ckpt_entry_without_data", ".ckpt",
+     _ckpt_with_param("clf.log_tau", {"shape": []}), EVAL,
+     ["bad array entry 'clf.log_tau'"]),
+    ("ckpt_shape_beyond_values", ".ckpt", _ckpt_with_shape([2]), EVAL,
+     ["array 'clf.log_tau' has 1 values, shape (2,) needs 2"]),
+    ("ckpt_unexpected_parameter", ".ckpt",
+     _ckpt_with_param("clf.extra", {"shape": [], "data": "AAAAAAAAAAA="}),
+     EVAL, ["unexpected parameters ['clf.extra']"]),
     ("ckpt_float_embed_dim", ".ckpt", _ckpt_config_with("embed_dim", 8.0),
      EVAL, ["config field embed_dim must be an integer"]),
     ("ckpt_float_num_base_classes", ".ckpt",
@@ -536,6 +580,12 @@ MALFORMED = [
     ("config_infinity_lr", ".json",
      _config({"stage1": {"learning_rate": float("inf")}}), PRETRAIN_CONFIG,
      ["stage1.learning_rate"]),
+    ("config_zero_stage1_lr", ".json",
+     _config({"stage1": {"learning_rate": 0.0}}), PRETRAIN_CONFIG,
+     ["stage1.learning_rate must be > 0, got 0.0"]),
+    ("config_negative_stage2_lr", ".json",
+     _config({"stage2": {**ONE_EPISODE, "learning_rate": -0.001}}),
+     METATRAIN_CONFIG, ["stage2.learning_rate must be > 0, got -0.001"]),
     ("config_bool_routing", ".json",
      _config({"routing": {"dmm": ROUTING_BOOL, "qim": ROUTING_BOOL}}),
      PRETRAIN_CONFIG, ["routing.dmm.capsule_count"]),
@@ -579,6 +629,13 @@ MALFORMED = [
       "--out", OUT], []),
     ("jsonl_huge_int", ".jsonl", _jsonl_with("1" + "0" * 400),
      ["pretrain", "--data", BAD, "--out", OUT], []),
+    ("jsonl_record_without_vector", ".jsonl", _jsonl_without("vector"),
+     ["pretrain", "--data", BAD, "--out", OUT],
+     ["line 3: expected keys 'label' and 'vector'"]),
+    ("jsonl_record_without_label", ".jsonl", _jsonl_without("label"),
+     EVAL_DATA, ["line 3: expected keys 'label' and 'vector'"]),
+    ("jsonl_blank_lines_only", ".jsonl", _text("\n   \n\n"), EVAL_DATA,
+     [": no records"]),
     ("jsonl_zero_vector", ".jsonl", _jsonl_zero_vector,
      ["pretrain", "--data", BAD, "--out", OUT], ["line 3", "zero norm"]),
     # unset routing takes 4 capsules of at least 2 coordinates each

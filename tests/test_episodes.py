@@ -98,6 +98,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_episode(toy_dataset(), EpisodeConfig(), -1)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_beyond_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be a 64-bit "
+                                             rf"unsigned int, got {seed}$"):
+            EpisodeConfig(seed=seed)
+
 
 class TestFromItems:
     """``Episode.from_items`` refuses a malformed episode when it is
@@ -118,6 +124,9 @@ class TestFromItems:
         ([0, 1, 2], [], "^an episode needs at least one query$"),
         ([0, 1, 2, 2], [0], r"^an episode needs the same number of shots "
                             r"in every class, got \[1, 1, 2\]$"),
+        ([0, 1.7, 2], [0], r"^label 1.7 is not an integer$"),
+        ([0, 1, 2], [0.2], r"^label 0.2 is not an integer$"),
+        ([True, 1, 2], [0], r"^label True is not an integer$"),
     ])
     def test_a_malformed_episode_is_refused(self, support, queries,
                                             message):
@@ -126,6 +135,21 @@ class TestFromItems:
                     if text else self.items)
             with pytest.raises(ValueError, match=message):
                 Episode.from_items((7, 8, 9), make(support), make(queries))
+
+    def test_a_label_is_an_integer_of_any_dtype(self):
+        with pytest.raises(ValueError,
+                           match=r"^label 1.7 is not an integer$") as err:
+            Episode.from_items((0, 1), [(0, "a"), (1.7, "b")], [(0.2, "c")])
+        assert type(err.value) is ValueError
+        # no label at all is not a float label
+        with pytest.raises(ValueError,
+                           match="^an episode needs at least one query$"):
+            Episode.from_items((0, 1), [], [])
+        ep = Episode.from_items((0, 1), [(np.int32(1), "b"),
+                                         (np.uint8(0), "a")],
+                                [(np.uint64(1), "c")])
+        assert ep.support == [(0, "a"), (1, "b")]
+        assert ep.labels == (1,) and type(ep.labels[0]) is int
 
     def test_supports_are_held_by_class(self):
         support, queries = self.items([1, 0, 2, 0, 1, 2]), self.items([2, 0])
@@ -200,6 +224,17 @@ class TestTsv:
         with pytest.raises(DataError, match="line 2"):
             load_tsv(p)
 
+    def test_blank_line_skipped(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_text("a\tone\n\nb\ttwo\n", encoding="utf-8")
+        ds = load_tsv(p)
+        assert ds.payloads == ["one", "two"] and ds.labels == [0, 1]
+
+    def test_save_tsv_refuses_vectors(self, tmp_path):
+        with pytest.raises(DataError, match="^save_tsv needs text payloads$"):
+            save_tsv(toy_dataset(), tmp_path / "d.tsv")
+        assert not (tmp_path / "d.tsv").exists()
+
     def test_duplicate_texts_kept(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("a\tsame\na\tsame\n", encoding="utf-8")
@@ -267,6 +302,31 @@ class TestJsonl:
             ds = load_jsonl_vectors(p)
         assert ds.num_items == 2
         assert any("2 blank" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("record", [
+        {"label": "a"}, {"vector": [1.0, 2.0]}, [1.0, 2.0]])
+    def test_record_without_label_or_vector_names_line(self, tmp_path,
+                                                       record):
+        p = self.write(tmp_path, [
+            json.dumps({"label": "a", "vector": [1.0, 2.0]}),
+            json.dumps(record)])
+        with pytest.raises(DataError) as err:
+            load_jsonl_vectors(p)
+        assert str(err.value) == (f"{p}: line 2: expected keys 'label' "
+                                  f"and 'vector'")
+
+    def test_blank_lines_only_is_no_records(self, tmp_path):
+        p = self.write(tmp_path, ["", "   ", ""])
+        with pytest.raises(DataError) as err:
+            load_jsonl_vectors(p)
+        assert str(err.value) == f"{p}: no records"
+
+    def test_save_refuses_text(self, tmp_path):
+        ds = Dataset(payloads=["a b"], labels=[0], class_names=["x"])
+        with pytest.raises(DataError,
+                           match="^save_jsonl_vectors needs vector payloads$"):
+            save_jsonl_vectors(ds, tmp_path / "d.jsonl")
+        assert not (tmp_path / "d.jsonl").exists()
 
     def test_invalid_json_names_line(self, tmp_path):
         p = self.write(tmp_path, ["{not json"])
@@ -367,6 +427,13 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_base_novel(ds, 5)
 
+    @pytest.mark.parametrize("class_id", [6, -1])
+    def test_subset_refuses_an_unknown_class(self, class_id):
+        ds = toy_dataset(num_classes=6, per_class=3)
+        with pytest.raises(ValueError,
+                           match=rf"^class id {class_id} out of range$"):
+            subset_by_classes(ds, [0, class_id])
+
     def test_subset_relabels_densely(self):
         ds = toy_dataset(num_classes=6, per_class=3)
         sub = subset_by_classes(ds, [4, 1])
@@ -388,6 +455,48 @@ class TestDatasetValidation:
     def test_rejects_out_of_range_label(self):
         with pytest.raises(DataError):
             Dataset(payloads=["x"], labels=[2], class_names=["a"])
+
+    @pytest.mark.parametrize("payloads, labels", [
+        (["a b", "c d"], [0]), (["a b"], [0, 0]),
+        (np.ones((3, 2)), [0, 0])])
+    def test_rejects_payload_and_label_counts_that_differ(self, payloads,
+                                                          labels):
+        with pytest.raises(DataError, match=rf"^{len(payloads)} payloads "
+                                            rf"but {len(labels)} labels$"):
+            Dataset(payloads=payloads, labels=labels, class_names=["a"])
+
+    # numpy reads a float or a bool as a number, and int() truncates one
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1.7], "label 1.7 is not an integer"),
+        ([0, 1.0], "label 1.0 is not an integer"),
+        ([True, False], "label True is not an integer"),
+        ([1, True], "label True is not an integer"),
+        ([np.int64(1), np.True_], "label np.True_ is not an integer"),
+        (np.array([0.0, 1.0]), "label 0.0 is not an integer"),
+        (np.array([True, False]), "label True is not an integer"),
+        (["0", "1"], "label '0' is not an integer"),
+        ([0, None], "label None is not an integer"),
+        ([[0], [1]], r"label \[0\] is not an integer"),
+        ([2 ** 70, 0.5], f"label {2 ** 70} out of range for 2 classes"),
+    ])
+    def test_rejects_a_label_that_is_not_an_integer(self, labels, message):
+        for payloads in (["a b", "c d"], np.ones((2, 3))):
+            with pytest.raises(DataError, match=f"^{message}$"):
+                Dataset(payloads=payloads, labels=labels,
+                        class_names=["x", "y"])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64,
+                                       np.uint8, np.uint64])
+    def test_labels_of_any_integer_dtype(self, dtype):
+        for labels in (np.array([1, 0, 1], dtype),
+                       [dtype(1), 0, np.int64(1)]):
+            ds = Dataset(payloads=["a b", "c d", "e f"], labels=labels,
+                         class_names=["x", "y"])
+            assert ds.labels == [1, 0, 1]
+            assert all(type(c) is int for c in ds.labels)
+            npt.assert_array_equal(ds.class_sizes, [1, 2])
+            npt.assert_array_equal(ds.by_class[1], [0, 2])
+            npt.assert_array_equal(ds.eligible_classes(2), [1])
 
     # each malformed vector set is refused with one line, which the CLI
     # prints before exiting 2
@@ -419,12 +528,14 @@ class TestDatasetValidation:
     def test_vectors_are_held_once_and_read_only(self):
         rows = [np.full(4, float(i)) for i in range(6)]
         ds = Dataset(payloads=rows, labels=[0, 1] * 3, class_names=["a", "b"])
-        assert ds.vectors.shape == (6, 4) and ds.dim == 4
-        assert ds.vectors.flags.c_contiguous and not ds.vectors.flags.writeable
-        assert all(p.base is ds.vectors for p in ds.payloads)
+        assert isinstance(ds.payloads, np.ndarray)
+        assert ds.payloads.shape == (6, 4) and ds.dim == 4
+        assert ds.payloads.dtype == np.float64
+        assert (ds.payloads.flags.c_contiguous
+                and not ds.payloads.flags.writeable)
         rows[0][0] = 7.0  # the dataset keeps a copy of its own
         assert ds.payloads[0][0] == 0.0
         npt.assert_array_equal(ds.by_class[1], [1, 3, 5])
         sub = subset_by_classes(ds, [1])
-        npt.assert_array_equal(sub.vectors, ds.vectors[[1, 3, 5]])
-        assert all(p.base is sub.vectors for p in sub.payloads)
+        assert not sub.payloads.flags.writeable
+        npt.assert_array_equal(sub.payloads, ds.payloads[[1, 3, 5]])

@@ -76,6 +76,16 @@ class TestTrainConfig:
         assert cfg.stage1.learning_rate == 1e-3
         assert cfg.eval.episodes == 100
 
+    @pytest.mark.parametrize("stage, rate", [
+        ("stage1", 0.0), ("stage1", -1e-3), ("stage2", 0.0),
+        ("stage2", -2.5)])
+    def test_learning_rate_must_be_positive(self, stage, rate):
+        stages = {"stage1": Stage1Config(learning_rate=rate),
+                  "stage2": Stage2Config(learning_rate=rate)}
+        with pytest.raises(ValueError, match=rf"^{stage}.learning_rate must "
+                                             rf"be > 0, got {rate}$"):
+            small_cfg(**{stage: stages[stage]})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(DataError,
                            match=r"config has unknown fields \['stage3'\]"):
@@ -306,7 +316,7 @@ class TestPretrain:
         clf = model.classifier(tensors)
         from dmin.classifier import loss_supervised
         losses = [loss_supervised(base_scores(
-            clf, model.encode_vectors(ds.vectors, [i])[0]), [lab]).item()
+            clf, model.encode_vectors(ds.payloads, [i])[0]), [lab]).item()
             for i, lab in enumerate(ds.labels[:20])]
         npt.assert_allclose(losses, math.log(5.0), atol=1e-12)
 
@@ -1075,6 +1085,13 @@ class TestSeparation:
         assert len(lines) == 1 + 2 * 12
         assert lines[1].startswith("before,")
         assert lines[13].startswith("after,")
+
+    def test_one_class_is_refused(self):
+        ds = blob_dataset(num_classes=1, per_class=8)
+        model = init_model(model_config_from(small_cfg(), 4), seed=1)
+        with pytest.raises(DataError, match="^separation report needs at "
+                                            "least 2 classes$"):
+            separation_report(model, ds, way=3, shot=2)
 
     def test_untrained_model_warns(self, caplog):
         ds = blob_dataset(num_classes=4, per_class=8)

@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -111,6 +112,22 @@ class TestModelInit:
         npt.assert_array_equal(first.array, v[:1])
         with pytest.raises(ValueError):
             m.encode_vectors(np.ones((3, 5)), [0])
+
+    def test_config_refusals_name_the_field(self):
+        enc = EncoderConfig(kind="precomputed", embed_dim=8)
+        r8 = RoutingConfig.for_pipeline(8, capsule_count=2)
+        r6 = RoutingConfig.for_pipeline(6, capsule_count=2)
+        narrow = RoutingConfig(input_dim=8, capsule_count=2, capsule_dim=3)
+        for kwargs, message in (
+                ({"qim": r6}, "qim.input_dim 6 != embed_dim 8"),
+                ({"dmm": narrow}, "dmm output dimension 6 != embed_dim 8"),
+                ({"qim": narrow}, "qim output dimension 6 != embed_dim 8"),
+                ({"num_base_classes": 0},
+                 "num_base_classes must be >= 1, got 0")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ModelConfig(**{"embed_dim": 8, "num_base_classes": 3,
+                               "encoder": enc, "dmm": r8, "qim": r8,
+                               **kwargs})
 
     def test_encode_text_payload(self):
         m = init_model(small_config(kind="feature_hash"), seed=1)
@@ -580,10 +597,12 @@ class TestCheckpoint:
         p = tmp_path / "model.ckpt"
         save_checkpoint(m, p)
         raw = bytearray(p.read_bytes())
-        i = raw.index(b'"data":"'[0:7]) + 20
+        # a character inside the first array's base64, which stays valid
+        i = raw.index(b'"data":"') + len(b'"data":"') + 2
         raw[i] = ord("A") if raw[i] != ord("A") else ord("B")
         p.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="checksum"):
+        with pytest.raises(CheckpointError,
+                           match=r"checksum mismatch \(file corrupt\)"):
             load_checkpoint(p)
 
     def test_unknown_version_rejected(self, tmp_path):
@@ -594,7 +613,8 @@ class TestCheckpoint:
         body = json.loads(p.read_text())
         body["format_version"] = 99
         p.write_text(json.dumps(body))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError,
+                           match="format version 99 not supported"):
             load_checkpoint(p)
 
     def test_dimension_mismatch_names_both_shapes(self, tmp_path):
@@ -616,6 +636,47 @@ class TestCheckpoint:
         body["checksum"] = hashlib.sha256(json.dumps(
             body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
         path.write_text(json.dumps(body))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"params": {}}', "3"])
+    def test_json_that_is_not_a_checkpoint_is_refused(self, tmp_path, text):
+        p = tmp_path / "model.ckpt"
+        p.write_text(text)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(p)
+        assert str(err.value) == f"{p}: not a checkpoint file"
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"shape": []}, "bad array entry 'clf.log_tau': 'data'"),
+        ({"data": "AAAAAAAAAAA="}, "bad array entry 'clf.log_tau': 'shape'"),
+        ({"shape": [], "data": "not base64!"},
+         "bad array entry 'clf.log_tau': .*"),
+        ({"shape": 3, "data": "AAAAAAAAAAA="},
+         "bad array entry 'clf.log_tau': 'int' object is not iterable"),
+        ({"shape": [2], "data": "AAAAAAAAAAA="},
+         r"array 'clf.log_tau' has 1 values, shape \(2,\) needs 2"),
+    ])
+    def test_malformed_array_entry_is_named(self, tmp_path, entry, message):
+        m = init_model(small_config(), seed=9)
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(m, p)
+        self._resave(p, lambda body: body["params"].update(
+            {"clf.log_tau": entry}))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(p)
+        assert "\n" not in str(err.value)
+        assert re.fullmatch(f"{re.escape(str(p))}: {message}", str(err.value))
+
+    def test_unexpected_parameter_rejected(self, tmp_path):
+        m = init_model(small_config(), seed=9)
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(m, p)
+        extra = {"shape": [], "data": "AAAAAAAAAAA="}
+        self._resave(p, lambda body: body["params"].update(
+            {"clf.extra": extra, "dmm.w_2": extra}))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(p)
+        assert str(err.value) == (f"{p}: unexpected parameters "
+                                  f"['clf.extra', 'dmm.w_2']")
 
     def test_missing_parameter_rejected(self, tmp_path):
         m = init_model(small_config(), seed=9)

@@ -807,6 +807,18 @@ def test_each_pair_of_a_routed_batch_has_the_bits_it_has_alone(
     same_bits(g_q, _sum_in_order(g_qs, q.shape))
 
 
+def test_row_ops_refuse_a_scalar_and_stack_rows_checks_its_rows():
+    for op in (nm.squash, nm.softmax):
+        with pytest.raises(ValueError, match=rf"^{op.__name__}: expected "
+                                             rf"rows, got shape \(\)$"):
+            op(c(np.array(1.0)))
+    with pytest.raises(ValueError, match="^stack_rows: empty input$"):
+        nm.stack_rows([])
+    with pytest.raises(ValueError,
+                       match="^stack_rows: inputs have differing shapes$"):
+        nm.stack_rows([c(np.ones(3)), c(np.ones(4))])
+
+
 def test_route_refuses_leading_axes_that_do_not_broadcast():
     m, q = c(np.full((3, 4, 2, 3), 0.1)), c(np.full((2, 2, 3), 0.1))
     with pytest.raises(ValueError, match="leading axes that broadcast"):

@@ -45,6 +45,16 @@ class TestConfig:
             RoutingConfig(input_dim=0)
 
 
+def test_identity_blocks_need_equal_input_and_output_dims():
+    cfg = RoutingConfig(input_dim=8, capsule_count=2, capsule_dim=3)
+    with pytest.raises(ValueError, match="^identity_blocks needs output_dim "
+                                         "== input_dim, got 6 != 8$"):
+        init_routing_arrays(cfg, np.random.default_rng(0),
+                            identity_blocks=True)
+    arrays = init_routing_arrays(cfg, np.random.default_rng(0))
+    assert arrays["w"].shape == (6, 8)
+
+
 class TestDmrBasics:
     def test_zero_params_zero_output(self):
         cfg = RoutingConfig(input_dim=5, capsule_count=2, capsule_dim=3,
