@@ -146,6 +146,13 @@ def _check_way(source, dataset: Dataset, way, shot, queries,
             f"{said(q_name, q, 'queries')}), {pool} has {have}")
 
 
+def _check_classes(path, dataset: Dataset, what: str) -> None:
+    """Refuse a data file of fewer than the 2 classes ``what`` needs."""
+    if dataset.num_classes < 2:
+        raise DataError(f"{path}: {what} needs at least 2 classes, got "
+                        f"{dataset.num_classes}")
+
+
 def _flag(args, flag: str):
     """The parsed value of ``flag``, such as ``--per-class``."""
     return getattr(args, flag.lstrip("-").replace("-", "_"))
@@ -170,9 +177,7 @@ def _check_out(args, out: str, *inputs: str) -> None:
 def _cmd_pretrain(args) -> int:
     _check_out(args, "--out", "--data")
     dataset = load_dataset(args.data)
-    if dataset.num_classes < 2:  # the loss over one class is always 0
-        raise DataError(f"{args.data}: pretraining needs at least 2 "
-                        f"classes, got {dataset.num_classes}")
+    _check_classes(args.data, dataset, "pretraining")  # 1 class: loss 0
     cfg = _config_for(args.config, dataset, args.data)
     result = pretrain(dataset, cfg)
     save_checkpoint(result.model, args.out)
@@ -248,9 +253,7 @@ def _cmd_synth(args) -> int:
 def _cmd_ablate(args) -> int:
     _check_out(args, "--out", "--data")
     dataset = load_dataset(args.data)
-    if dataset.num_classes < 2:
-        raise DataError(f"{args.data}: the base/novel split needs at least "
-                        f"2 classes, got {dataset.num_classes}")
+    _check_classes(args.data, dataset, "the base/novel split")
     cfg = _config_for(args.config, dataset, args.data)
     if cfg.num_base is not None and cfg.num_base >= dataset.num_classes:
         raise DataError(
@@ -279,6 +282,7 @@ def _cmd_separation(args) -> int:
     _check_out(args, "--out-csv", "--data", "--model")
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
+    _check_classes(args.data, dataset, "separation report")
     _check_way(None, dataset, (min(args.way, dataset.num_classes), "--way"),
                (args.shot, "--shot"), (1, ""))  # the report draws 1 query
     rep = separation_report(model, dataset, way=args.way, shot=args.shot,

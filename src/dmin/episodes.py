@@ -39,7 +39,7 @@ class DataError(ValueError):
     """Malformed input data (bad file, bad record, unusable dataset)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Labeled payloads with dense class ids in [0, num_classes).
 
@@ -49,14 +49,16 @@ class Dataset:
     payloads are a list of non-blank strings.  ``labels`` is a list of
     ints, refused unless each is an integer in range (:func:`_label_ids`).
     ``class_sizes`` holds each class's item count and ``by_class`` its
-    item indices in dataset order, as int64 arrays.
+    item indices in dataset order, as int64 arrays.  Two datasets compare
+    equal only when they are one object: a field-wise ``==`` would ask
+    numpy for the truth of an array.
     """
 
     payloads: list | np.ndarray
     labels: list
     class_names: list
-    class_sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    by_class: dict = field(init=False, repr=False, compare=False)
+    class_sizes: np.ndarray = field(init=False, repr=False)
+    by_class: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.payloads) != len(self.labels):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -466,10 +467,10 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(
                 f"{path}: array {name!r} has a bad shape {list(shape)}")
         arr = np.frombuffer(raw, dtype="<f8")
-        if arr.size != int(np.prod(shape, dtype=np.int64)):
+        if arr.size != math.prod(shape):  # exact, where int64 would wrap
             raise CheckpointError(
                 f"{path}: array {name!r} has {arr.size} values, shape "
-                f"{shape} needs {int(np.prod(shape, dtype=np.int64))}")
+                f"{shape} needs {math.prod(shape)}")
         if not nm._finite(arr):
             raise CheckpointError(
                 f"{path}: array {name!r} has a non-finite entry")

@@ -66,12 +66,14 @@ Conventions:
 - a VJP closes over arrays, never over Tensors: their tape link would make
   a cycle that keeps the whole tape alive until a gc pass,
 - a VJP returns one dense gradient per input, except :func:`embed`, whose
-  weight gradient is a column block: the tuple of the column indices and
-  a (rows, k) block, zero elsewhere.  :func:`backward` keeps every
-  adjoint dense and adds a block into its columns in place; it writes in
-  place only into an adjoint array it allocated itself, never into one a
-  VJP returned, since those may alias (``add`` returns one array for both
-  inputs, ``stack_rows`` and ``reshape`` return views),
+  weight gradient is a column block ``(ids, vals, g, y)``: the (rows, k)
+  block ``np.outer(g * (1 - y*y), vals)`` at the columns ``ids``, zero
+  elsewhere.  :func:`backward` keeps every adjoint dense.  It holds an
+  adjoint's blocks until the adjoint is read, then builds them with one
+  product and adds them with one ``np.add.at`` into a zeroed or copied
+  array, never into one a VJP returned, since those may alias (``add``
+  returns one array for both inputs, ``stack_rows`` and ``reshape``
+  return views),
 - norm and variance denominators are guarded by ``EPS = 1e-12``: squash maps
   (near-)zero rows to zero, and cosine and pccs of a (near-)zero or constant
   row are 0, with zero gradient.
@@ -364,7 +366,7 @@ def embed(w: Tensor, ids, vals) -> Tensor:
     :class:`NumericError`.  The VJP is tanh's, ``g * (1 - y*y)`` of the
     output ``y``, then the product's: the weight gradient is the column
     block ``np.outer(g * (1 - y*y), vals)`` at ``ids``, which
-    :func:`backward` adds into those columns only.
+    :func:`backward` builds and adds into those columns only.
     """
     ids = np.asarray(ids)
     vals = np.asarray(vals, dtype=np.float64)
@@ -387,9 +389,7 @@ def _embed(w: Tensor, ids: np.ndarray, vals: np.ndarray) -> Tensor:
     z = w.array.take(ids, axis=1) @ vals
     _ensure_finite("embed", z)
     y = np.tanh(z)
-    # g[:, None] * vals is np.outer(g, vals), without its reshaping layers
-    return _record("embed", y, (w,),
-                   lambda g: ((ids, (g * (1.0 - y * y))[:, None] * vals),))
+    return _record("embed", y, (w,), lambda g: ((ids, vals, g, y),))
 
 
 def _row_order(rows, *leads):
@@ -656,14 +656,18 @@ def _cosines(mv, qv, rows=None, centred=False, row_axis=False):
         gl = np.where(live, g, 0.0)
         a = gl / norms
         glc = gl * c
-        gm = a[..., None] * qrows \
-            - (glc / (safe_m * safe_m))[..., None] * mv
+        # two arrays of the batch's row shape, not four: the rows' product
+        # is subtracted in place, and the query's product reuses its array
+        gm = a[..., None] * qrows
+        am = (glc / (safe_m * safe_m))[..., None] * mv
+        gm -= am
+        np.multiply(a[..., None], mv, out=am)
         if row_axis:
-            gq = _add(a[..., None] * mv, axis=-3) - qv * (
+            gq = _add(am, axis=-3) - qv * (
                 _add(glc, axis=-2) / (safe_q * safe_q))[..., None]
         else:
             gm = _sum_to(gm, mv.shape)
-            gq = _sum_to(a[..., None] * mv, qv.shape) - qv * (
+            gq = _sum_to(am, qv.shape) - qv * (
                 _sum_to(glc, safe_q.shape) / (safe_q * safe_q))[..., None]
         return (_centre(gm), _centre(gq)) if centred else (gm, gq)
 
@@ -810,11 +814,14 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
 
     Visits nodes exactly once in reverse id order (valid because parent ids
     are always smaller), so each adjoint entry sums its contributions in
-    that order, column blocks included.  Returns a dict mapping each leaf's
-    node id to the gradient of ``root`` with respect to that leaf; leaves
-    the root does not depend on get zero gradients.  The gradients are not
-    checked for finiteness: their consumer scans them once, as
-    :meth:`dmin.model.Adam.step` does before it moves anything.
+    that order, column blocks included: a matrix's blocks wait until its
+    adjoint is read, by a dense contribution or at its own node, and are
+    then added by one sequential scatter, bit for bit one at a time.
+    Returns a dict mapping each leaf's node id to the gradient of ``root``
+    with respect to that leaf; leaves the root does not depend on get zero
+    gradients.  The gradients are not checked for finiteness: their
+    consumer scans them once, as :meth:`dmin.model.Adam.step` does before
+    it moves anything.
     """
     if root.tape is not tape or root.node_id is None:
         raise ValueError("backward: root is not recorded on this tape")
@@ -822,12 +829,24 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
         raise ValueError(f"backward: root must be a scalar, got shape {root.shape}")
 
     adjoints: list[np.ndarray | None] = [None] * len(tape.nodes)
-    # 1 where adjoints[k] is a C-contiguous array allocated here, safe to
-    # write into; starts[k] holds the flat index of each of its rows
-    owned = bytearray(len(tape.nodes))
-    starts = {}
+    blocks: dict[int, list] = {}  # column blocks not yet added, in order
+
+    def scatter(k):
+        # all blocks' products in one multiply, ids by rows; add.at is
+        # sequential: each entry gets one add per block, in order
+        ids, vals, g, y = zip(*blocks.pop(k))
+        g, y = np.stack(g), np.stack(y)
+        acc = adjoints[k] = np.zeros(tape.nodes[k].value.shape) \
+            if adjoints[k] is None else adjoints[k].copy()
+        at = np.concatenate(ids)[:, None] + acc.shape[1] * np.arange(len(acc))
+        d = np.repeat(g * (1.0 - y * y), [len(i) for i in ids], axis=0)
+        np.add.at(acc.reshape(-1), at.reshape(-1),
+                  (np.concatenate(vals)[:, None] * d).reshape(-1))
+
     adjoints[root.node_id] = np.ones(())
     for k in range(root.node_id, -1, -1):
+        if k in blocks:
+            scatter(k)
         g = adjoints[k]
         node = tape.nodes[k]
         if g is None or node.vjp is None:
@@ -835,24 +854,14 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
         for pid, pg in zip(node.parent_ids, node.vjp(g)):
             if pid is None or pg is None:
                 continue
-            acc = adjoints[pid]
             if type(pg) is tuple:  # a column block
-                if not owned[pid]:
-                    acc = adjoints[pid] = (
-                        np.zeros(tape.nodes[pid].value.shape) if acc is None
-                        else acc.copy())
-                    owned[pid] = 1
-                    starts.setdefault(
-                        pid, acc.shape[1] * np.arange(len(acc))[:, None])
-                # through a flat index, which takes two thirds of the time
-                # of numpy's mixed slice-and-index path; the ids never
-                # repeat, so each entry gets one add
-                acc.reshape(-1)[pg[0] + starts[pid]] += pg[1]
-            elif acc is None:
-                adjoints[pid] = np.asarray(pg, dtype=np.float64)
-            else:
-                adjoints[pid] = acc + pg
-                owned[pid] = 0  # the sum need not be C-contiguous
+                blocks.setdefault(pid, []).append(pg)
+                continue
+            if pid in blocks:
+                scatter(pid)
+            acc = adjoints[pid]
+            adjoints[pid] = np.asarray(pg, dtype=np.float64) if acc is None \
+                else acc + pg
 
     grads: dict[int, np.ndarray] = {}
     for k, node in enumerate(tape.nodes):

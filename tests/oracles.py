@@ -190,6 +190,47 @@ def assert_gradients_close(analytic, numeric, rel=1e-4, near_zero=1e-7):
 
 
 # ---------------------------------------------------------------------------
+# reverse pass, one column block at a time
+# ---------------------------------------------------------------------------
+
+def backward_reference(nodes, root_id):
+    """Leaf gradients of the scalar node ``root_id``, by node id.
+
+    ``nodes`` are recorded nodes, each with ``op``, ``parent_ids``,
+    ``value`` and ``vjp``.  Each node's VJP runs once, in reverse id
+    order, and each contribution is added to its parent's adjoint as it
+    arrives.  A column block ``(ids, block)`` is added entry by entry into
+    a copy of the adjoint, or into zeros if there is none yet; embed's
+    ``(ids, vals, g, y)`` is first made into its block as the tuple
+    ``(ids, np.outer(g * (1 - y*y), vals))``.
+    """
+    adjoints = {root_id: np.ones(())}
+    for k in range(root_id, -1, -1):
+        if k not in adjoints or nodes[k].vjp is None:
+            continue
+        for pid, pg in zip(nodes[k].parent_ids, nodes[k].vjp(adjoints[k])):
+            if pid is None or pg is None:
+                continue
+            if isinstance(pg, tuple):
+                if len(pg) == 4:
+                    ids, vals, g, y = pg
+                    pg = ids, (g * (1.0 - y * y))[:, None] * vals
+                ids, block = pg
+                acc = np.array(adjoints[pid] if pid in adjoints
+                               else np.zeros(nodes[pid].value.shape))
+                for r in range(block.shape[0]):
+                    for j, col in enumerate(ids):
+                        acc[r, col] = acc[r, col] + block[r, j]
+                adjoints[pid] = acc
+            elif pid in adjoints:
+                adjoints[pid] = adjoints[pid] + pg
+            else:
+                adjoints[pid] = np.asarray(pg, dtype=float)
+    return {k: adjoints[k] if k in adjoints else np.zeros(node.value.shape)
+            for k, node in enumerate(nodes) if node.op == "leaf"}
+
+
+# ---------------------------------------------------------------------------
 # silhouette, O(n^2) by definition
 # ---------------------------------------------------------------------------
 

@@ -230,8 +230,9 @@ def test_separation_on_one_class_is_data_error(tmp_path, trained_path,
     rc = cli.main(["separation", "--model", str(trained_path),
                    "--data", str(one), "--out-csv", str(out)])
     assert rc == 2 and not out.exists()
-    assert capsys.readouterr().err == (
-        "dmin: data error: separation report needs at least 2 classes\n")
+    assert capsys.readouterr().err == (f"dmin: data error: {one}: separation "
+                                       f"report needs at least 2 classes, "
+                                       f"got 1\n")
 
 
 def test_ablate_writes_five_row_table(tmp_path, data_path):
@@ -506,6 +507,14 @@ MALFORMED = [
      ["bad array entry 'clf.log_tau'"]),
     ("ckpt_shape_beyond_values", ".ckpt", _ckpt_with_shape([2]), EVAL,
      ["array 'clf.log_tau' has 1 values, shape (2,) needs 2"]),
+    # shapes whose size overflows int64, compared exactly: neither an
+    # OverflowError nor a size that wraps to the 0 values given
+    ("ckpt_shape_beyond_int64", ".ckpt", _ckpt_with_shape([2**70]), EVAL,
+     [f"array 'clf.log_tau' has 1 values, shape ({2**70},) needs {2**70}"]),
+    ("ckpt_shape_wrapping_int64", ".ckpt",
+     _ckpt_with_param("clf.log_tau", {"shape": [2**40, 2**40], "data": ""}),
+     EVAL, [f"array 'clf.log_tau' has 0 values, shape ({2**40}, {2**40}) "
+            f"needs {2**80}"]),
     ("ckpt_unexpected_parameter", ".ckpt",
      _ckpt_with_param("clf.extra", {"shape": [], "data": "AAAAAAAAAAA="}),
      EVAL, ["unexpected parameters ['clf.extra']"]),

@@ -186,8 +186,8 @@ class TestFeatureHashEncoder:
             w = tape.leaf(proj)
             out = (encode(w, text) if op is None else op(w, ids, weights))
             block = out.tape.nodes[out.node_id].vjp(probe)[0]
-            results.append((out.array.tobytes(), block[0].tobytes(),
-                            block[1].tobytes()))
+            results.append((out.array.tobytes(),
+                            *(part.tobytes() for part in block)))
         assert results[0] == results[1] == results[2]
 
 

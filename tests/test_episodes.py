@@ -539,3 +539,13 @@ class TestDatasetValidation:
         sub = subset_by_classes(ds, [1])
         assert not sub.payloads.flags.writeable
         npt.assert_array_equal(sub.payloads, ds.payloads[[1, 3, 5]])
+
+    def test_equality_is_identity(self):
+        # field-wise == would ask numpy for the truth of an array
+        a = gen_synthetic(3, 4, 5, 6.0, 1.0, seed=1)
+        b = gen_synthetic(3, 4, 5, 6.0, 1.0, seed=1)
+        text = Dataset(payloads=["a b", "c d"], labels=[0, 1],
+                       class_names=["x", "y"])
+        assert a == a and text == text
+        assert not a == b and a != b and a != text
+        assert len({a, b, text}) == 3

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dmin import numerics as nm
-from oracles import assert_gradients_close, finite_difference_gradients
+from oracles import (assert_gradients_close, backward_reference,
+                     finite_difference_gradients)
 
 
 def c(x):
@@ -370,6 +371,57 @@ def test_embed_refuses_a_product_that_is_not_finite(vals):
         with pytest.raises(nm.NumericError, match="embed"):
             nm.embed(w, [0, 1], vals)
     assert len(tape) == 1  # nothing recorded
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_blocks_add_as_one_block_at_a_time(seed):
+    """Leaf gradients equal, bit for bit and sign of zero included, those
+    of adding each column block into its adjoint as it arrives.
+
+    ``w`` gets many blocks whose ids repeat across blocks, with dense
+    contributions between them.  ``add(v, v)``, a non-leaf, gets blocks
+    and dense contributions of its own.  ``w``'s last dense use, the first
+    that backward visits, leaves -0.0 in columns 1 and 2; two blocks then
+    add -0.0 twice to column 1 and cancel to +0.0 in column 4, and no
+    other use moves those zeros off their sign."""
+    rng = np.random.default_rng(seed)
+    rows, cols = 3, 8
+    tape = nm.Tape()
+    w, v = (tape.leaf(rng.normal(size=(rows, cols))) for _ in range(2))
+    vv = nm.add(v, v)
+
+    def dense():
+        x = rng.normal(size=cols)
+        x[[1, 2, 4]] = -0.0, -0.0, 0.0
+        return x
+
+    def block(cols_from):
+        return (np.sort(rng.choice(cols_from, 4, replace=False)),
+                rng.uniform(-2.0, 2.0, 4))
+
+    free = [0, 3, 5, 6, 7]  # the columns whose zeros are not checked
+    outs = [nm.linear(c(dense()), vv) if i % 3 == 2
+            else nm.embed(vv, *block(cols)) for i in range(7)]
+    outs += [nm.linear(c(dense()), w) if i % 3 == 2
+             else nm.embed(w, *block(free)) for i in range(10)]
+    outs += [nm.embed(w, [1, 4], [-0.0, 0.75]),
+             nm.embed(w, [1, 4], [-0.0, -0.75]), nm.linear(c(dense()), w)]
+    # a positive adjoint for every output keeps each product's zero sign;
+    # the two signed-zero blocks get one adjoint, so their entries cancel
+    probe = rng.uniform(0.5, 1.5, (len(outs), rows))
+    probe[-2] = probe[-3]
+    root = nm.dot(nm.reshape(nm.stack_rows(outs), (probe.size,)),
+                  c(probe.reshape(-1)))
+    want = backward_reference(tape.nodes, root.node_id)
+    got = nm.backward(tape, root)
+    assert sorted(got) == sorted(want) == [w.node_id, v.node_id]
+    for k in got:
+        assert got[k].shape == want[k].shape
+        assert got[k].tobytes() == want[k].tobytes()
+    gw = want[w.node_id]
+    assert np.all(gw[:, [1, 2, 4]] == 0.0)
+    assert np.all(np.signbit(gw[:, [1, 2]])) and not np.any(
+        np.signbit(gw[:, 4]))
 
 
 # ---------------------------------------------------------------------------
