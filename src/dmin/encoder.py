@@ -33,6 +33,8 @@ FNV_PRIME = 1099511628211
 _MASK64 = (1 << 64) - 1
 PROJECTION_INIT_STD = 0.5
 _MEMO_ENTRIES = 1 << 14  # the bound of each hashing memo
+# hash buckets a config may declare: the projection is (embed_dim, buckets)
+MAX_VOCAB_BUCKETS = 1 << 20
 
 
 def fnv1a64(data: bytes) -> int:
@@ -67,6 +69,10 @@ class EncoderConfig:
             raise ValueError(
                 f"vocab_buckets ({self.vocab_buckets}) must be >= embed_dim "
                 f"({self.embed_dim})")
+        if self.kind == "feature_hash" and \
+                self.vocab_buckets > MAX_VOCAB_BUCKETS:
+            raise ValueError(f"vocab_buckets must be <= {MAX_VOCAB_BUCKETS}, "
+                             f"got {self.vocab_buckets}")
 
 
 def hash_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:

@@ -215,11 +215,6 @@ def init_model(config: ModelConfig, seed: int = 0) -> Model:
 # optimizer
 # ---------------------------------------------------------------------------
 
-# entries per block of a large parameter's Adam update: six float64 blocks
-# (parameter, gradient, two moments, two scratch rows) take 1.5 MB
-_CHUNK = 1 << 15
-
-
 @dataclass
 class Adam:
     """Adam update rule; state is kept per parameter name.
@@ -237,10 +232,9 @@ class Adam:
     a nonzero entry: until then they keep no state, exact for the same
     reason.
 
-    An update larger than one block runs in 32K-entry blocks that stay
-    in cache, one after another on the caller's thread.  Every entry gets
-    the same operations in the same order, so the result is bit-identical
-    to a whole-array update of every entry.
+    Each update runs whole, on the caller's thread: on the parameter, or
+    on the compact block of a matrix's live columns, which is then put
+    back.
     """
 
     lr: float
@@ -303,17 +297,16 @@ class Adam:
                 m, v = self._moments(name, ids, p.shape[0])
             else:
                 if name not in self.m:
-                    self.m[name] = np.zeros(p.shape)  # C-contiguous
+                    self.m[name] = np.zeros(p.shape)
                     self.v[name] = np.zeros(p.shape)
                 m, v = self.m[name], self.v[name]
-            if ids is not None and len(ids) < p.shape[1]:
-                block = p.take(ids, axis=1)
-                finite = self._apply(block, m, v, g, c1, c2)
+            compact = ids is not None and len(ids) < p.shape[1]
+            block = p.take(ids, axis=1) if compact else p
+            self._update(block, m, v, g, c1, c2)
+            if compact:
                 p.put(ids + p.shape[1] * np.arange(p.shape[0])[:, None],
                       block)
-            else:
-                finite = self._apply(p, m, v, g, c1, c2)
-            if not finite and bad is None:
+            if bad is None and not nm._finite(block):
                 bad = name
         if bad is not None:
             raise nm.NumericError(
@@ -332,34 +325,14 @@ class Adam:
         self.m[name], self.v[name], self.cols[name] = m, v, ids
         return m, v
 
-    def _apply(self, p, m, v, g, c1, c2) -> bool:
-        """:meth:`_update` of the C-contiguous moments ``m`` and ``v`` and
-        their parameter ``p`` by ``g``: whole when it fits one block or
-        ``p`` is not C-contiguous, else one ``_CHUNK``-entry block at a
-        time, through one pair of scratch rows of its own.  Returns
-        whether ``p`` is finite after it, scanning each block while it is
-        in cache."""
-        if m.size <= _CHUNK or not p.flags.c_contiguous:
-            self._update(p, m, v, g, np.empty_like(m), np.empty_like(m),
-                         c1, c2)
-            return nm._finite(p)
-        scratch = np.empty((2, _CHUNK))
-        p, m, v, g = p.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
-        finite = True
-        for a in range(0, p.size, _CHUNK):
-            b = min(a + _CHUNK, p.size)
-            self._update(p[a:b], m[a:b], v[a:b], g[a:b],
-                         scratch[0, :b - a], scratch[1, :b - a], c1, c2)
-            finite = nm._finite(p[a:b]) and finite
-        return finite
-
-    def _update(self, p, m, v, g, s, u, c1, c2) -> None:
+    def _update(self, p, m, v, g, c1, c2) -> None:
         """m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
         p -= lr*(m/c1) / (sqrt(v/c2) + eps), in place and in that
-        operation order, through the scratch arrays ``s`` and ``u``;
+        operation order, through two scratch arrays of ``m``'s shape;
         out= keeps a rank-0 result an array, where the plain ufunc would
         return a scalar."""
         b1, b2 = self.beta1, self.beta2
+        s, u = np.empty_like(m), np.empty_like(m)
         m *= b1
         m += np.multiply(1.0 - b1, g, out=s)
         v *= b2

@@ -341,9 +341,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def vjp(g):
         # gw sums one outer product per row; for a single row, such as a
-        # routing transform of one query, np.outer gives the same products
-        # as a matmul with inner dimension 1: as fast at 32 x 32, 25%
-        # faster at 64 x 64
+        # routing transform of one query, np.outer is as fast as a matmul
+        # with inner dimension 1 at 32 x 32 and 25% faster at 64 x 64, and
+        # it keeps the sign of a -0.0 product, which the matmul gives as
+        # +0.0 (test_column_blocks_add_as_one_block_at_a_time pins it)
         rows = g.reshape(-1, wv.shape[0])
         xrows = xv.reshape(-1, wv.shape[1])
         gw = np.outer(rows, xrows) if len(rows) == 1 else rows.T @ xrows
@@ -378,7 +379,9 @@ def embed(w: Tensor, ids, vals) -> Tensor:
             f"embed: need a matrix and strictly increasing column indices "
             f"in [0, {w.shape[-1] if w.ndim else 0}) with one value each, "
             f"got w={w.shape}, ids={ids.tolist()}, vals={vals.shape}")
-    return _embed(w, ids, vals)
+    # intp, so that backward's column offsets stay integers: a uint64 id
+    # plus an int64 offset is a float64
+    return _embed(w, ids.astype(np.intp, copy=False), vals)
 
 
 def _embed(w: Tensor, ids: np.ndarray, vals: np.ndarray) -> Tensor:

@@ -46,6 +46,8 @@ PIPELINE_CAPSULES = 4
 # spread of the noise in fresh capsule transforms' weights and biases
 W_INIT_STD = 0.1
 B_INIT_STD = 0.1
+# routing iterations a config may declare; each is unrolled in every call
+MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,8 @@ class RoutingConfig:
     ``capsule_count * capsule_dim`` is the output dimension.  Inside the
     classification pipeline both routing operators map d -> d, so there
     ``capsule_count * capsule_dim`` must equal ``input_dim``; the operator
-    itself accepts any combination.
+    itself accepts any combination.  ``iterations`` is at most
+    :data:`MAX_ITERATIONS`.
     """
 
     input_dim: int
@@ -68,6 +71,9 @@ class RoutingConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if self.iterations > MAX_ITERATIONS:
+            raise ValueError(f"iterations must be <= {MAX_ITERATIONS}, "
+                             f"got {self.iterations}")
         if self.capsule_dim < 2:
             # the correlation gate centers each capsule; a 1-d capsule has
             # zero variance by construction and the gate would always be 0

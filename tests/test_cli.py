@@ -532,6 +532,19 @@ MALFORMED = [
     ("ckpt_zero_capsule_count", ".ckpt",
      _ckpt_config_with("dmm.capsule_count", 0), EVAL,
      ["dmm.capsule_count must be a positive integer, got 0"]),
+    # sizes beyond their bounds: a model that loaded would route 2**70
+    # times per call, or make a (64, 2**40) projection
+    ("ckpt_dmm_iterations", ".ckpt",
+     _ckpt_config_with("dmm.iterations", 2**70), EVAL,
+     [f"dmm.iterations must be <= 100, got {2**70}"]),
+    ("config_routing_iterations", ".json",
+     _config({"routing": {"dmm": {**ROUTING_OK, "iterations": 2**70},
+                          "qim": ROUTING_OK}}), PRETRAIN_CONFIG,
+     [f"routing.dmm.iterations must be <= 100, got {2**70}"]),
+    ("config_vocab_buckets", ".json",
+     _config({"encoder": {"vocab_buckets": 2**40}}),
+     ["pretrain", "--config", BAD, "--data", TEXT, "--out", OUT],
+     [f"encoder.vocab_buckets must be <= 1048576, got {2**40}"]),
     ("config_float_int", ".json", _config({"stage1": {"steps": 2.5}}),
      PRETRAIN_CONFIG, ["stage1.steps"]),
     ("config_bool_int", ".json", _config({"eval": {"episodes": True}}),
@@ -685,8 +698,10 @@ MALFORMED = [
                          ids=[row[0] for row in MALFORMED])
 def test_malformed_file_is_one_line_data_error(tmp_path, trained_path,
                                                data_path, text_path,
-                                               config_path, capsys, case,
-                                               suffix, make, argv, named):
+                                               config_path, capsys,
+                                               monkeypatch, case, suffix,
+                                               make, argv, named):
+    _refuse_stages(monkeypatch)  # every refusal comes before any stage
     body = json.loads(trained_path.read_text(encoding="utf-8"))
     lines = data_path.read_text(encoding="utf-8").splitlines()
     bad = tmp_path / f"{case}{suffix}"

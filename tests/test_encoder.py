@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
-from dmin.encoder import (EncoderConfig, fnv1a64, hash_counts,
-                          init_encoder_arrays, token_bucket)
+from dmin.encoder import (MAX_VOCAB_BUCKETS, EncoderConfig, fnv1a64,
+                          hash_counts, init_encoder_arrays, token_bucket)
 from dmin.model import (CheckpointError, ModelConfig, init_model,
                         load_checkpoint, save_checkpoint)
 from dmin.routing import RoutingConfig
@@ -224,6 +224,16 @@ class TestConfig:
             EncoderConfig(embed_dim=1)
         with pytest.raises(ValueError):
             EncoderConfig(embed_dim=64, vocab_buckets=32)
+
+    def test_vocab_buckets_are_bounded(self):
+        # a config only: no projection of this size is made
+        assert EncoderConfig(vocab_buckets=MAX_VOCAB_BUCKETS).vocab_buckets \
+            == 1 << 20
+        with pytest.raises(ValueError, match=r"^vocab_buckets must be <= "
+                                             r"1048576, got 1099511627776$"):
+            EncoderConfig(vocab_buckets=2**40)
+        # the precomputed kind has no projection, so its count is unread
+        EncoderConfig(kind="precomputed", vocab_buckets=2**40)
 
     def test_init_arrays(self):
         cfg = EncoderConfig(embed_dim=8, vocab_buckets=32)

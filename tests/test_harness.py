@@ -582,8 +582,8 @@ class TestLiveColumnAdam:
 
     def test_pretrain_matches_a_dense_textbook_adam(self, monkeypatch):
         # 1,000 words hash into about 640 of 1,024 buckets, so the
-        # projection's compact block grows past one 32K-entry block while
-        # some columns are never hit
+        # projection's compact block grows past 32K entries while some
+        # columns are never hit
         rng = np.random.default_rng(12)
         words = [f"t{i}" for i in range(1000)]
         ds = Dataset(payloads=[" ".join(rng.choice(words, size=10))
@@ -619,7 +619,7 @@ class TestLiveColumnAdam:
         assert digests[0] == digests[1]
         opt = made[0]
         rows, live = opt.m["enc.projection"].shape
-        assert rows * live > dmin_model._CHUNK and live < 1024
+        assert rows * live > 1 << 15 and live < 1024
         assert not any(k.startswith(("dmm.", "qim.")) and k.endswith(".w")
                        for k in opt.m)
 

@@ -18,7 +18,7 @@ from dmin.encoder import EncoderConfig
 from dmin.harness import RoutingPair, TrainConfig, model_config_from
 from dmin.model import (Adam, CheckpointError, Model, ModelConfig,
                         init_model, load_checkpoint, save_checkpoint)
-from dmin.routing import RoutingConfig
+from dmin.routing import MAX_ITERATIONS, RoutingConfig
 from oracles import adam_reference
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
@@ -153,7 +153,7 @@ class TestModelInit:
                         share_routing=True)
 
 
-BLOCK = dmin_model._CHUNK  # entries per block of a large Adam update
+BLOCK = 1 << 15  # 32K entries: large parameters below straddle its multiples
 
 
 class TestAdam:
@@ -187,10 +187,8 @@ class TestAdam:
 
     def test_in_place_step_is_bit_identical_to_the_textbook_formula(self):
         rng = np.random.default_rng(31)
-        # "big" is updated in 32K-entry blocks with a short last block,
-        # "two" is exactly 2 blocks, "odd" 3 and "one_plus" a block and one
-        # entry; "big_t" is as large but not C-contiguous, so it is updated
-        # whole
+        # "big" has 3 * 32K + 7 entries, "two" 2 * 32K, "odd" 3 * 32K and
+        # "one_plus" 32K + 1; "big_t" is as large but not C-contiguous
         shapes = {"w": (3, 4), "tau": (), "late": (5,),
                   "big": (3 * BLOCK + 7,), "two": (2 * BLOCK,),
                   "odd": (3, BLOCK), "one_plus": (BLOCK + 1,),
@@ -221,9 +219,9 @@ class TestAdam:
         assert type(got["tau"]) is np.ndarray and got["tau"].ndim == 0
 
     def test_blocked_update_writes_through_a_contiguous_view(self):
-        # parameters that are C-contiguous views into larger buffers: the
-        # blocks must be views of them too, so every entry lands in the
-        # buffer and nothing outside the view moves
+        # parameters of more than 32K entries that are C-contiguous views
+        # into larger buffers: every entry must land in the buffer, and
+        # nothing outside the view may move
         rng = np.random.default_rng(34)
         bufs = {"vec": rng.normal(size=3 * BLOCK + 20),
                 "rows": rng.normal(size=(20, 4096))}
@@ -256,7 +254,7 @@ class TestAdam:
         """Gradients of four matrices whose columns go live at different
         steps.  "wide" (8 x 4400): column 0 is never hit, column 1 holds
         only -0.0, column 2 is first hit at step 8, columns 3-4199 at step
-        1 (a compact block of 33,576 entries, more than one block) and the
+        1 (a compact block of 33,576 entries, more than 32K) and the
         rest at random steps or never.  "small" (3 x 5) has every column
         live from step 5; "wide_t" is a non-C-contiguous (6 x 40) matrix
         with half its columns live; "zero" is never hit."""
@@ -325,7 +323,7 @@ class TestAdam:
             self, bad):
         opt = Adam(lr=0.1)
         grad = np.zeros((8, 4400))
-        grad[:, 3:4200] = 0.5  # a compact block of more than one block
+        grad[:, 3:4200] = 0.5  # a compact block of more than 32K entries
         params = {"big": np.ones(3 * BLOCK + 1), "w": np.ones((8, 4400)),
                   "late": np.ones((2, 3))}
         good = {"big": np.full(3 * BLOCK + 1, 0.25), "w": grad}
@@ -353,8 +351,8 @@ class TestAdam:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_refuses_to_leave_a_nonfinite_parameter(self, where, sign):
         # p = 1.7e308 moved by about lr = 1e308 overflows to inf; "block"
-        # is updated in blocks, the bad entry in its second, and "matrix"
-        # through its compact block of live columns
+        # has 2 * 32K + 5 entries, the bad entry past the first 32K, and
+        # "matrix" is updated through its compact block of live columns
         params = {"vector": np.zeros(3), "scalar": np.zeros(()),
                   "block": np.zeros(2 * BLOCK + 5),
                   "matrix": np.zeros((4, 10)), "after": np.zeros(2)}
@@ -479,7 +477,7 @@ class TestAdam:
     @staticmethod
     def _overflowing_tail():
         """A large parameter whose gradient overflows ``g * g`` only in
-        its last block."""
+        its last 32K entries."""
         g = np.ones(3 * BLOCK + 5)
         g[-BLOCK:] = 1e200
         return {"w": np.zeros(g.shape)}, {"w": g}
@@ -499,8 +497,8 @@ class TestAdam:
             Adam(lr=0.1).step(params, grads)
 
     def test_concurrent_callers_keep_their_bits(self):
-        # more threads than CPUs, switching often: each caller's blocks
-        # must go through its own scratch rows
+        # more threads than CPUs, switching often: each caller's update
+        # must go through its own scratch arrays
         rng = np.random.default_rng(32)
         starts = [rng.normal(size=2 * BLOCK + 3) for _ in range(3)]
         grads = [[rng.normal(size=x.shape) for _ in range(5)] for x in starts]
@@ -536,7 +534,7 @@ class TestAdam:
     def test_large_update_starts_no_thread(self):
         before = threading.active_count()
         grad = np.zeros((8, 4400))
-        grad[:, 3:4200] = 0.5  # a compact block of more than one block
+        grad[:, 3:4200] = 0.5  # a compact block of more than 32K entries
         params = {"big": np.zeros(3 * BLOCK + 1), "w": np.zeros((8, 4400))}
         opt = Adam(lr=0.1)
         opt.step(params, {"big": np.full(3 * BLOCK + 1, 0.25), "w": grad})
@@ -665,6 +663,19 @@ class TestCheckpoint:
             load_checkpoint(p)
         assert "\n" not in str(err.value)
         assert re.fullmatch(f"{re.escape(str(p))}: {message}", str(err.value))
+
+    def test_iterations_beyond_the_bound_are_refused_on_load(self, tmp_path):
+        # refused while the config is decoded, before an array is read,
+        # where a model that loaded would route 2**70 times per call
+        m = init_model(small_config(), seed=9)
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(m, p)
+        self._resave(p, lambda body: body["config"]["dmm"].update(
+            iterations=2**70))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(p)
+        assert str(err.value) == (f"{p}: dmm.iterations must be <= "
+                                  f"{MAX_ITERATIONS}, got {2**70}")
 
     def test_unexpected_parameter_rejected(self, tmp_path):
         m = init_model(small_config(), seed=9)

@@ -361,6 +361,21 @@ def test_embed_checks_its_arguments():
         nm.embed(c(np.ones(4)), [1], [1.0])
 
 
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int32])
+def test_embed_gradient_is_the_same_for_every_integer_id_type(dtype):
+    # ids of any integer type give the bits of int64 ids: a uint64 id plus
+    # backward's int64 row offsets would be a float64 index
+    start = np.random.default_rng(40).normal(size=(2, 5))
+    grads = []
+    for ids in (np.array([1, 3], np.int64), np.array([1, 3], dtype)):
+        tape = nm.Tape()
+        w = tape.leaf(start.copy())
+        y = nm.embed(w, ids, [1.0, 2.0])
+        grads.append(nm.backward(tape, nm.dot(y, c([0.5, -1.5])))[w.node_id])
+    assert grads[1].tobytes() == grads[0].tobytes()
+    assert grads[0][:, [1, 3]].all() and not grads[0][:, [0, 2, 4]].any()
+
+
 @pytest.mark.parametrize("vals", [[1.0, 1.0], [-1.0, -1.0], [1.0, np.nan]])
 def test_embed_refuses_a_product_that_is_not_finite(vals):
     # 1e308 + 1e308 overflows to +-inf, which tanh would turn into +-1;

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
-from dmin.routing import (RoutingConfig, RoutingParams, RoutingTrace, dmr,
-                          dmm_adapt, init_routing_arrays, qim_induce)
+from dmin.routing import (MAX_ITERATIONS, RoutingConfig, RoutingParams,
+                          RoutingTrace, dmr, dmm_adapt, init_routing_arrays,
+                          qim_induce)
 from oracles import assert_gradients_close, dmr_reference, finite_difference_gradients
 
 
@@ -43,6 +44,13 @@ class TestConfig:
             RoutingConfig(input_dim=8, capsule_dim=1)
         with pytest.raises(ValueError):
             RoutingConfig(input_dim=0)
+
+    def test_iterations_are_bounded(self):
+        assert RoutingConfig(input_dim=8,
+                             iterations=MAX_ITERATIONS).iterations == 100
+        with pytest.raises(ValueError, match=r"^iterations must be <= 100, "
+                                             r"got 101$"):
+            RoutingConfig(input_dim=8, iterations=MAX_ITERATIONS + 1)
 
 
 def test_identity_blocks_need_equal_input_and_output_dims():
