@@ -7,8 +7,8 @@ variant table, and ``separation`` writes before/after support vectors with
 silhouette scores.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed files, mismatched shapes), 3 numeric failure (divergence,
-overflow).
+malformed files, mismatched shapes, sizes that do not fit in memory), 3
+numeric failure (divergence, overflow).
 """
 
 from __future__ import annotations
@@ -415,6 +415,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except ValueError as err:  # DataError and CheckpointError included
         print(f"dmin: data error: {err}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as err:  # sizes that the inputs ask for
+        print(f"dmin: data error: out of memory: {err}", file=sys.stderr)
         return EXIT_DATA
     except OSError as err:
         print(f"dmin: {err}", file=sys.stderr)

@@ -35,6 +35,8 @@ PROJECTION_INIT_STD = 0.5
 _MEMO_ENTRIES = 1 << 14  # the bound of each hashing memo
 # hash buckets a config may declare: the projection is (embed_dim, buckets)
 MAX_VOCAB_BUCKETS = 1 << 20
+# projection entries a config may declare: 64 x MAX_VOCAB_BUCKETS, 512 MiB
+MAX_PROJECTION_ENTRIES = 1 << 26
 
 
 def fnv1a64(data: bytes) -> int:
@@ -73,6 +75,10 @@ class EncoderConfig:
                 self.vocab_buckets > MAX_VOCAB_BUCKETS:
             raise ValueError(f"vocab_buckets must be <= {MAX_VOCAB_BUCKETS}, "
                              f"got {self.vocab_buckets}")
+        entries = self.embed_dim * self.vocab_buckets
+        if self.kind == "feature_hash" and entries > MAX_PROJECTION_ENTRIES:
+            raise ValueError(f"embed_dim * vocab_buckets must be <= "
+                             f"{MAX_PROJECTION_ENTRIES}, got {entries}")
 
 
 def hash_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:

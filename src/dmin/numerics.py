@@ -61,6 +61,9 @@ Conventions:
   changes; it only skips the loop per output that it takes for an
   operand broadcast along the row axis.  A single pair dots its operand
   as it is: the copy would cost more than it saves,
+- :func:`backward` runs the VJPs of a tape's same-shape :func:`route`
+  nodes as one batch, with the bits each has alone, and hands each node
+  its slice when the walk reaches it, so no adjoint's sum changes order,
 - a result is recorded on a tape iff at least one input is recorded; mixing
   inputs from two different tapes is an error,
 - a VJP closes over arrays, never over Tensors: their tape link would make
@@ -727,7 +730,9 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
     over the axes it was broadcast along.  Without a recorded input no
     per-round state is kept.  Returns the (..., l * d_v) capsules and
     numpy snapshots: per-round lists ``coupling`` and ``gates``, and
-    ``logits``, each (..., n, l).
+    ``logits``, each (..., n, l).  The VJP keeps the inputs and
+    ``iterations`` as ``vjp.inputs`` for :func:`backward`'s replay: an
+    input may be a constant, which the tape does not record.
     """
     mv, qv = m.array, q.array
     mshape, qshape = mv.shape, qv.shape
@@ -805,6 +810,7 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
             g_caps = g_caps + _add(g_agree[..., None] * mv, axis=-3)
         return _sum_to(g_m, mshape), _sum_to(g_q, qshape)
 
+    vjp.inputs = m.array, q.array, iterations
     return _result("route", caps.reshape(lead + (-1,)), (m, q), vjp), seen
 
 
@@ -820,11 +826,21 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
     that order, column blocks included: a matrix's blocks wait until its
     adjoint is read, by a dense contribution or at its own node, and are
     then added by one sequential scatter, bit for bit one at a time.
-    Returns a dict mapping each leaf's node id to the gradient of ``root``
-    with respect to that leaf; leaves the root does not depend on get zero
-    gradients.  The gradients are not checked for finiteness: their
-    consumer scans them once, as :meth:`dmin.model.Adam.step` does before
-    it moves anything.
+
+    When the walk reaches a :func:`route` node that no group holds, it
+    groups it with every earlier such node of the same memory shape,
+    query shape and iterations that the root reaches and whose consumers
+    all come after the current node, so that its adjoint is final.
+    A group of 2 or more runs :func:`route` and its VJP once on the
+    members' own inputs and adjoints, stacked on a new leading axis, and
+    each member's slice goes to its parents when the walk reaches that
+    member: every pair of a batch has the bits it has alone, and every
+    adjoint sums in reverse id order, so no bit changes.  Returns a dict
+    mapping each leaf's node id to the gradient of ``root`` with respect
+    to that leaf; leaves the root does not depend on get zero gradients.
+    The gradients are not checked for finiteness: their consumer scans
+    them once, as :meth:`dmin.model.Adam.step` does before it moves
+    anything.
     """
     if root.tape is not tape or root.node_id is None:
         raise ValueError("backward: root is not recorded on this tape")
@@ -846,6 +862,37 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
         np.add.at(acc.reshape(-1), at.reshape(-1),
                   (np.concatenate(vals)[:, None] * d).reshape(-1))
 
+    first_use: dict[int, int] = {}  # each node's smallest consumer id
+    replayed: dict[int, tuple] = {}  # group members' parent gradients
+
+    def replay(k):  # route node k's parent gradients, batched when it can
+        def key(j):
+            mv, qv, its = tape.nodes[j].vjp.inputs
+            return mv.shape, qv.shape, its
+        if not first_use:
+            for j in range(root.node_id, -1, -1):
+                for pid in tape.nodes[j].parent_ids:
+                    first_use[pid] = j
+        group = [j for j in range(k) if tape.nodes[j].op == "route"
+                 and adjoints[j] is not None and first_use[j] > k
+                 and j not in replayed and j not in blocks
+                 and key(j) == key(k)] + [k]
+        if len(group) == 1:
+            return tape.nodes[k].vjp(adjoints[k])
+        # each input at the rank of its pair's batch, stacked on axis 0
+        mshape, qshape, its = key(k)
+        rank = len(np.broadcast_shapes(mshape[:-3], qshape[:-2]))
+        private = Tape()
+        m, q = (private._leaf(np.stack([
+            tape.nodes[j].vjp.inputs[i].reshape(
+                (1,) * (rank + 3 - i - len(shape)) + shape) for j in group]))
+            for i, shape in enumerate((mshape, qshape)))
+        gm, gq = private.nodes[route(m, q, its)[0].node_id].vjp(
+            np.stack([adjoints[j] for j in group]))
+        for i, j in enumerate(group):
+            replayed[j] = gm[i].reshape(mshape), gq[i].reshape(qshape)
+        return replayed.pop(k)
+
     adjoints[root.node_id] = np.ones(())
     for k in range(root.node_id, -1, -1):
         if k in blocks:
@@ -854,7 +901,9 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
         node = tape.nodes[k]
         if g is None or node.vjp is None:
             continue
-        for pid, pg in zip(node.parent_ids, node.vjp(g)):
+        parent_grads = replayed.pop(k, None) or (
+            replay(k) if node.op == "route" else node.vjp(g))
+        for pid, pg in zip(node.parent_ids, parent_grads):
             if pid is None or pg is None:
                 continue
             if type(pg) is tuple:  # a column block

@@ -545,6 +545,12 @@ MALFORMED = [
      _config({"encoder": {"vocab_buckets": 2**40}}),
      ["pretrain", "--config", BAD, "--data", TEXT, "--out", OUT],
      [f"encoder.vocab_buckets must be <= 1048576, got {2**40}"]),
+    ("config_projection_entries", ".json",
+     _config({"encoder": {"kind": "feature_hash", "embed_dim": 2**20,
+                          "vocab_buckets": 2**20}}),
+     ["pretrain", "--config", BAD, "--data", TEXT, "--out", OUT],
+     [f"encoder.embed_dim * vocab_buckets must be <= 67108864, "
+      f"got {2**40}"]),
     ("config_float_int", ".json", _config({"stage1": {"steps": 2.5}}),
      PRETRAIN_CONFIG, ["stage1.steps"]),
     ("config_bool_int", ".json", _config({"eval": {"episodes": True}}),
@@ -818,6 +824,30 @@ def _refuse_stages(monkeypatch):
     for stage in ("pretrain", "meta_train", "evaluate", "run_ablation_suite",
                   "separation_report"):
         monkeypatch.setattr(cli, stage, ran)
+
+
+@pytest.mark.parametrize("stage,argv", [
+    ("gen_synthetic", ["synth", "--classes", "1000", "--per-class",
+                       "100000", "--dim", "1000", "--separation", "6",
+                       "--out", "{out}"]),
+    ("pretrain", ["pretrain", "--data", "{text}", "--out", "{out}"]),
+], ids=["synth", "pretrain"])
+def test_memory_error_is_one_line_data_error(tmp_path, text_path, capsys,
+                                             monkeypatch, stage, argv):
+    # the stage raises as numpy does when it cannot allocate; nothing
+    # of that size is asked for
+    def oom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with "
+                          "shape (100000000, 1000) and data type float64")
+    monkeypatch.setattr(cli, stage, oom)
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert cli.main([a.format(out=out, text=text_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == ("dmin: data error: out of memory: Unable to allocate "
+                   "745. GiB for an array with shape (100000000, 1000) and "
+                   "data type float64\n"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case,argv,named", BAD_FLAGS,

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
-from dmin.encoder import (MAX_VOCAB_BUCKETS, EncoderConfig, fnv1a64,
-                          hash_counts, init_encoder_arrays, token_bucket)
+from dmin.encoder import (MAX_PROJECTION_ENTRIES, MAX_VOCAB_BUCKETS,
+                          EncoderConfig, fnv1a64, hash_counts,
+                          init_encoder_arrays, token_bucket)
 from dmin.model import (CheckpointError, ModelConfig, init_model,
                         load_checkpoint, save_checkpoint)
 from dmin.routing import RoutingConfig
@@ -234,6 +235,22 @@ class TestConfig:
             EncoderConfig(vocab_buckets=2**40)
         # the precomputed kind has no projection, so its count is unread
         EncoderConfig(kind="precomputed", vocab_buckets=2**40)
+
+    def test_projection_entries_are_bounded(self):
+        # configs only: no projection of these sizes is made
+        assert EncoderConfig(embed_dim=64, vocab_buckets=MAX_VOCAB_BUCKETS) \
+            .embed_dim * MAX_VOCAB_BUCKETS == MAX_PROJECTION_ENTRIES == 1 << 26
+        with pytest.raises(ValueError, match=r"^embed_dim \* vocab_buckets "
+                                             r"must be <= 67108864, got "
+                                             r"68157440$"):
+            EncoderConfig(embed_dim=65, vocab_buckets=1 << 20)
+        with pytest.raises(ValueError, match=r"^embed_dim \* vocab_buckets "
+                                             r"must be <= 67108864, got "
+                                             r"1099511627776$"):
+            EncoderConfig(embed_dim=2**20, vocab_buckets=2**20)
+        # the precomputed kind has no projection
+        EncoderConfig(kind="precomputed", embed_dim=2**20,
+                      vocab_buckets=2**20)
 
     def test_init_arrays(self):
         cfg = EncoderConfig(embed_dim=8, vocab_buckets=32)

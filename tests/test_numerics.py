@@ -874,6 +874,108 @@ def test_each_pair_of_a_routed_batch_has_the_bits_it_has_alone(
     same_bits(g_q, _sum_in_order(g_qs, q.shape))
 
 
+def _squashed(tape, rng, shape):
+    return nm.squash(tape.leaf(rng.normal(size=shape)))
+
+
+def _replayed_bits(tape, outs, rng, monkeypatch):
+    """Backward from a random weighting of ``outs``: assert that every
+    leaf gradient has the bytes of the reference walk, which runs each
+    node's own VJP, and return the batch sizes of the route calls that
+    backward's replay made."""
+    root = nm.dot(nm.stack_rows([
+        nm.dot(nm.reshape(o, (math.prod(o.shape),)),
+               c(rng.normal(size=math.prod(o.shape)))) for o in outs]),
+        c(np.ones(len(outs))))
+    want = backward_reference(tape.nodes, root.node_id)
+    sizes, route = [], nm.route
+
+    def counted(m, q, iterations):
+        sizes.append(m.shape[0])
+        return route(m, q, iterations)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(nm, "route", counted)
+        got = nm.backward(tape, root)
+    assert sorted(got) == sorted(want)
+    for k in got:
+        assert got[k].shape == want[k].shape
+        assert got[k].tobytes() == want[k].tobytes(), k
+    return sizes
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_replayed_routes_give_the_bytes_of_each_node_alone(
+        iterations, seed, monkeypatch):
+    """A per-pair training pass: DMM routes 3 supports against 20 shared
+    base rows, then QIM routes 4 queries against each class's 1-shot
+    memory, as the pipeline's (20, 2, 16) and (1, 2, 16) memories do.
+    Each class memory is shared by 4 QIM routes and also feeds a squash
+    between them, so its adjoint gets contributions from members and
+    from other nodes in turn; each query is shared by 3 routes."""
+    rng = np.random.default_rng(seed)
+    tape = nm.Tape()
+    base = _squashed(tape, rng, (20, 2, 16))
+    adapted = [nm.route(base, _squashed(tape, rng, (2, 16)), iterations)[0]
+               for _ in range(3)]
+    memories = [nm.reshape(a, (1, 2, 16)) for a in adapted]
+    outs = []
+    for j in range(4):
+        query = _squashed(tape, rng, (2, 16))
+        outs += [nm.route(m, query, iterations)[0] for m in memories]
+        outs.append(nm.squash(memories[j % 3]))
+    assert _replayed_bits(tape, outs, rng, monkeypatch) == [12, 3]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_route_feeding_another_before_the_top_is_not_replayed(
+        seed, monkeypatch):
+    """Route ``a``'s output is ``b``'s query and also reaches the root
+    directly, so when the walk reaches the top route ``a``'s adjoint
+    still lacks ``b``'s share: ``b`` and the two later routes form one
+    batch, and ``a`` runs its own VJP when the walk reaches it."""
+    rng = np.random.default_rng(seed)
+    tape = nm.Tape()
+    memory = _squashed(tape, rng, (1, 2, 16))
+    a = nm.route(memory, _squashed(tape, rng, (2, 16)), 2)[0]
+    outs = [a, nm.route(memory, nm.reshape(a, (2, 16)), 2)[0]]
+    outs += [nm.route(memory, _squashed(tape, rng, (2, 16)), 2)[0]
+             for _ in range(2)]
+    assert _replayed_bits(tape, outs, rng, monkeypatch) == [3]
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_replayed_routes_keep_their_own_shapes_and_inputs(
+        iterations, seed, monkeypatch):
+    """Routes of unequal shapes or iterations in one tape, interleaved;
+    a constant memory; a route that the root does not reach; and members
+    whose own memory and query broadcast, a (5, 2, 16) memory of 5 rows
+    against 3 queries and a (2, 1, 5, 2, 16) one against them: each kind
+    forms its own batch of 2."""
+    rng = np.random.default_rng(seed)
+    tape = nm.Tape()
+    other = 4 - iterations
+
+    def route(m, q, its=iterations):
+        return nm.route(m, q, its)[0]
+
+    def q(*lead):
+        return _squashed(tape, rng, lead + (2, 16))
+
+    one = _squashed(tape, rng, (1, 2, 16))
+    base = _squashed(tape, rng, (20, 2, 16))
+    five, twice = (_squashed(tape, rng, s)
+                   for s in ((5, 2, 16), (2, 1, 5, 2, 16)))
+    outs = [route(nm.squash(c(rng.normal(size=(1, 2, 16)))), q())]
+    route(one, q())  # never reaches the root
+    outs += [route(five, q(3)), route(base, q()), route(base, q(), other),
+             route(one, q()), route(five, q(3)), route(twice, q(3)),
+             route(base, q()), route(base, q(), other), route(twice, q(3))]
+    assert _replayed_bits(tape, outs, rng, monkeypatch) == [2] * 5
+
+
 def test_row_ops_refuse_a_scalar_and_stack_rows_checks_its_rows():
     for op in (nm.squash, nm.softmax):
         with pytest.raises(ValueError, match=rf"^{op.__name__}: expected "
