@@ -417,7 +417,8 @@ def main(argv=None) -> int:
         print(f"dmin: data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as err:  # sizes that the inputs ask for
-        print(f"dmin: data error: out of memory: {err}", file=sys.stderr)
+        print(f"dmin: data error: out of memory"
+              + (f": {err}" if str(err) else ""), file=sys.stderr)
         return EXIT_DATA
     except OSError as err:
         print(f"dmin: {err}", file=sys.stderr)

@@ -24,7 +24,9 @@ front of every stack, and makes 2 routing calls per batch: one adapts
 every support, and one induces every (query, class) vector.  Training
 routes each support and each (query, class) pair in its own call, and
 stacks the outputs, until the benchmark counts routed pairs instead of
-calls (ROADMAP item 1).
+calls (ROADMAP item 1).  Each step's calls run in a
+``numerics._deferred_routes`` scope, so their forwards run as one
+stacked route at the scope's exit, with the bits of one at a time.
 
 Evaluation is forward-only and runs its batches one after another in
 the caller's thread, under the caller's numpy error state.  Every episode
@@ -244,7 +246,8 @@ def _episode(model: Model, tensors: dict, episodes: list,
         dmm = (model.dmm_params(tensors), model.config.dmm,
                tensors["clf.w_base"])
         if per_pair:
-            rows = [dmm_adapt(*dmm, e) for e in rows]
+            with nm._deferred_routes():
+                rows = [dmm_adapt(*dmm, e) for e in rows]
             supports = nm.stack_rows(rows)
         else:
             supports = dmm_adapt(*dmm, supports)
@@ -258,9 +261,11 @@ def _episode(model: Model, tensors: dict, episodes: list,
         if per_pair:
             stacks = [nm.stack_rows(rows[c * shot:(c + 1) * shot])
                       for c in range(way)]
-            class_vectors = nm.reshape(nm.stack_rows(
-                [qim_induce(*qim, stk, e) for e in queries for stk in stacks]),
-                (num_q, way, dim))
+            with nm._deferred_routes():
+                induced = [qim_induce(*qim, stk, e)
+                           for e in queries for stk in stacks]
+            class_vectors = nm.reshape(nm.stack_rows(induced),
+                                       (num_q, way, dim))
         else:
             class_vectors = qim_induce(
                 *qim, nm.reshape(supports, lead + one + (way, shot, dim)),
@@ -278,7 +283,10 @@ def episode_forward(model: Model, tensors: dict, episode: Episode,
     shots in every class (:meth:`Episode.from_items` refuses others).  One
     :func:`dmm_adapt` call per support and one :func:`qim_induce` call per
     (query, class) pair, stacked to (Q, C, d) class vectors, because the
-    benchmark pins these per-pair calls (ROADMAP items 1-2).  ``no_dmm``
+    benchmark pins these per-pair calls (ROADMAP items 1-2).  Each step's
+    calls record their own tape nodes, but their routing forwards run as
+    one stacked call when the step ends (``nm._deferred_routes``), with
+    the bits that each call has alone.  ``no_dmm``
     skips adaptation; ``no_qim`` takes each class's mean of adapted
     supports, which every query shares.
     """

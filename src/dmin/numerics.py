@@ -64,6 +64,11 @@ Conventions:
 - :func:`backward` runs the VJPs of a tape's same-shape :func:`route`
   nodes as one batch, with the bits each has alone, and hands each node
   its slice when the walk reaches it, so no adjoint's sum changes order,
+- inside the private :func:`_deferred_routes` scope, which training's
+  per-pair forward opens, :func:`route` records its node and defers its
+  forward to the scope's exit, where each group of one shape and
+  iteration count runs as one stacked call, with the bits each pair
+  has alone,
 - a result is recorded on a tape iff at least one input is recorded; mixing
   inputs from two different tapes is an error,
 - a VJP closes over arrays, never over Tensors: their tape link would make
@@ -84,7 +89,9 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -733,6 +740,13 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
     ``logits``, each (..., n, l).  The VJP keeps the inputs and
     ``iterations`` as ``vjp.inputs`` for :func:`backward`'s replay: an
     input may be a constant, which the tape does not record.
+
+    Inside :func:`_deferred_routes` the shapes are checked now, but the
+    output's value, and its node's, are written when the scope exits,
+    from a stacked call of every deferred pair of these shapes and
+    iterations; ``seen`` is None, and reading the value before raises.
+    Stacked pairs keep their own bits, so the values and gradients are
+    those of calls made one at a time.
     """
     mv, qv = m.array, q.array
     mshape, qshape = mv.shape, qv.shape
@@ -749,6 +763,26 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
         raise ValueError(f"route: need n >= 1, d_v >= 2, leading axes that "
                          f"broadcast and iterations >= 1, got {mshape}, "
                          f"{qshape}, {iterations!r}")
+    scopes = getattr(_deferral, "scopes", None)
+    if not scopes:
+        return _route(m, q, iterations, lead)
+
+    def vjp(g):  # the node's own VJP, for a node that no replay batches
+        out = _route(*map(Tape()._leaf, (mv, qv)), iterations, lead)[0]
+        return out.tape.nodes[out.node_id].vjp(g)
+
+    vjp.inputs = mv, qv, iterations
+    out = _record("route", None, (m, q), vjp)
+    out.__class__ = _Deferred
+    scopes[-1].setdefault((mshape, qshape, iterations, lead), []).append(
+        (out, (mv, qv)))
+    return out, None
+
+
+def _route(m: Tensor, q: Tensor, iterations: int, lead: tuple):
+    """:func:`route` of checked inputs, now, for a batch of shape ``lead``."""
+    mv, qv = m.array, q.array
+    mshape, qshape = mv.shape, qv.shape
     # per memory: the centred rows, their norms and live mask, and the
     # mix's byte order of rows (vecmat's agrees: equal rows, equal weights)
     n, l = mshape[-3:-1]
@@ -812,6 +846,51 @@ def route(m: Tensor, q: Tensor, iterations: int) -> tuple[Tensor, dict]:
 
     vjp.inputs = m.array, q.array, iterations
     return _result("route", caps.reshape(lead + (-1,)), (m, q), vjp), seen
+
+
+class _Deferred(Tensor):  # a route's result until its scope writes it
+    __slots__ = ()
+
+    @property
+    def array(self):
+        raise RuntimeError("route: a deferred value was read before its "
+                           "_deferred_routes scope exited")
+
+
+_deferral = threading.local()  # .scopes: each open scope's deferred routes
+
+
+def _stacked(inputs, mshape, qshape) -> tuple:
+    """The memories and queries of same-shape routes' ``inputs``, each at
+    the rank of its pair's batch, stacked on a new leading axis."""
+    rank = len(np.broadcast_shapes(mshape[:-3], qshape[:-2]))
+    return tuple(np.stack([
+        x[i].reshape((1,) * (rank + 3 - i - len(shape)) + shape)
+        for x in inputs]) for i, shape in enumerate((mshape, qshape)))
+
+
+@contextlib.contextmanager
+def _deferred_routes():
+    """Defer this thread's :func:`route` forwards until the scope exits,
+    then run each group of one memory shape, query shape and iterations
+    as one stacked call and write each pair's slice into its Tensor and
+    tape node.  An exception inside drops the scope's deferred routes."""
+    pending = {}  # (memory shape, query shape, iterations, lead): routes
+    scopes = _deferral.__dict__.setdefault("scopes", [])
+    scopes.append(pending)
+    try:
+        yield
+    finally:
+        scopes.pop()
+    for (mshape, qshape, its, lead), group in pending.items():
+        outs, inputs = zip(*group)
+        batch = _route(*map(Tensor, _stacked(inputs, mshape, qshape)), its,
+                       (len(outs),) + lead)[0]
+        for out, value in zip(outs, batch.array):
+            out.__class__ = Tensor
+            out.array = value
+            if out.tape is not None:
+                out.tape.nodes[out.node_id].value = value
 
 
 # ---------------------------------------------------------------------------
@@ -879,14 +958,10 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
                  and key(j) == key(k)] + [k]
         if len(group) == 1:
             return tape.nodes[k].vjp(adjoints[k])
-        # each input at the rank of its pair's batch, stacked on axis 0
         mshape, qshape, its = key(k)
-        rank = len(np.broadcast_shapes(mshape[:-3], qshape[:-2]))
         private = Tape()
-        m, q = (private._leaf(np.stack([
-            tape.nodes[j].vjp.inputs[i].reshape(
-                (1,) * (rank + 3 - i - len(shape)) + shape) for j in group]))
-            for i, shape in enumerate((mshape, qshape)))
+        m, q = map(private._leaf, _stacked(
+            [tape.nodes[j].vjp.inputs for j in group], mshape, qshape))
         gm, gq = private.nodes[route(m, q, its)[0].node_id].vjp(
             np.stack([adjoints[j] for j in group]))
         for i, j in enumerate(group):

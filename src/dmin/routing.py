@@ -48,6 +48,10 @@ W_INIT_STD = 0.1
 B_INIT_STD = 0.1
 # routing iterations a config may declare; each is unrolled in every call
 MAX_ITERATIONS = 100
+# capsules a config may declare (a checkpoint stores one array per capsule),
+# and entries of its stacked (output_dim, input_dim) transform: 512 MiB
+MAX_CAPSULES = 1 << 10
+MAX_TRANSFORM_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,8 @@ class RoutingConfig:
     classification pipeline both routing operators map d -> d, so there
     ``capsule_count * capsule_dim`` must equal ``input_dim``; the operator
     itself accepts any combination.  ``iterations`` is at most
-    :data:`MAX_ITERATIONS`.
+    :data:`MAX_ITERATIONS`, ``capsule_count`` at most :data:`MAX_CAPSULES`
+    and ``input_dim * output_dim`` at most :data:`MAX_TRANSFORM_ENTRIES`.
     """
 
     input_dim: int
@@ -80,6 +85,15 @@ class RoutingConfig:
             raise ValueError(
                 f"capsule_dim must be >= 2 (correlation needs at least two "
                 f"coordinates), got {self.capsule_dim}")
+        if self.capsule_count > MAX_CAPSULES:
+            raise ValueError(f"capsule_count must be <= {MAX_CAPSULES}, "
+                             f"got {self.capsule_count}")
+        # as Python ints: numpy integers would wrap
+        entries = int(self.input_dim) * int(self.capsule_count) \
+            * int(self.capsule_dim)
+        if entries > MAX_TRANSFORM_ENTRIES:
+            raise ValueError(f"input_dim * output_dim must be <= "
+                             f"{MAX_TRANSFORM_ENTRIES}, got {entries}")
 
     @property
     def output_dim(self) -> int:
@@ -187,6 +201,9 @@ def dmr(params: RoutingParams, cfg: RoutingConfig, memory: Tensor,
     out, seen = nm.route(params.transform(cfg, memory),
                          params.transform(cfg, query), cfg.iterations)
     if trace is not None:
+        if seen is None:
+            raise ValueError("dmr: a RoutingTrace cannot be filled inside "
+                             "a deferred-routes scope")
         trace.coupling.extend(seen["coupling"])
         trace.gates.extend(seen["gates"])
         trace.capsule_outputs = out.array.reshape(

@@ -398,15 +398,17 @@ def _ckpt_with_param(name, entry):
     return make
 
 
-def _ckpt_config_with(dotted, value):
-    """The checkpoint with config field ``dotted`` set to ``value``."""
+def _ckpt_config_with(dotted, value, *more):
+    """The checkpoint with config field ``dotted`` set to ``value``, and
+    each further ``(dotted, value)`` pair of ``more`` likewise."""
     def make(body, lines):
         config = json.loads(json.dumps(body["config"]))
-        *outer, last = dotted.split(".")
-        node = config
-        for part in outer:
-            node = node[part]
-        node[last] = value
+        for key, v in ((dotted, value), *more):
+            *outer, last = key.split(".")
+            node = config
+            for part in outer:
+                node = node[part]
+            node[last] = v
         return _resealed({**body, "config": config})
     return make
 
@@ -541,6 +543,22 @@ MALFORMED = [
      _config({"routing": {"dmm": {**ROUTING_OK, "iterations": 2**70},
                           "qim": ROUTING_OK}}), PRETRAIN_CONFIG,
      [f"routing.dmm.iterations must be <= 100, got {2**70}"]),
+    # a model of 2**40-d routing in 2**39 capsules, which passes every
+    # other check and would name 2**39 checkpoint arrays before reading one
+    ("ckpt_capsule_count", ".ckpt",
+     _ckpt_config_with("embed_dim", 2**40, ("encoder.embed_dim", 2**40),
+                       *[(f"{op}.{key}", v) for op in ("dmm", "qim")
+                         for key, v in (("input_dim", 2**40),
+                                        ("capsule_count", 2**39),
+                                        ("capsule_dim", 2))]), EVAL,
+     [f"dmm.capsule_count must be <= 1024, got {2**39}"]),
+    ("config_routing_transform_entries", ".json",
+     _config({"encoder": {"kind": "precomputed", "embed_dim": 2**20},
+              "routing": {op: {"input_dim": 2**20, "capsule_count": 4,
+                               "capsule_dim": 2**18}
+                          for op in ("dmm", "qim")}}), PRETRAIN_CONFIG,
+     [f"routing.dmm.input_dim * output_dim must be <= 67108864, "
+      f"got {2**40}"]),
     ("config_vocab_buckets", ".json",
      _config({"encoder": {"vocab_buckets": 2**40}}),
      ["pretrain", "--config", BAD, "--data", TEXT, "--out", OUT],
@@ -848,6 +866,17 @@ def test_memory_error_is_one_line_data_error(tmp_path, text_path, capsys,
                    "745. GiB for an array with shape (100000000, 1000) and "
                    "data type float64\n"), err
     assert not out.exists()
+
+
+def test_memory_error_without_a_reason_is_one_complete_line(
+        text_path, tmp_path, capsys, monkeypatch):
+    def oom(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "pretrain", oom)
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--data", str(text_path), "--out",
+                     str(tmp_path / "m.ckpt")]) == 2
+    assert capsys.readouterr().err == "dmin: data error: out of memory\n"
 
 
 @pytest.mark.parametrize("case,argv,named", BAD_FLAGS,

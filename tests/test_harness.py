@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import logging
@@ -423,6 +424,41 @@ class TestMetaTrain:
         assert not np.array_equal(model.params["dmm.w"][rows], before_dmm)
         assert not np.array_equal(model.params["qim.w"][rows], before_qim)
         assert model.meta["meta_trained"] is True
+
+    @pytest.mark.parametrize("taped", [True, False],
+                             ids=["taped", "untaped"])
+    def test_deferred_per_pair_routes_give_the_eager_bytes(
+            self, monkeypatch, taped):
+        """The per-pair forward defers its routes to one stacked call per
+        routing step; run eagerly, each route on its own, it gives the
+        same bytes: the scores, the tape's ops and every leaf gradient.
+        A C4-shaped 5-way 1-shot episode and a 3-way 2-shot one with
+        3 routing iterations, under every ablation that routes."""
+        c4 = dataclasses.replace(C4_CONFIG, seed=2)
+        for cfg, dim, (way, shot, queries) in ((c4, 32, (5, 1, 5)),
+                                               (small_cfg(), 8, (3, 2, 2))):
+            ds = blob_dataset(num_classes=6, per_class=8, dim=dim)
+            model = init_model(model_config_from(cfg, 20), seed=1)
+            episode = sample_episode(ds, EpisodeConfig(
+                way=way, shot=shot, queries=queries, seed=3), 0)
+            for flags in map(frozenset, ([], ["no_dmm"], ["no_qim"])):
+                runs = []
+                for eager in (False, True):
+                    with monkeypatch.context() as patched:
+                        if eager:
+                            patched.setattr(nm, "_deferred_routes",
+                                            contextlib.nullcontext)
+                        tape = nm.Tape() if taped else None
+                        tensors = model.tensors(tape)
+                        scores, labels = episode_forward(model, tensors,
+                                                         episode, flags)
+                        runs.append((scores.array.tobytes(), labels))
+                        if taped:
+                            g = nm.backward(tape, loss_episode(scores, labels))
+                            runs.append([node.op for node in tape.nodes])
+                            runs.append([(k, g[t.node_id].tobytes())
+                                         for k, t in tensors.items()])
+                assert runs[:len(runs) // 2] == runs[len(runs) // 2:], flags
 
     def test_an_episode_records_one_exp_and_one_cross_entropy(self):
         ds = blob_dataset()

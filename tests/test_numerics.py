@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -974,6 +976,148 @@ def test_replayed_routes_keep_their_own_shapes_and_inputs(
              route(one, q()), route(five, q(3)), route(twice, q(3)),
              route(base, q()), route(base, q(), other), route(twice, q(3))]
     assert _replayed_bits(tape, outs, rng, monkeypatch) == [2] * 5
+
+
+def _per_pair_pass(rng, iterations, taped, scope):
+    """Routes as training's per-pair forward makes them, each scope opened
+    by ``scope()``: 3 supports against 20 shared base rows, then, in one
+    scope, 4 queries against each adapted support as a (1, 2, 16) memory,
+    against a (5, 2, 16) memory at the other iteration count, and one
+    route whose shape and iterations no other has.  Inputs are leaves of
+    a new tape, or constants if not ``taped``.  Returns the tape (None if
+    not ``taped``) and the outputs."""
+    tape = nm.Tape() if taped else None
+    other = 4 - iterations
+
+    def capsules(*shape):
+        v = nm.squash(c(rng.normal(size=shape))).array
+        return tape.leaf(v) if taped else c(v)
+
+    base = capsules(20, 2, 16)
+    supports = [capsules(2, 16) for _ in range(3)]
+    with scope():
+        adapted = [nm.route(base, s, iterations)[0] for s in supports]
+    memories = [nm.reshape(a, (1, 2, 16)) for a in adapted]
+    five, queries = capsules(5, 2, 16), [capsules(2, 16) for _ in range(4)]
+    with scope():
+        outs = [nm.route(m, q, iterations)[0] for q in queries
+                for m in memories]
+        outs += [nm.route(five, q, other)[0] for q in queries]
+        outs.append(nm.route(five, queries[0], iterations)[0])
+    return tape, adapted + outs
+
+
+def _deferred_against_eager(seed, iterations, taped):
+    """Assert that :func:`_per_pair_pass` gives the same output bytes with
+    its routes deferred as run eagerly, and, if ``taped``, the same bytes
+    of every leaf gradient under :func:`nm.backward` and under each node's
+    own VJP; return the deferred pass's tape and outputs."""
+    runs = [_per_pair_pass(np.random.default_rng(seed), iterations, taped,
+                           scope)
+            for scope in (contextlib.nullcontext, nm._deferred_routes)]
+    (_, want), (tape, got) = runs
+    assert [o.array.tobytes() for o in got] == \
+        [o.array.tobytes() for o in want]
+    if taped:
+        probes = np.random.default_rng(seed + 100)
+        probes = [c(probes.normal(size=o.shape)) for o in got]
+        grads = []
+        for run_tape, outs in runs:
+            root = nm.dot(nm.stack_rows([nm.dot(o, p) for o, p in
+                                         zip(outs, probes)]),
+                          c(np.ones(len(outs))))
+            grads.append(nm.backward(run_tape, root))
+        grads.append(backward_reference(tape.nodes, root.node_id))
+        assert [node.op for node in runs[0][0].nodes] == \
+            [node.op for node in tape.nodes]
+        for k in grads[0]:
+            assert grads[1][k].tobytes() == grads[0][k].tobytes(), k
+            assert grads[2][k].tobytes() == grads[0][k].tobytes(), k
+    return tape, got
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+@pytest.mark.parametrize("iterations", [1, 3])
+@pytest.mark.parametrize("seed", range(2))
+def test_deferred_routes_give_the_bytes_of_eager_routes(seed, iterations,
+                                                         taped):
+    """The DMM (20, 2, 16) and QIM (1, 2, 16) shapes, n = 5 rows, mixed
+    shapes and iterations in one scope and a group of 1; on a tape the
+    deferred nodes hold their values, and backward's replay batches them
+    as it batches eager ones."""
+    tape, outs = _deferred_against_eager(seed, iterations, taped)
+    assert all(type(o) is nm.Tensor for o in outs)
+    if taped:
+        for o in outs:
+            assert tape.nodes[o.node_id].value is o.array
+
+
+def test_a_deferred_value_cannot_be_read_inside_its_scope():
+    m = nm.squash(c(np.random.default_rng(1).normal(size=(3, 2, 4))))
+    q = nm.squash(c(np.random.default_rng(2).normal(size=(2, 4))))
+    want = nm.route(m, q, 2)[0].array
+    with nm._deferred_routes():
+        out, seen = nm.route(m, q, 2)
+        assert seen is None
+        for read in (lambda: out.array, lambda: out.shape,
+                     lambda: nm.squash(out), lambda: nm.route(m, out, 2),
+                     lambda: nm.stack_rows([out])):
+            with pytest.raises(RuntimeError, match="^route: a deferred value "
+                                                   "was read before"):
+                read()
+        # shapes are checked when the route is called, not at the exit
+        with pytest.raises(ValueError, match="^route: need n >= 1"):
+            nm.route(m, c(np.ones((2, 5))), 2)
+    assert out.array.tobytes() == want.tobytes()
+
+
+def test_deferred_scopes_nest():
+    """An inner scope writes its own routes' values at its exit; the outer
+    scope's stay deferred until the outer exit."""
+    rng = np.random.default_rng(4)
+    m, q1, q2 = (nm.squash(c(rng.normal(size=s)))
+                 for s in ((3, 2, 4), (2, 4), (2, 4)))
+    want = [nm.route(m, q, 2)[0].array.tobytes() for q in (q1, q2)]
+    with nm._deferred_routes():
+        outer = nm.route(m, q1, 2)[0]
+        with nm._deferred_routes():
+            inner = nm.route(m, q2, 2)[0]
+        assert inner.array.tobytes() == want[1]
+        with pytest.raises(RuntimeError):
+            outer.array
+    assert outer.array.tobytes() == want[0]
+
+
+def test_an_exception_inside_a_scope_leaves_nothing_deferred():
+    rng = np.random.default_rng(5)
+    m, q = nm.squash(c(rng.normal(size=(3, 2, 4)))), \
+        nm.squash(c(rng.normal(size=(2, 4))))
+    with nm._deferred_routes():
+        kept = nm.route(m, q, 2)[0]
+        with pytest.raises(KeyError):
+            with nm._deferred_routes():
+                dropped = nm.route(m, q, 2)[0]
+                raise KeyError("inside")
+        assert len(nm._deferral.scopes) == 1
+    assert nm._deferral.scopes == []
+    assert kept.array.tobytes() == nm.route(m, q, 2)[0].array.tobytes()
+    with pytest.raises(RuntimeError):  # never stale or uninitialised
+        dropped.array
+
+
+def test_another_thread_routes_eagerly_while_a_scope_is_open():
+    rng = np.random.default_rng(6)
+    m, q = nm.squash(c(rng.normal(size=(3, 2, 4)))), \
+        nm.squash(c(rng.normal(size=(2, 4))))
+    want = nm.route(m, q, 2)[0].array.tobytes()
+    seen = []
+    thread = threading.Thread(
+        target=lambda: seen.append(nm.route(m, q, 2)[0].array.tobytes()))
+    with nm._deferred_routes():
+        out = nm.route(m, q, 2)[0]
+        thread.start()
+        thread.join()
+    assert seen == [want] and out.array.tobytes() == want
 
 
 def test_row_ops_refuse_a_scalar_and_stack_rows_checks_its_rows():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmin import numerics as nm
-from dmin.routing import (MAX_ITERATIONS, RoutingConfig, RoutingParams,
+from dmin.routing import (MAX_CAPSULES, MAX_ITERATIONS,
+                          MAX_TRANSFORM_ENTRIES, RoutingConfig, RoutingParams,
                           RoutingTrace, dmr, dmm_adapt, init_routing_arrays,
                           qim_induce)
 from oracles import assert_gradients_close, dmr_reference, finite_difference_gradients
@@ -51,6 +52,35 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^iterations must be <= 100, "
                                              r"got 101$"):
             RoutingConfig(input_dim=8, iterations=MAX_ITERATIONS + 1)
+
+    def test_capsule_count_is_bounded(self):
+        # a checkpoint of 2**39 capsules would name 2**39 arrays
+        assert RoutingConfig(input_dim=2, capsule_count=MAX_CAPSULES,
+                             capsule_dim=2).capsule_count == 1024
+        for count in (MAX_CAPSULES + 1, 2**39):
+            with pytest.raises(ValueError, match=rf"^capsule_count must be "
+                                                 rf"<= 1024, got {count}$"):
+                RoutingConfig(input_dim=2**40, capsule_count=count,
+                              capsule_dim=2)
+
+    def test_transform_entries_are_bounded(self):
+        # input_dim * capsule_count * capsule_dim entries of one transform
+        assert MAX_TRANSFORM_ENTRIES == 2**26
+        assert RoutingConfig(input_dim=2**13, capsule_count=4,
+                             capsule_dim=2**11).output_dim == 2**13
+        for dim, caps, cap_dim in ((2**13 + 1, 4, 2**11), (2**40, 4, 2),
+                                   (1, 1, 2**26 + 1), (2**40, 4, 2**38)):
+            entries = dim * caps * cap_dim
+            with pytest.raises(ValueError, match=rf"^input_dim \* output_dim "
+                                                 rf"must be <= 67108864, "
+                                                 rf"got {entries}$"):
+                RoutingConfig(input_dim=dim, capsule_count=caps,
+                              capsule_dim=cap_dim)
+        with pytest.raises(ValueError, match="got 1099511627776$"):
+            RoutingConfig.for_pipeline(2**20)
+        with pytest.raises(ValueError, match=rf"got {2**82}$"):  # no wrap
+            RoutingConfig(input_dim=np.int64(2**40), capsule_count=4,
+                          capsule_dim=np.int64(2**40))
 
 
 def test_identity_blocks_need_equal_input_and_output_dims():
@@ -388,6 +418,22 @@ class TestTraceInvariants:
             norms = np.linalg.norm(trace.capsule_outputs, axis=1)
             assert np.all(norms < 1.0)
 
+
+    def test_a_trace_is_refused_where_routes_are_deferred(self):
+        rng = np.random.default_rng(24)
+        cfg = RoutingConfig(input_dim=6, capsule_count=2, capsule_dim=3)
+        params = as_constant_params(*make_params(rng, cfg))
+        memory = nm.constant(rng.normal(size=(4, 6)))
+        query = nm.constant(rng.normal(size=6))
+        trace = RoutingTrace()
+        with nm._deferred_routes():
+            with pytest.raises(ValueError, match="^dmr: a RoutingTrace "
+                                                 "cannot be filled inside a "
+                                                 "deferred-routes scope$"):
+                dmr(params, cfg, memory, query, trace=trace)
+        assert trace == RoutingTrace()
+        dmr(params, cfg, memory, query, trace=trace)
+        assert len(trace.gates) == cfg.iterations
 
     def test_trace_holds_what_each_iteration_mixed_with(self):
         rng = np.random.default_rng(23)
